@@ -4,7 +4,8 @@ Every command prints exactly one canonical JSON report to stdout; wall-clock
 timing goes to stderr so reruns with the same inputs and seed are
 byte-identical.  Exit codes: 0 success / property holds, 1 property fails
 (with witness; still a correct run), 2 input or usage error, 3 resource cap
-exceeded.
+exceeded, 4 the run could not complete (an inconsistent pair handed to a
+command that needs synthesis, a violated internal law, or recursion too deep).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .conditions import (
     residual_compare,
     right_congruence_automaton,
 )
-from .errors import CapExceeded, InputError
+from .errors import CapExceeded, InputError, InternalConsistencyError
 from .games import Arena
 from .serialize import (
     arena_to_dot,
@@ -125,7 +126,7 @@ def _cmd_cond_residuals(args):
     rep = _Reporter("cond residuals")
     cond = rep.load(args.condition, Condition)
     w1, w2 = parse_word(args.w1), parse_word(args.w2)
-    verdict = residual_compare(cond, w1, w2, cap=args.cap)
+    verdict = residual_compare(cond, w1, w2)
     return rep.done(w1=list(w1), w2=list(w2), relation=verdict)
 
 
@@ -367,9 +368,8 @@ def _cmd_demo_mp(args):
     result = consistency.mp_counterexample_report(args.n_max)
     # the demonstrated property (cycle-consistency of the mean-payoff
     # threshold) fails by design; exit 1 signals the confirmed witness
-    code = 1 if result.verdict == "fail" else 0
     return rep.done(
-        exit_code=code,
+        exit_code=1,
         verdict=result.verdict,
         witness=result.witness,
         details=result.details,
@@ -542,6 +542,12 @@ def main(argv=None) -> int:
         report, code = {"format": 1, "error": str(exc), "cap": exc.cap}, 3
     except FileNotFoundError as exc:
         report, code = {"format": 1, "error": str(exc)}, 2
+    except (
+        synthesis.SynthesisStageError,
+        InternalConsistencyError,
+        RecursionError,
+    ) as exc:
+        report, code = {"format": 1, "error": f"{type(exc).__name__}: {exc}"}, 4
     sys.stdout.write(canonical_json(report))
     print(f"[{time.monotonic() - started:.3f}s]", file=sys.stderr)
     return code

@@ -26,6 +26,7 @@ from .skeletons import (
     Skeleton,
     State,
     Transition,
+    _scc_ids,
     enumerate_cycle_supports,
     trivial_skeleton,
 )
@@ -345,8 +346,56 @@ def lasso_value(cond: Condition, lasso: Lasso) -> str:
 
 
 # ---------------------------------------------------------------------------
-# residual comparison (deterministic parity automata, exact)
+# residual comparison (automaton-backed conditions, exact)
 # ---------------------------------------------------------------------------
+
+
+def _parity_win_lose_pairs(aut: ParityAutomaton) -> frozenset[tuple[State, State]]:
+    """All state pairs (q1, q2) such that some word wins from q1 and loses from q2.
+
+    Such a word exists iff (q1, q2) reaches, in the square Q x Q, a strongly
+    connected component of the square restricted to left priority <= p1 and
+    right priority <= p2 that has an internal left-p1 edge and an internal
+    right-p2 edge, for some even p1 and odd p2: a closed walk covering that
+    component sees left maximum p1 and right maximum p2, and conversely the
+    transitions a pair run repeats form such a walk.  Costs one SCC pass per
+    (p1, p2) and one backward pass, all over the square.
+    """
+    sk = aut.skeleton
+    states = sk.states
+    n = len(states)
+    number = {s: i for i, s in enumerate(states)}
+    moves = [
+        [(number[sk.step(s, c)], aut.priority(s, c)) for c in sk.alphabet]
+        for s in states
+    ]
+    # square edges (u, v, left priority, right priority); node a*n + b is (a, b)
+    edges = [
+        (a * n + b, ta * n + tb, pa, pb)
+        for a in range(n)
+        for b in range(n)
+        for (ta, pa), (tb, pb) in zip(moves[a], moves[b])
+    ]
+    priorities = sorted({p for _, _, p in aut.priorities})
+    good: set[int] = set()
+    for p1 in (p for p in priorities if p % 2 == 0):
+        for p2 in (p for p in priorities if p % 2 == 1):
+            kept = [e for e in edges if e[2] <= p1 and e[3] <= p2]
+            comp = _scc_ids(range(n * n), [(u, v) for u, v, _, _ in kept])
+            inner = [(comp[u], x, y) for u, v, x, y in kept if comp[u] == comp[v]]
+            tops_left = {k for k, x, _ in inner if x == p1}
+            hits = {k for k, _, y in inner if y == p2 and k in tops_left}
+            good.update(u for u in range(n * n) if comp[u] in hits)
+    preds: list[list[int]] = [[] for _ in range(n * n)]
+    for u, v, _, _ in edges:
+        preds[v].append(u)
+    stack = list(good)
+    while stack:
+        for u in preds[stack.pop()]:
+            if u not in good:
+                good.add(u)
+                stack.append(u)
+    return frozenset((states[u // n], states[u % n]) for u in good)
 
 
 def _pair_skeleton(
@@ -386,25 +435,20 @@ def _side_support(
 
 
 def _residual_flags(
-    cond: DpaCondition | MullerCondition,
-    q1: State,
-    q2: State,
-    cap: int,
+    cond: MullerCondition, q1: State, q2: State, cap: int
 ) -> tuple[bool, bool]:
-    """(some continuation wins after q1 and loses after q2, the converse)."""
-    sk = cond.automaton.skeleton if isinstance(cond, DpaCondition) else cond.skeleton
-    pair, sides = _pair_skeleton(sk, q1, q2)
+    """(some continuation wins after q1 and loses after q2, the converse).
+
+    Classifies every cycle support of the pair product from (q1, q2), so the
+    cost is exponential and ``cap`` bounds it.  Parity conditions use
+    :func:`_parity_win_lose_pairs` instead.
+    """
+    pair, sides = _pair_skeleton(cond.skeleton, q1, q2)
     win1_lose2 = False
     lose1_win2 = False
     for sup in enumerate_cycle_supports(pair, cap=cap):
-        left = _side_support(sides, sup, 0)
-        right = _side_support(sides, sup, 1)
-        if isinstance(cond, DpaCondition):
-            v1 = WIN if cond.automaton.max_support_priority(left) % 2 == 0 else LOSE
-            v2 = WIN if cond.automaton.max_support_priority(right) % 2 == 0 else LOSE
-        else:
-            v1 = cond.support_value(left)
-            v2 = cond.support_value(right)
+        v1 = cond.support_value(_side_support(sides, sup, 0))
+        v2 = cond.support_value(_side_support(sides, sup, 1))
         if v1 == WIN and v2 == LOSE:
             win1_lose2 = True
         elif v1 == LOSE and v2 == WIN:
@@ -420,8 +464,20 @@ def compare_states(
     q2: State,
     cap: int = DEFAULT_SUPPORT_CAP,
 ) -> str:
-    """Exact comparison of the residual languages of two automaton states."""
-    win1_lose2, lose1_win2 = _residual_flags(cond, q1, q2, cap)
+    """Exact comparison of the residual languages of two automaton states.
+
+    ``cap`` bounds the support enumeration of Muller conditions; parity
+    conditions are decided in polynomial time and ignore it.
+    """
+    if isinstance(cond, DpaCondition):
+        sk = cond.automaton.skeleton
+        for q in (q1, q2):
+            if q not in sk.states:
+                raise InputError(f"unknown state {q!r}")
+        win_lose = _parity_win_lose_pairs(cond.automaton)
+        win1_lose2, lose1_win2 = (q1, q2) in win_lose, (q2, q1) in win_lose
+    else:
+        win1_lose2, lose1_win2 = _residual_flags(cond, q1, q2, cap)
     if win1_lose2 and lose1_win2:
         return "incomparable"
     if win1_lose2:
@@ -431,23 +487,19 @@ def compare_states(
     return "equal"
 
 
-def residual_compare(
-    cond: Condition,
-    w1: Sequence[Color],
-    w2: Sequence[Color],
-    cap: int = DEFAULT_SUPPORT_CAP,
-) -> str:
+def residual_compare(cond: Condition, w1: Sequence[Color], w2: Sequence[Color]) -> str:
     """Compare the winning continuations of two finite words.
 
     ``less`` means w1's continuations are a strict subset of w2's.  Decided
-    exactly by classifying the cycle supports of the paired product.
+    exactly, in polynomial time, from the square of the parity automaton
+    (:func:`compare_states`); no cycle supports are enumerated.
     """
     if not isinstance(cond, DpaCondition):
         raise PreconditionError("residual comparison requires an automaton-backed condition")
     _check_word(cond, w1)
     _check_word(cond, w2)
     sk = cond.automaton.skeleton
-    return compare_states(cond, sk.run_end(w1), sk.run_end(w2), cap)
+    return compare_states(cond, sk.run_end(w1), sk.run_end(w2))
 
 
 # ---------------------------------------------------------------------------
@@ -516,18 +568,21 @@ def right_congruence_automaton(
 
     States are labeled by the class they denote: a shortest representative
     word for automaton-backed conditions, the gap value for discounted sums.
+    A parity condition is quotiented by the residual relation of all state
+    pairs, computed once; ``cap`` bounds the support enumeration of Muller
+    conditions only.
     """
-    if isinstance(cond, (DpaCondition, MullerCondition)):
-        sk = cond.automaton.skeleton if isinstance(cond, DpaCondition) else cond.skeleton
-        cache: dict[tuple[State, State], bool] = {}
+    if isinstance(cond, DpaCondition):
+        win_lose = _parity_win_lose_pairs(cond.automaton)
+        return _quotient_by_equivalence(
+            cond.automaton.skeleton,
+            lambda a, b: (a, b) not in win_lose and (b, a) not in win_lose,
+        )
 
-        def equivalent(a: State, b: State) -> bool:
-            key = (a, b) if a <= b else (b, a)
-            if key not in cache:
-                cache[key] = compare_states(cond, key[0], key[1], cap) == "equal"
-            return cache[key]
-
-        return _quotient_by_equivalence(sk, equivalent)
+    if isinstance(cond, MullerCondition):
+        return _quotient_by_equivalence(
+            cond.skeleton, lambda a, b: compare_states(cond, a, b, cap) == "equal"
+        )
 
     if isinstance(cond, DiscountedSumCondition):
         return _ds_congruence_automaton(cond)

@@ -22,7 +22,7 @@ from .conditions import (
     right_congruence_automaton,
     WIN,
 )
-from .errors import InputError
+from .errors import InputError, InternalConsistencyError
 from .skeletons import (
     DEFAULT_SUPPORT_CAP,
     Color,
@@ -248,9 +248,9 @@ def mp_counterexample_report(n_max: int) -> ConsistencyReport:
     for n in range(1, n_max + 1):
         pos = n * n + n
         if pos not in zero_positions:
-            return ConsistencyReport(
-                verdict="pass",  # counterexample claim itself failed to verify
-                details={"error": f"running sum not zero at position {pos}"},
+            raise InternalConsistencyError(
+                f"mean-payoff counterexample does not verify: running sum "
+                f"not zero at position {pos}"
             )
         checked.append(pos)
 

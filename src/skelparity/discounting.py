@@ -11,6 +11,7 @@ this module also demonstrates constructively.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -110,10 +111,10 @@ def _gap_bfs(lam: Fraction, k: int) -> tuple[Skeleton, dict]:
     start = gap((), lam, k)
     names: dict[GapValue, State] = {start: start.name}
     upd: dict = {}
-    queue = [start]
+    queue = deque([start])
     seen = {start}
     while queue:
-        g = queue.pop(0)
+        g = queue.popleft()
         for c in alphabet:
             g2 = gap_step(g, c, lam, k)
             if g2 not in names:

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-Exit-code mapping used by the CLI: InputError -> 2, CapExceeded -> 3.
-Property failures are ordinary results (reports with a witness), not
-exceptions.
+Exit-code mapping used by the CLI: InputError -> 2, CapExceeded -> 3, and
+4 for a run that cannot complete: InternalConsistencyError, a
+``synthesis.SynthesisStageError`` outside ``synthesize`` (which reports it
+as a failed property) and ``RecursionError``.  Property failures are
+ordinary results (reports with a witness), not exceptions.
 """
 
 

@@ -345,10 +345,18 @@ def enumerate_cycle_supports(
         raise InputError("cap must be positive")
     edges = sorted(((s, c) for s, c, _ in m.transitions), key=transition_key)
     found: list[frozenset[Transition]] = []
-
-    def rec(included: set[Transition], idx: int):
+    included: set[Transition] = set()
+    # depth-first over include/exclude decisions, the include branch first;
+    # a (idx, True) frame drops edges[idx] again and starts the exclude branch
+    stack: list[tuple[int, bool]] = [(0, False)]
+    while stack:
+        idx, backtrack = stack.pop()
+        if backtrack:
+            included.discard(edges[idx])
+            stack.append((idx + 1, False))
+            continue
         if not _completion_exists(m, included, edges[idx:]):
-            return
+            continue
         if idx == len(edges):
             if included:
                 found.append(frozenset(included))
@@ -356,14 +364,10 @@ def enumerate_cycle_supports(
                     raise CapExceeded(
                         f"cycle-support enumeration exceeded cap {cap}", cap
                     )
-            return
-        e = edges[idx]
-        included.add(e)
-        rec(included, idx + 1)
-        included.discard(e)
-        rec(included, idx + 1)
-
-    rec(set(), 0)
+            continue
+        included.add(edges[idx])
+        stack.append((idx, True))
+        stack.append((idx + 1, False))
     found.sort(key=support_key)
     return found
 

@@ -14,10 +14,12 @@ from skelparity import (
     DiscountedSumCondition,
     DpaCondition,
     MullerCondition,
+    consistency,
     enumerate_cycle_supports,
+    trivial_skeleton,
 )
 from skelparity.cli import main, parse_fraction, parse_word
-from skelparity.errors import InputError
+from skelparity.errors import InputError, InternalConsistencyError
 from skelparity.games import Arena
 from skelparity.serialize import (
     arena_from_dict,
@@ -212,11 +214,17 @@ def test_cli_run_and_supports(files):
     assert json.loads(out)["count"] == 22
 
 
-def test_cli_supports_cap_exit_code(files):
+def test_cli_supports_cap_exit_code(files, tmp_path):
     out, code = run_cli(
         "skel", "supports", "--skeleton", files["switch.json"], "--cap", "3"
     )
     assert code == 3
+    # one branching level per transition: 1,200 self-loops must not overflow
+    loops = tmp_path / "loops.json"
+    loops.write_text(canonical_json(skeleton_to_dict(trivial_skeleton(range(1200)))))
+    out, code = run_cli("skel", "supports", "--skeleton", str(loops), "--cap", "10")
+    assert code == 3
+    assert json.loads(out)["cap"] == 10
 
 
 def test_cli_product(files, tmp_path):
@@ -256,6 +264,41 @@ def test_cli_rc_automaton(files):
     out, code = run_cli("cond", "rc-automaton", "--condition", files["ds.json"])
     assert code == 0
     assert json.loads(out)["states"] == 6
+    # parity residuals enumerate no supports, so the cap cannot bind
+    rc = ("cond", "rc-automaton", "--condition", files["contrast_cond.json"])
+    out, code = run_cli(*rc, "--cap", "1")
+    assert code == 0
+    assert (out, code) == run_cli(*rc)
+
+
+def test_cli_lift_experiment_on_inconsistent_pair_exits_4(files):
+    out, code = run_cli(
+        "game",
+        "lift-experiment",
+        "--condition",
+        files["genbuchi.json"],
+        "--skeleton",
+        files["trivial.json"],
+        "--arenas",
+        "2",
+    )
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["format"] == 1
+    assert "'cycle-consistency' failed" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "exc", [InternalConsistencyError("law violated"), RecursionError("too deep")]
+)
+def test_cli_unfinished_run_exits_4(monkeypatch, exc):
+    def fail(n_max):
+        raise exc
+
+    monkeypatch.setattr(consistency, "mp_counterexample_report", fail)
+    out, code = run_cli("demo", "mp", "--n-max", "3")
+    assert code == 4
+    assert json.loads(out) == {"format": 1, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def test_cli_synthesize_verify_game(files, tmp_path):

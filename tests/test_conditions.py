@@ -1,5 +1,7 @@
 """Lasso oracles, gaps, residual comparison, right-congruence automata."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,9 @@ from skelparity import (
     DpaCondition,
     Lasso,
     MeanPayoffCondition,
+    MullerCondition,
     ParityAutomaton,
+    Skeleton,
     TotalPayoffCondition,
     gap,
     lasso_value,
@@ -195,6 +199,69 @@ def test_residual_compare_strict_inclusion_on_gap_automaton():
 def test_residual_compare_requires_automaton_backing():
     with pytest.raises(PreconditionError):
         residual_compare(MeanPayoffCondition(), [1], [-1])
+
+
+def test_compare_states_rejects_unknown_states(ab_prefix_condition):
+    with pytest.raises(InputError):
+        compare_states(ab_prefix_condition, "[ε]", "nowhere")
+
+
+def _two_letter_dpa(targets, priorities) -> ParityAutomaton:
+    """DPA with q_i --a--> q_targets[2i] and q_i --b--> q_targets[2i+1],
+    cut down to the states reachable from q0."""
+    reach, todo = {0}, [0]
+    while todo:
+        i = todo.pop()
+        for t in targets[2 * i : 2 * i + 2]:
+            if t not in reach:
+                reach.add(t)
+                todo.append(t)
+    pairs = [((f"q{i}", c), 2 * i + j) for i in reach for j, c in enumerate("ab")]
+    sk = Skeleton.make(
+        [f"q{i}" for i in reach], "q0", "ab", {t: f"q{targets[k]}" for t, k in pairs}
+    )
+    return ParityAutomaton.make(sk, {t: priorities[k] for t, k in pairs})
+
+
+_CONVERSE = {"less": "greater", "greater": "less", "equal": "equal", "incomparable": "incomparable"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parity_residuals_match_support_enumeration(data):
+    n = data.draw(st.integers(1, 4))
+    targets = data.draw(st.lists(st.integers(0, n - 1), min_size=2 * n, max_size=2 * n))
+    priorities = data.draw(st.lists(st.integers(0, 3), min_size=2 * n, max_size=2 * n))
+    aut = _two_letter_dpa(targets, priorities)
+    cond = DpaCondition(aut)
+    # reference: the same language as a Muller condition, decided by
+    # classifying every cycle support of the pair product
+    oracle = MullerCondition(
+        aut.skeleton, predicate=lambda sup: aut.max_support_priority(sup) % 2 == 0
+    )
+    states = aut.skeleton.states
+    for i, q1 in enumerate(states):
+        for q2 in states[i:]:
+            want = compare_states(oracle, q1, q2)
+            assert compare_states(cond, q1, q2) == want
+            assert compare_states(cond, q2, q1) == _CONVERSE[want]
+
+
+def test_rc_of_fifty_state_dpa_within_a_second():
+    rng = random.Random(50)
+    n = 50
+    targets = [rng.randrange(n) for _ in range(2 * n)]
+    parent_slots: set[int] = set()
+    for i in range(1, n):  # an edge from a lower state into each state
+        slot = rng.choice([k for k in range(2 * i) if k not in parent_slots])
+        parent_slots.add(slot)
+        targets[slot] = i
+    aut = _two_letter_dpa(targets, [rng.randint(0, 3) for _ in range(2 * n)])
+    assert len(aut.skeleton.states) == n
+    start = time.perf_counter()
+    rc = right_congruence_automaton(DpaCondition(aut))
+    assert time.perf_counter() - start < 1.0
+    assert 1 <= len(rc.states) <= n
 
 
 # -- right congruence -------------------------------------------------------------
