@@ -11,6 +11,7 @@ command that needs synthesis, a violated internal law, or recursion too deep).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import re
 import sys
@@ -410,7 +411,10 @@ def _add_lambda_k(p, k_required=True):
     p.add_argument("--k", type=int, required=k_required)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it
+    was, and the handlers look up the library functions when they run."""
     top = argparse.ArgumentParser(
         prog="skelparity",
         description="skeleton-relative analysis and synthesis for omega-regular conditions",

@@ -275,17 +275,27 @@ def gap(word: Sequence[int], lam: Fraction, k: int) -> GapValue:
     return g
 
 
-def gap_direct(word: Sequence[int], lam: Fraction, k: int) -> GapValue:
-    """Gap from the defining formula DS(w)/lam^|w|, clamped once at the end.
-
-    Independent of :func:`gap`; the two must agree (the clamps are absorbing
-    under the one-letter recurrence).
-    """
-    for c in word:
-        if not isinstance(c, int) or isinstance(c, bool) or abs(c) > k:
-            raise InputError(f"color {c!r} outside [-{k}, {k}]")
-    raw = discounted_sum(word, lam) / lam ** len(word)
-    return _clamp_gap(raw, Fraction(k) / (1 - lam))
+def _gap_bfs(lam: Fraction, k: int) -> tuple[Skeleton, dict[State, GapValue]]:
+    """Breadth-first exploration of the gaps reachable from the empty word
+    under :func:`gap_step`; states are named by their gap.  Terminates only
+    when finitely many gaps are reachable."""
+    if not (0 < lam < 1):
+        raise InputError("discount factor must satisfy 0 < lambda < 1")
+    alphabet = list(range(-k, k + 1))
+    start = gap((), lam, k)
+    names: dict[GapValue, State] = {start: start.name}
+    upd: dict[Transition, State] = {}
+    queue = deque([start])
+    while queue:
+        g = queue.popleft()
+        for c in alphabet:
+            g2 = gap_step(g, c, lam, k)
+            if g2 not in names:
+                names[g2] = g2.name
+                queue.append(g2)
+            upd[(names[g], c)] = names[g2]
+    sk = Skeleton.make(list(names.values()), names[start], alphabet, upd)
+    return sk, {names[g]: g for g in names}
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +580,8 @@ def right_congruence_automaton(
     word for automaton-backed conditions, the gap value for discounted sums.
     A parity condition is quotiented by the residual relation of all state
     pairs, computed once; ``cap`` bounds the support enumeration of Muller
-    conditions only.
+    conditions only.  A discounted-sum condition's classes are its reachable
+    gaps, explored as for the gap automaton.
     """
     if isinstance(cond, DpaCondition):
         win_lose = _parity_win_lose_pairs(cond.automaton)
@@ -585,42 +596,18 @@ def right_congruence_automaton(
         )
 
     if isinstance(cond, DiscountedSumCondition):
-        return _ds_congruence_automaton(cond)
+        lam, k = cond.lam, cond.k
+        if lam.numerator != 1 and k >= -(-(lam.denominator - lam.numerator) // lam.numerator):
+            # k >= ceil(1/lam - 1) and lam != 1/n
+            raise InfiniteIndexError(
+                "the right congruence of this discounted-sum condition has "
+                f"infinite index (lambda={lam} is not 1/n and k={k} >= ceil(1/lambda - 1)); "
+                "no finite-state automaton exists"
+            )
+        return _gap_bfs(lam, k)[0]
 
     raise PreconditionError(
         "right congruence automaton supported for automaton-backed and "
         "discounted-sum conditions only"
     )
 
-
-def _ds_congruence_automaton(cond: DiscountedSumCondition) -> Skeleton:
-    """Word-level BFS quotient using the from-scratch gap formula.
-
-    This is deliberately independent of the recurrence-driven construction in
-    :mod:`skelparity.discounting`; the two are cross-checked in tests.
-    """
-    lam, k = cond.lam, cond.k
-    if lam.numerator != 1 and k >= -(-(lam.denominator - lam.numerator) // lam.numerator):
-        # k >= ceil(1/lam - 1) and lam != 1/n
-        raise InfiniteIndexError(
-            "the right congruence of this discounted-sum condition has "
-            f"infinite index (lambda={lam} is not 1/n and k={k} >= ceil(1/lambda - 1)); "
-            "no finite-state automaton exists"
-        )
-    alphabet = list(range(-k, k + 1))
-    init_gap = gap_direct((), lam, k)
-    states: dict[GapValue, str] = {init_gap: init_gap.name}
-    words: dict[GapValue, tuple[int, ...]] = {init_gap: ()}
-    upd: dict[Transition, State] = {}
-    queue = deque([init_gap])
-    while queue:
-        g = queue.popleft()
-        w = words[g]
-        for c in alphabet:
-            g2 = gap_direct(w + (c,), lam, k)
-            if g2 not in states:
-                states[g2] = g2.name
-                words[g2] = w + (c,)
-                queue.append(g2)
-            upd[(states[g], c)] = states[g2]
-    return Skeleton.make(list(states.values()), states[init_gap], alphabet, upd)

@@ -4,6 +4,15 @@ Both checks work on the product of the analyzed skeleton with the
 condition's right-congruence automaton, so that the winning continuations
 are constant per product state.  Failures come with small, independently
 re-checkable witnesses.
+
+:class:`SupportAnalysis` is the one support analysis per (condition,
+skeleton): it enumerates the cycle supports once and values each (state,
+support) pair at most once.  The cycle-consistency check reads it, and so
+do support classification and the support-parity verification of
+:mod:`skelparity.synthesis`; synthesis builds it directly on
+(right-congruence automaton x skeleton), whose states already fix their
+congruence class, so it needs neither a prefix-independence stage nor a
+second product with the congruence automaton.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -33,7 +42,6 @@ from .skeletons import (
     enumerate_cycle_supports,
     product,
     sorted_support,
-    support_key,
     support_states,
 )
 
@@ -114,15 +122,80 @@ def check_prefix_independence(
     )
 
 
-def _value_at(
-    cond: Condition,
-    prod: Skeleton,
-    prefix_words: dict[State, tuple[Color, ...]],
-    state: State,
-    support: frozenset[Transition],
-) -> str:
-    walk = closed_walk(prod, support, anchor=state)
-    return lasso_value(cond, Lasso.make(prefix_words[state], walk))
+class SupportAnalysis:
+    """The cycle supports of one skeleton and their values under one condition.
+
+    Meant for a skeleton each of whose states fixes the condition's
+    right-congruence class (a product with the right-congruence automaton,
+    or a skeleton that passed the prefix-independence check), so that every
+    state has well-defined winning continuations.  Holds the shortest
+    prefix word of each state, the supports in canonical order with their
+    transition bitmasks, and the indices of the supports through each
+    state.  The value of a support at a state comes from the word oracle on
+    the prefix of the state followed by a closed walk anchored there; each
+    (state, support) value is computed at most once.
+    """
+
+    def __init__(self, cond: Condition, sk: Skeleton, cap: int = DEFAULT_SUPPORT_CAP):
+        self.cond = cond
+        self.skeleton = sk
+        self.prefix_words = shortest_words_to_states(sk)
+        self.supports = enumerate_cycle_supports(sk, cap=cap)
+        # Bitmask representation: the union of two supports through q is
+        # again a support through q, so every union indexes back into them.
+        bit = {(s, c): 1 << i for i, (s, c, _) in enumerate(sk.transitions)}
+        self.masks = [sum(bit[t] for t in g) for g in self.supports]
+        self.index_of_mask = {mask: i for i, mask in enumerate(self.masks)}
+        self.through: dict[State, list[int]] = {q: [] for q in sk.states}
+        for i, g in enumerate(self.supports):
+            for q in support_states(g):
+                self.through[q].append(i)
+        self._values: dict[tuple[State, int], str] = {}
+
+    def value(self, state: State, i: int) -> str:
+        """Value of support ``i`` anchored at ``state``, a state on it."""
+        key = (state, i)
+        if key not in self._values:
+            walk = closed_walk(self.skeleton, self.supports[i], anchor=state)
+            self._values[key] = lasso_value(
+                self.cond, Lasso.make(self.prefix_words[state], walk)
+            )
+        return self._values[key]
+
+    def least_state_values(self) -> Iterator[tuple[frozenset[Transition], str]]:
+        """Each support, in canonical order, with its value at its least state."""
+        for i, g in enumerate(self.supports):
+            yield g, self.value(min(support_states(g)), i)
+
+    def cycle_consistency(self) -> ConsistencyReport:
+        """Are the winning and the losing supports through every state
+        closed under union?  The first same-value pair, in state order and
+        then canonical order, whose union flips value is the witness."""
+        n_bits = len(self.skeleton.transitions)
+        for q in self.skeleton.states:
+            through = self.through[q]
+            masks = [self.masks[i] for i in through]
+            values = [self.value(q, i) for i in through]
+            pair = _first_union_flip(masks, values, n_bits)
+            if pair is not None:
+                i, j = pair
+                g1, g2 = self.supports[through[i]], self.supports[through[j]]
+                union = self.index_of_mask[masks[i] | masks[j]]
+                return ConsistencyReport(
+                    verdict="fail",
+                    witness={
+                        "kind": "support-pair",
+                        "state": q,
+                        "support1": [list(t) for t in sorted_support(g1)],
+                        "support2": [list(t) for t in sorted_support(g2)],
+                        "family_value": values[i],
+                        "union_value": self.value(q, union),
+                    },
+                    details={"supports": len(self.supports)},
+                )
+        return ConsistencyReport(
+            verdict="pass", details={"supports": len(self.supports)}
+        )
 
 
 def check_cycle_consistency(
@@ -144,46 +217,7 @@ def check_cycle_consistency(
             "demonstrations instead"
         )
     rc = right_congruence_automaton(cond, cap=cap)
-    prod = product(m, rc)
-    prefix_words = shortest_words_to_states(prod)
-    supports = enumerate_cycle_supports(prod, cap=cap)
-
-    # Bitmask representation: the union of two supports through q is again a
-    # support through q, so every union value is already tabulated and the
-    # pairwise scan is pure integer work.
-    transitions = [(s, c) for s, c, _ in prod.transitions]
-    bit = {t: 1 << i for i, t in enumerate(transitions)}
-    mask_of = {g: sum(bit[t] for t in g) for g in supports}
-    from_mask = {mask_of[g]: g for g in supports}
-
-    for q in prod.states:
-        through = [
-            mask_of[g]
-            for g in sorted(supports, key=support_key)
-            if q in support_states(g)
-        ]
-        values = [
-            _value_at(cond, prod, prefix_words, q, from_mask[mask])
-            for mask in through
-        ]
-        pair = _first_union_flip(through, values, len(transitions))
-        if pair is not None:
-            i, j = pair
-            g1, g2 = from_mask[through[i]], from_mask[through[j]]
-            union_value = values[through.index(through[i] | through[j])]
-            return ConsistencyReport(
-                verdict="fail",
-                witness={
-                    "kind": "support-pair",
-                    "state": q,
-                    "support1": [list(t) for t in sorted_support(g1)],
-                    "support2": [list(t) for t in sorted_support(g2)],
-                    "family_value": values[i],
-                    "union_value": union_value,
-                },
-                details={"supports": len(supports)},
-            )
-    return ConsistencyReport(verdict="pass", details={"supports": len(supports)})
+    return SupportAnalysis(cond, product(m, rc), cap=cap).cycle_consistency()
 
 
 def _first_union_flip(through: list, values: list, n_bits: int):

@@ -11,18 +11,15 @@ this module also demonstrates constructively.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .conditions import (
     DiscountedSumCondition,
-    GapValue,
     Lasso,
+    _gap_bfs,
     discounted_sum,
-    gap,
-    gap_step,
     lasso_value,
     WIN,
     LOSE,
@@ -102,29 +99,6 @@ def gap_automaton(lam: Fraction, k: int) -> GapAutomaton:
         )
     sk, gaps = _gap_bfs(lam, k)
     return GapAutomaton(skeleton=sk, lam=lam, k=k, gaps=gaps)
-
-
-def _gap_bfs(lam: Fraction, k: int) -> tuple[Skeleton, dict]:
-    if not (0 < lam < 1):
-        raise InputError("discount factor must satisfy 0 < lambda < 1")
-    alphabet = list(range(-k, k + 1))
-    start = gap((), lam, k)
-    names: dict[GapValue, State] = {start: start.name}
-    upd: dict = {}
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        g = queue.popleft()
-        for c in alphabet:
-            g2 = gap_step(g, c, lam, k)
-            if g2 not in names:
-                names[g2] = g2.name
-            upd[(names[g], c)] = names[g2]
-            if g2 not in seen:
-                seen.add(g2)
-                queue.append(g2)
-    sk = Skeleton.make(list(names.values()), names[start], alphabet, upd)
-    return sk, {names[g]: g for g in names}
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,6 @@ class Arena:
     def alphabet(self) -> tuple[Color, ...]:
         return tuple(sorted({c for _, c, _ in self.edges}, key=color_key))
 
-    def out_edges(self, s: State) -> list[Edge]:
-        return [e for e in self.edges if e[0] == s]
-
 
 def _gstate_key(v):
     return str(v)

@@ -372,12 +372,6 @@ def enumerate_cycle_supports(
     return found
 
 
-def supports_through(
-    supports: Iterable[frozenset[Transition]], state: State
-) -> list[frozenset[Transition]]:
-    return [g for g in supports if state in support_states(g)]
-
-
 def closed_walk(m: Skeleton, support: frozenset[Transition], anchor: State | None = None) -> list[Color]:
     """Colors of a deterministic closed walk from ``anchor`` covering the support.
 

@@ -11,13 +11,21 @@ minimizing over the inclusion-minimal supports through each transition.
 The final automaton is verified both exhaustively (max priority parity of
 every support equals its value) and against the condition's word oracle on
 random lassos.
+
+:func:`synthesize` builds the right-congruence automaton once, forms
+``base`` = (congruence automaton x skeleton), and builds one
+:class:`~skelparity.consistency.SupportAnalysis` on ``base``: its
+cycle-consistency check, the support values of the classification and the
+support-parity half of the verification all read that one analysis.  Every
+state of ``base`` fixes its congruence class, so there is no
+prefix-independence stage.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .conditions import (
     Condition,
@@ -28,11 +36,7 @@ from .conditions import (
     lasso_value,
     right_congruence_automaton,
 )
-from .consistency import (
-    check_cycle_consistency,
-    check_prefix_independence,
-    shortest_words_to_states,
-)
+from .consistency import SupportAnalysis, check_prefix_independence
 from .errors import (
     InputError,
     InternalConsistencyError,
@@ -45,8 +49,6 @@ from .skeletons import (
     ParityAutomaton,
     Skeleton,
     State,
-    closed_walk,
-    enumerate_cycle_supports,
     product,
     sorted_support,
     support_key,
@@ -78,22 +80,6 @@ class CycleClassTable:
     dominates: frozenset  # (dominator, dominated)
     order: frozenset  # (lower, higher): lower is below higher
 
-    def value_of(self, support: Support) -> str:
-        for g, v in self.supports:
-            if g == support:
-                return v
-        raise InputError("support not in table")
-
-    @property
-    def values(self) -> dict:
-        return {g: v for g, v in self.supports}
-
-    def entry(self, class_id: str) -> ClassEntry:
-        for e in self.classes:
-            if e.class_id == class_id:
-                return e
-        raise InputError(f"unknown class {class_id!r}")
-
     def hasse_edges(self) -> list[tuple[str, str]]:
         """Cover pairs of the strict order on classes, canonically sorted."""
         edges = []
@@ -107,64 +93,57 @@ class CycleClassTable:
         return sorted(edges)
 
 
-def _require_consistency(cond: Condition, m: Skeleton, cap: int):
-    pi = check_prefix_independence(cond, m, cap=cap)
-    if not pi.passed:
-        raise PreconditionError(
-            "cycle classification requires prefix-independence relative to "
-            f"the skeleton; the check failed with witness {pi.witness}"
-        )
-    cc = check_cycle_consistency(cond, m, cap=cap)
-    if not cc.passed:
-        raise PreconditionError(
-            "cycle classification requires cycle-consistency relative to "
-            f"the skeleton; the check failed with witness {cc.witness}"
-        )
-
-
 def classify_supports(
     m: Skeleton,
     cond: Condition,
     cap: int = DEFAULT_SUPPORT_CAP,
-    precheck: bool = True,
 ) -> list[tuple[Support, str]]:
     """Label every cycle support of ``m`` as winning or losing.
 
     Values are obtained from the word oracle on a lasso realizing the
     support; consistency of the pair (condition, skeleton) makes the value
-    independent of the realizing walk and anchor.
+    independent of the realizing walk and anchor.  Both preconditions are
+    checked first: prefix-independence relative to ``m``, then
+    cycle-consistency on the support analysis of ``m`` that the values are
+    read from.
     """
     if not cond.union_invariant:
         raise PreconditionError(
             "support classification is only meaningful for conditions whose "
             "cycle values depend on the transition set alone"
         )
-    if precheck:
-        _require_consistency(cond, m, cap)
-    prefixes = shortest_words_to_states(m)
-    out = []
-    for sup in enumerate_cycle_supports(m, cap=cap):
-        anchor = min(support_states(sup))
-        walk = closed_walk(m, sup, anchor=anchor)
-        value = lasso_value(cond, Lasso.make(prefixes[anchor], walk))
-        out.append((sup, value))
-    return out
+    pi = check_prefix_independence(cond, m, cap=cap)
+    if not pi.passed:
+        raise PreconditionError(
+            "cycle classification requires prefix-independence relative to "
+            f"the skeleton; the check failed with witness {pi.witness}"
+        )
+    analysis = SupportAnalysis(cond, m, cap=cap)
+    cc = analysis.cycle_consistency()
+    if not cc.passed:
+        raise PreconditionError(
+            "cycle classification requires cycle-consistency relative to "
+            f"the skeleton; the check failed with witness {cc.witness}"
+        )
+    return list(analysis.least_state_values())
 
 
 def competing_witness(
     g1: Support,
     g2: Support,
-    classified: Sequence[tuple[Support, str]],
+    values: Mapping[Support, str],
 ) -> Optional[Support]:
     """Canonically least support linking two opposite-value supports while
-    preserving both their values, or None if the two do not compete."""
-    values = {g: v for g, v in classified}
+    preserving both their values, or None if the two do not compete.
+
+    ``values`` maps every classified support to its value, in canonical
+    support order."""
     if g1 not in values or g2 not in values:
         raise InputError("both supports must come from the classified table")
     if values[g1] == values[g2]:
         raise InputError("competition is defined for opposite-value supports")
     s1, s2 = support_states(g1), support_states(g2)
-    for zeta, _ in classified:
+    for zeta in values:
         zs = support_states(zeta)
         if not (zs & s1) or not (zs & s2):
             continue
@@ -177,10 +156,9 @@ def dominates(
     g1: Support,
     g2: Support,
     zeta: Support,
-    classified: Sequence[tuple[Support, str]],
+    values: Mapping[Support, str],
 ) -> Support:
     """Which of two competing supports keeps its value in the combined cycle."""
-    values = {g: v for g, v in classified}
     if values[g1] == values[g2]:
         raise InputError("domination is defined for opposite-value supports")
     zs = support_states(zeta)
@@ -199,7 +177,6 @@ def build_cycle_preorder(
     m: Skeleton,
     cond: Condition,
     cap: int = DEFAULT_SUPPORT_CAP,
-    precheck: bool = True,
 ) -> CycleClassTable:
     """Full competition/domination analysis quotiented by equivalence.
 
@@ -207,9 +184,16 @@ def build_cycle_preorder(
     transitive; a violation falsifies the consistency preconditions and
     raises an internal-consistency error naming the offending classes.
     """
-    classified = classify_supports(m, cond, cap=cap, precheck=precheck)
-    values = {g: v for g, v in classified}
-    supports = [g for g, _ in classified]
+    return _class_table(m, classify_supports(m, cond, cap=cap))
+
+
+def _class_table(
+    m: Skeleton, classified: Sequence[tuple[Support, str]]
+) -> CycleClassTable:
+    """The class table of :func:`build_cycle_preorder` from supports of ``m``
+    already classified, in canonical order."""
+    values = dict(classified)
+    supports = list(values)
 
     compar: dict = {g: set() for g in supports}
     dom: dict = {g: set() for g in supports}
@@ -217,12 +201,12 @@ def build_cycle_preorder(
         for g2 in supports[i + 1 :]:
             if values[g1] == values[g2]:
                 continue
-            zeta = competing_witness(g1, g2, classified)
+            zeta = competing_witness(g1, g2, values)
             if zeta is None:
                 continue
             compar[g1].add(g2)
             compar[g2].add(g1)
-            winner = dominates(g1, g2, zeta, classified)
+            winner = dominates(g1, g2, zeta, values)
             loser = g2 if winner == g1 else g1
             dom[winner].add(loser)
 
@@ -276,15 +260,10 @@ def build_cycle_preorder(
     order_pairs = {(class_of[b], class_of[a]) for a in supports for b in below[a]}
 
     # the order must be uniform across members of each class
+    by_id = {e.class_id: e for e in entries}
     for a_cls, b_cls in order_pairs:
-        ea, eb = None, None
-        for e in entries:
-            if e.class_id == a_cls:
-                ea = e
-            if e.class_id == b_cls:
-                eb = e
-        for ga in ea.members:
-            for gb in eb.members:
+        for ga in by_id[a_cls].members:
+            for gb in by_id[b_cls].members:
                 if ga not in below[gb]:
                     raise InternalConsistencyError(
                         f"order between classes {a_cls} and {b_cls} is not "
@@ -304,7 +283,7 @@ def build_cycle_preorder(
 
     return CycleClassTable(
         skeleton=m,
-        supports=tuple((g, values[g]) for g in sorted(supports, key=support_key)),
+        supports=tuple(values.items()),
         classes=tuple(entries),
         class_of=class_of,
         competes=frozenset(competes_pairs),
@@ -332,6 +311,7 @@ def linear_extension(table: CycleClassTable) -> dict:
     assigned: dict = {}
     pending = set(ids)
     key = {e.class_id: support_key(e.representative) for e in table.classes}
+    value = {e.class_id: e.value for e in table.classes}
     while pending:
         ready = sorted(
             (cid for cid in pending if preds[cid] <= set(assigned)),
@@ -340,10 +320,9 @@ def linear_extension(table: CycleClassTable) -> dict:
         if not ready:
             raise InternalConsistencyError("class order contains a cycle")
         cid = ready[0]
-        entry = table.entry(cid)
         floor = max((assigned[p] for p in preds[cid]), default=-1)
         n = floor + 1
-        if n % 2 != _parity_of(entry.value):
+        if n % 2 != _parity_of(value[cid]):
             n += 1
         assigned[cid] = n
         pending.discard(cid)
@@ -476,15 +455,23 @@ def verify_synthesis(
     the automaton must agree with the oracle on random ultimately periodic
     words.  The first discrepancy of each kind is reported.
     """
-    sk = out.skeleton
-    prefixes = shortest_words_to_states(sk)
+    analysis = SupportAnalysis(cond, out.skeleton, cap=cap)
+    return _verify(out, cond, analysis.least_state_values(), samples, seed)
+
+
+def _verify(
+    out: ParityAutomaton,
+    cond: Condition,
+    classified: Iterable[tuple[Support, str]],
+    samples: int,
+    seed: int,
+) -> VerifyReport:
+    """:func:`verify_synthesis` given the oracle value of every support of
+    the automaton's skeleton, in canonical order."""
     support_mismatch = None
     n_supports = 0
-    for sup in enumerate_cycle_supports(sk, cap=cap):
+    for sup, oracle in classified:
         n_supports += 1
-        anchor = min(support_states(sup))
-        walk = closed_walk(sk, sup, anchor=anchor)
-        oracle = lasso_value(cond, Lasso.make(prefixes[anchor], walk))
         automaton = WIN if out.max_support_priority(sup) % 2 == 0 else LOSE
         if oracle != automaton:
             support_mismatch = {
@@ -498,7 +485,7 @@ def verify_synthesis(
     out_cond = DpaCondition(out)
     lasso_mismatch = None
     n_lassos = 0
-    alphabet = sk.alphabet
+    alphabet = out.skeleton.alphabet
     for _ in range(samples):
         n_lassos += 1
         lasso = random_lasso(rng, alphabet)
@@ -557,16 +544,17 @@ def synthesize(
         )
     rc = right_congruence_automaton(cond, cap=cap)
     base = product(rc, m)
-    pi = check_prefix_independence(cond, base, cap=cap)
-    if not pi.passed:
-        raise SynthesisStageError("prefix-independence", pi.witness)
-    cc = check_cycle_consistency(cond, base, cap=cap)
+    analysis = SupportAnalysis(cond, base, cap=cap)
+    cc = analysis.cycle_consistency()
     if not cc.passed:
         raise SynthesisStageError("cycle-consistency", cc.witness)
-    table = build_cycle_preorder(base, cond, cap=cap, precheck=False)
+    classified = list(analysis.least_state_values())
+    table = _class_table(base, classified)
     pgamma = linear_extension(table)
     automaton = assign_priorities(base, table, pgamma, allow_transient=allow_transient)
-    report = verify_synthesis(automaton, cond, samples=samples, seed=seed, cap=cap)
+    # the automaton's skeleton is ``base``: its supports and their values
+    # are the classified ones
+    report = _verify(automaton, cond, classified, samples, seed)
     if not report.passed:
         raise SynthesisStageError(
             "verification", report.support_mismatch or report.lasso_mismatch

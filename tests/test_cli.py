@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import skelparity
 from skelparity import (
     DiscountedSumCondition,
     DpaCondition,
@@ -151,6 +153,35 @@ def test_cli_gap_automaton_matches_golden():
     out, code = run_cli("ds", "gap-automaton", "--lambda", "1/2", "--k", "2")
     assert code == 0
     assert out == (GOLDEN / "gap_automaton_half_k2.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "golden, argv, code",
+    [
+        (
+            "synthesize_gen_buchi_switch.json",
+            ("--condition", "inputs/gen_buchi.json", "--skeleton", "inputs/switch.json"),
+            0,
+        ),
+        (
+            "synthesize_ds_half_k2.json",
+            ("--condition", "inputs/ds_half_k2.json", "--skeleton", "inputs/trivial_k2.json",
+             "--allow-transient"),
+            0,
+        ),
+        (
+            "synthesize_gen_buchi_trivial.json",
+            ("--condition", "inputs/gen_buchi.json", "--skeleton", "inputs/trivial_abc.json"),
+            1,
+        ),
+    ],
+)
+def test_cli_synthesize_matches_golden(monkeypatch, golden, argv, code):
+    # relative input paths keep the digests' keys in the report fixed
+    monkeypatch.chdir(GOLDEN)
+    out, got = run_cli("synthesize", *argv)
+    assert got == code
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_cli_reports_are_idempotent(files):
@@ -381,10 +412,14 @@ def test_cli_export_dot(files, tmp_path):
 
 
 def test_cli_entry_point_installed():
+    # the child finds the package where this process imported it from
+    package_root = str(Path(skelparity.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "skelparity.cli", "ds", "classify", "--lambda", "1/2", "--k", "0"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "three-class"

@@ -30,9 +30,10 @@ from skelparity.conditions import (
     discounted_lasso_sum,
     discounted_sum,
     finite_gap,
-    gap_direct,
 )
 from skelparity.errors import InfiniteIndexError, InputError, PreconditionError
+
+from gap_oracle import gap_direct
 
 HALF = Fraction(1, 2)
 

@@ -22,6 +22,8 @@ from skelparity.discounting import (
 from skelparity.errors import InfiniteIndexError, InputError
 from skelparity.skeletons import enumerate_cycle_supports, closed_walk, support_states
 
+from gap_oracle import ds_congruence_automaton, gap_direct
+
 HALF = Fraction(1, 2)
 
 EXPECTED_HALF_TWO = {
@@ -95,10 +97,15 @@ def test_gap_automaton_one_third_by_bfs():
 
 
 def test_gap_automaton_matches_congruence_construction():
-    for lam, k in [(HALF, 1), (HALF, 2), (Fraction(1, 3), 1), (Fraction(1, 3), 2), (Fraction(2, 5), 1)]:
-        ga = gap_automaton(lam, k)
-        rc = right_congruence_automaton(DiscountedSumCondition(lam, k))
-        assert ga.skeleton.isomorphic(rc), (lam, k)
+    # both library paths against the word-level construction of the oracle
+    for lam, k in [
+        (HALF, 1), (HALF, 2), (HALF, 3), (Fraction(1, 3), 1), (Fraction(1, 3), 2),
+        (Fraction(1, 4), 2), (Fraction(2, 5), 1), (Fraction(1, 5), 3),
+    ]:
+        cond = DiscountedSumCondition(lam, k)
+        reference = ds_congruence_automaton(cond)
+        assert gap_automaton(lam, k).skeleton == reference, (lam, k)
+        assert right_congruence_automaton(cond) == reference, (lam, k)
 
 
 def test_gap_automaton_infinite_index_error():
@@ -202,8 +209,6 @@ def test_gap_sequence_two_thirds():
 
 def test_gap_sequence_matches_prefix_gaps():
     # the recurrence agrees with evaluating the word prefix by prefix
-    from skelparity.conditions import gap_direct
-
     lam = Fraction(2, 3)
     out = infinite_gap_sequence(lam, 10)
     k = 1  # ceil(1/lam - 1)

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,10 @@ from skelparity import (
     MullerCondition,
     ParityAutomaton,
     Skeleton,
+    enumerate_cycle_supports,
     lasso_value,
+    product,
+    right_congruence_automaton,
     trivial_skeleton,
 )
 from skelparity.errors import InputError, PreconditionError, TransientTransitionError
@@ -50,6 +55,11 @@ M2B = f({("m2", "b")})
 @pytest.fixture(scope="module")
 def contrast_classified():
     return classify_supports(build_contrast_skeleton(), build_contrast_muller())
+
+
+@pytest.fixture(scope="module")
+def contrast_values(contrast_classified):
+    return dict(contrast_classified)
 
 
 @pytest.fixture(scope="module")
@@ -90,39 +100,39 @@ def test_classify_refuses_non_union_invariant():
 # -- competition and domination ---------------------------------------------------
 
 
-def test_non_competing_pair(contrast_classified):
-    assert competing_witness(M1B, M2B, contrast_classified) is None
+def test_non_competing_pair(contrast_values):
+    assert competing_witness(M1B, M2B, contrast_values) is None
 
 
-def test_witness_for_cross_competition(contrast_classified):
-    assert competing_witness(M1C, M2B, contrast_classified) == AA
+def test_witness_for_cross_competition(contrast_values):
+    assert competing_witness(M1C, M2B, contrast_values) == AA
 
 
-def test_shared_state_pairs_compete(contrast_classified):
-    zeta = competing_witness(M1B, AA, contrast_classified)
+def test_shared_state_pairs_compete(contrast_values):
+    zeta = competing_witness(M1B, AA, contrast_values)
     assert zeta is not None
-    assert dominates(AA, M1B, zeta, contrast_classified) == AA
+    assert dominates(AA, M1B, zeta, contrast_values) == AA
 
 
-def test_losing_loop_dominates_crossing_cycle(contrast_classified):
-    zeta = competing_witness(M1C, AA, contrast_classified)
-    assert dominates(M1C, AA, zeta, contrast_classified) == M1C
+def test_losing_loop_dominates_crossing_cycle(contrast_values):
+    zeta = competing_witness(M1C, AA, contrast_values)
+    assert dominates(M1C, AA, zeta, contrast_values) == M1C
 
 
-def test_contrast_dominates_far_loop(contrast_classified):
-    zeta = competing_witness(M1C, M2B, contrast_classified)
-    assert dominates(M1C, M2B, zeta, contrast_classified) == M1C
+def test_contrast_dominates_far_loop(contrast_values):
+    zeta = competing_witness(M1C, M2B, contrast_values)
+    assert dominates(M1C, M2B, zeta, contrast_values) == M1C
 
 
-def test_witness_requires_opposite_values(contrast_classified):
+def test_witness_requires_opposite_values(contrast_values):
     with pytest.raises(InputError):
-        competing_witness(M1B, M1C, contrast_classified)
+        competing_witness(M1B, M1C, contrast_values)
 
 
-def test_witness_independence(contrast_classified):
+def test_witness_independence(contrast_values):
     # any two valid witnesses must agree on who dominates
-    values = dict(contrast_classified)
-    supports = [g for g, _ in contrast_classified]
+    values = contrast_values
+    supports = list(values)
     rng = random.Random(3)
     pairs = [
         (g1, g2)
@@ -142,7 +152,7 @@ def test_witness_independence(contrast_classified):
             ):
                 witnesses.append(zeta)
         outcomes = {
-            dominates(g1, g2, zeta, contrast_classified) for zeta in witnesses
+            dominates(g1, g2, zeta, contrast_values) for zeta in witnesses
         }
         assert len(outcomes) <= 1
 
@@ -376,17 +386,43 @@ def test_synthesize_requires_union_invariance():
         synthesize(TotalPayoffCondition(), trivial_skeleton((-1, 1)))
 
 
-def test_synthesize_propagates_stage_failures(ds_half_two):
-    # a skeleton blind to everything fails prefix-independence for this
-    # condition inside the pipeline only after the congruence product; use
-    # a condition/skeleton pair that fails cycle consistency instead
+def test_synthesize_propagates_stage_failures():
+    # every state of (congruence automaton x skeleton) fixes its congruence
+    # class, so the pipeline runs no prefix-independence stage; cycle
+    # consistency is checked on that product itself, and its witness names
+    # a state of it
     cond = MullerCondition(
         skeleton=trivial_skeleton(("a", "b")),
         predicate=lambda sup: {c for _, c in sup} == {"a", "b"},
     )
+    m = trivial_skeleton(("a", "b"))
     with pytest.raises(SynthesisStageError) as exc:
-        synthesize(cond, trivial_skeleton(("a", "b")))
+        synthesize(cond, m)
     assert exc.value.stage == "cycle-consistency"
+    assert exc.value.witness["state"] == "[ε]|m0"
+    assert exc.value.witness["state"] in product(right_congruence_automaton(cond), m).states
+
+
+def test_synthesize_builds_congruence_and_supports_once(
+    monkeypatch, gen_buchi, switch_skeleton
+):
+    # one support analysis serves the consistency check, the classification
+    # and the support-parity verification
+    calls = Counter()
+    for original in (right_congruence_automaton, enumerate_cycle_supports):
+
+        def counting(*args, original=original, **kwargs):
+            calls[original.__name__] += 1
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "skelparity" or name.startswith("skelparity."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+    result = synthesize(gen_buchi, switch_skeleton)
+    assert result.verify.passed
+    assert calls == {"right_congruence_automaton": 1, "enumerate_cycle_supports": 1}
 
 
 # -- support-level laws on synthesized instances ---------------------------------------
