@@ -5,7 +5,8 @@ timing goes to stderr so reruns with the same inputs and seed are
 byte-identical.  Exit codes: 0 success / property holds, 1 property fails
 (with witness; still a correct run), 2 input or usage error, 3 resource cap
 exceeded, 4 the run could not complete (an inconsistent pair handed to a
-command that needs synthesis, a violated internal law, or recursion too deep).
+command that needs synthesis, a violated internal law, recursion too deep, or
+memory exhausted).
 """
 
 from __future__ import annotations
@@ -550,6 +551,7 @@ def main(argv=None) -> int:
         synthesis.SynthesisStageError,
         InternalConsistencyError,
         RecursionError,
+        MemoryError,
     ) as exc:
         report, code = {"format": 1, "error": f"{type(exc).__name__}: {exc}"}, 4
     sys.stdout.write(canonical_json(report))

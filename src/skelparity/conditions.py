@@ -50,11 +50,6 @@ class Lasso:
     def make(cls, prefix: Iterable[Color], period: Iterable[Color]) -> "Lasso":
         return cls(tuple(prefix), tuple(period))
 
-    def rotate(self) -> "Lasso":
-        """Shift one period letter into the prefix; denotes the same word."""
-        c = self.period[0]
-        return Lasso(self.prefix + (c,), self.period[1:] + (c,))
-
 
 # ---------------------------------------------------------------------------
 # condition specifications

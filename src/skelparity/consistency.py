@@ -22,14 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-import numpy as np
-
 from .conditions import (
     Condition,
     Lasso,
     lasso_value,
     right_congruence_automaton,
-    WIN,
 )
 from .errors import InputError, InternalConsistencyError
 from .skeletons import (
@@ -171,12 +168,11 @@ class SupportAnalysis:
         """Are the winning and the losing supports through every state
         closed under union?  The first same-value pair, in state order and
         then canonical order, whose union flips value is the witness."""
-        n_bits = len(self.skeleton.transitions)
         for q in self.skeleton.states:
             through = self.through[q]
             masks = [self.masks[i] for i in through]
             values = [self.value(q, i) for i in through]
-            pair = _first_union_flip(masks, values, n_bits)
+            pair = _first_union_flip(masks, values)
             if pair is not None:
                 i, j = pair
                 g1, g2 = self.supports[through[i]], self.supports[through[j]]
@@ -220,25 +216,26 @@ def check_cycle_consistency(
     return SupportAnalysis(cond, product(m, rc), cap=cap).cycle_consistency()
 
 
-def _first_union_flip(through: list, values: list, n_bits: int):
+def _first_union_flip(through: list, values: list):
     """Index pair (i, j), canonical order, whose same-value union flips value.
 
     ``through`` must contain every support mask through the state, so every
-    union mask indexes back into it.
+    union mask indexes back into it.  The family of masks of one value is
+    closed under union iff no mask ``u`` of the other value equals the union
+    of the family's masks inside ``u``: pairwise closure gives closure under
+    every finite union, and a pair whose union leaves the family makes that
+    union such a ``u``.  The test keeps, per transition, a bitset of the
+    family members containing it, so each ``u`` costs one pass over the
+    transitions; only a failing family is scanned pairwise for the first
+    pair.
     """
-    if not through:
-        return None
-    if n_bits <= 22:
-        table = np.full(1 << n_bits, 2, dtype=np.uint8)
-        masks = np.array(through, dtype=np.int64)
-        codes = np.array([0 if v == WIN else 1 for v in values], dtype=np.uint8)
-        table[masks] = codes
-        for i in range(len(through)):
-            row = masks[i] | masks[i + 1 :]
-            same = codes[i + 1 :] == codes[i]
-            bad = same & (table[row] != codes[i])
-            if bad.any():
-                return i, i + 1 + int(np.argmax(bad))
+    if not any(
+        _union_leaves_family(
+            [m for m, v in zip(through, values) if v == value],
+            [m for m, v in zip(through, values) if v != value],
+        )
+        for value in set(values)
+    ):
         return None
     value_of = dict(zip(through, values))
     for i, m1 in enumerate(through):
@@ -246,7 +243,33 @@ def _first_union_flip(through: list, values: list, n_bits: int):
         for j in range(i + 1, len(through)):
             if values[j] == v1 and value_of[m1 | through[j]] != v1:
                 return i, j
-    return None
+    raise InternalConsistencyError("a union leaves its family but no pair flips")
+
+
+def _union_leaves_family(family: list, others: list) -> bool:
+    """Does some mask of ``others`` equal the union of the masks of
+    ``family`` that it contains?"""
+    covered = 0
+    for m in family:
+        covered |= m
+    columns = []  # (transition bit, bitset of the family members holding it)
+    bit = 1
+    while bit <= covered:
+        if covered & bit:
+            columns.append((bit, sum(1 << k for k, m in enumerate(family) if m & bit)))
+        bit <<= 1
+    everyone = (1 << len(family)) - 1
+    for u in others:
+        if u & ~covered:
+            continue
+        outside = 0
+        for b, members in columns:
+            if not u & b:
+                outside |= members
+        inside = everyone & ~outside
+        if all(inside & members for b, members in columns if u & b):
+            return True
+    return False
 
 
 def mp_counterexample_report(n_max: int) -> ConsistencyReport:

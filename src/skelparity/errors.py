@@ -3,8 +3,8 @@
 Exit-code mapping used by the CLI: InputError -> 2, CapExceeded -> 3, and
 4 for a run that cannot complete: InternalConsistencyError, a
 ``synthesis.SynthesisStageError`` outside ``synthesize`` (which reports it
-as a failed property) and ``RecursionError``.  Property failures are
-ordinary results (reports with a witness), not exceptions.
+as a failed property), ``RecursionError`` and ``MemoryError``.  Property
+failures are ordinary results (reports with a witness), not exceptions.
 """
 
 

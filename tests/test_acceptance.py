@@ -32,7 +32,7 @@ from skelparity.discounting import (
     greedy_expansion,
     infinite_gap_sequence,
 )
-from skelparity.games import ParityGame, brute_force_regions, lift_experiment, solve_parity
+from skelparity.games import ParityGame, lift_experiment, solve_parity
 from skelparity.skeletons import support_label
 from skelparity.synthesis import (
     assign_priorities,
@@ -50,6 +50,7 @@ from conftest import (
     build_gen_buchi,
     build_switch_skeleton,
 )
+from games_oracle import brute_force_regions
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -320,7 +320,8 @@ def test_cli_lift_experiment_on_inconsistent_pair_exits_4(files):
 
 
 @pytest.mark.parametrize(
-    "exc", [InternalConsistencyError("law violated"), RecursionError("too deep")]
+    "exc",
+    [InternalConsistencyError("law violated"), RecursionError("too deep"), MemoryError()],
 )
 def test_cli_unfinished_run_exits_4(monkeypatch, exc):
     def fail(n_max):
@@ -411,15 +412,24 @@ def test_cli_export_dot(files, tmp_path):
     assert "diamond" in Path(target).read_text()
 
 
-def test_cli_entry_point_installed():
+def _run_child(*args):
     # the child finds the package where this process imported it from
     package_root = str(Path(skelparity.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "skelparity.cli", "ds", "classify", "--lambda", "1/2", "--k", "0"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_cli_entry_point_installed():
+    proc = _run_child("-m", "skelparity.cli", "ds", "classify", "--lambda", "1/2", "--k", "0")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "three-class"
+
+
+def test_cli_import_needs_no_numpy():
+    proc = _run_child("-c", "import skelparity.cli, sys; assert 'numpy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr

@@ -14,6 +14,7 @@ from skelparity import (
     trivial_skeleton,
 )
 from skelparity.consistency import (
+    _first_union_flip,
     check_cycle_consistency,
     check_prefix_independence,
     mp_counterexample_report,
@@ -174,6 +175,53 @@ def test_union_closure_matches_long_concatenations(gen_buchi, switch_skeleton):
                 == target
             )
             assert values[union] == target
+
+
+# -- union closure of the same-value families through one state --------------------
+
+
+@st.composite
+def _valued_union_closed_family(draw):
+    """Masks closed under union, in drawn order, each valued "win" or "lose"
+    at random or by a rule (top bit parity or holding a bit, under which
+    both families are closed; holding all bits of a set, under which the
+    losing one need not be)."""
+    # widths on both sides of 22 bits and beyond a 64-bit word
+    width = draw(st.integers(*draw(st.sampled_from([(3, 22), (23, 63), (64, 120)]))))
+    mask = st.integers(1, (1 << width) - 1)
+    widest = draw(st.integers(1 << (width - 1), (1 << width) - 1))
+    family = {widest, *draw(st.lists(mask, min_size=2, max_size=5))}
+    while True:
+        grown = family | {a | b for a in family for b in family}
+        if grown == family:
+            break
+        family = grown
+    masks = draw(st.permutations(sorted(family)))
+    rule = draw(st.sampled_from(["random", "top-bit", "holds-bit", "holds-all"]))
+    if rule == "random":
+        wins = draw(st.lists(st.booleans(), min_size=len(masks), max_size=len(masks)))
+    elif rule == "top-bit":
+        wins = [m.bit_length() % 2 == 0 for m in masks]
+    else:
+        need = draw(mask) if rule == "holds-all" else 1 << draw(st.integers(0, width - 1))
+        wins = [m & need == need for m in masks]
+    return masks, ["win" if w else "lose" for w in wins]
+
+
+def _first_flip_by_definition(masks, values):
+    value_of = dict(zip(masks, values))
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            if values[i] == values[j] and value_of[masks[i] | masks[j]] != values[i]:
+                return i, j
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valued_union_closed_family())
+def test_first_union_flip_matches_pairwise_definition(family):
+    masks, values = family
+    assert _first_union_flip(masks, values) == _first_flip_by_definition(masks, values)
 
 
 # -- mean payoff demonstration ------------------------------------------------------

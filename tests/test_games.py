@@ -11,7 +11,6 @@ from skelparity.games import (
     Arena,
     ParityGame,
     SkeletonStrategy,
-    brute_force_regions,
     counterexample_arena,
     lift_experiment,
     product_game,
@@ -21,6 +20,8 @@ from skelparity.games import (
     verify_strategy,
 )
 from skelparity.synthesis import synthesize
+
+from games_oracle import brute_force_regions
 
 
 def _gen_buchi_ab():
