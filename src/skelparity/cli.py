@@ -42,7 +42,7 @@ from .skeletons import (
     Skeleton,
     enumerate_cycle_supports,
     product,
-    sorted_support,
+    support_transitions,
 )
 
 _INT_RE = re.compile(r"-?\d+")
@@ -70,8 +70,8 @@ def _digest(path: str) -> str:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
-def _support_rows(support) -> list:
-    return [[s, c] for s, c in sorted_support(support)]
+def _support_rows(m: Skeleton, mask: int) -> list:
+    return [[s, c] for s, c in support_transitions(m, mask)]
 
 
 def _write(path: str, text: str):
@@ -121,7 +121,7 @@ def _cmd_skel_supports(args):
     rep = _Reporter("skel supports")
     sk = rep.load(args.skeleton, Skeleton)
     sups = enumerate_cycle_supports(sk, cap=args.cap)
-    return rep.done(count=len(sups), supports=[_support_rows(g) for g in sups])
+    return rep.done(count=len(sups), supports=[_support_rows(sk, g) for g in sups])
 
 
 def _cmd_cond_residuals(args):
@@ -189,7 +189,7 @@ def _cmd_synthesize(args):
             {
                 "id": e.class_id,
                 "value": e.value,
-                "representative": _support_rows(e.representative),
+                "representative": _support_rows(result.base, e.representative),
                 "members": len(e.members),
                 "number": result.pgamma[e.class_id],
             }

@@ -28,6 +28,7 @@ from .skeletons import (
     Transition,
     _scc_ids,
     enumerate_cycle_supports,
+    support_transitions,
     trivial_skeleton,
 )
 
@@ -433,12 +434,6 @@ def _pair_skeleton(
     return pair, sides
 
 
-def _side_support(
-    sides: dict[State, tuple[State, State]], support: frozenset[Transition], side: int
-) -> frozenset[Transition]:
-    return frozenset((sides[s][side], c) for s, c in support)
-
-
 def _residual_flags(
     cond: MullerCondition, q1: State, q2: State, cap: int
 ) -> tuple[bool, bool]:
@@ -451,9 +446,10 @@ def _residual_flags(
     pair, sides = _pair_skeleton(cond.skeleton, q1, q2)
     win1_lose2 = False
     lose1_win2 = False
-    for sup in enumerate_cycle_supports(pair, cap=cap):
-        v1 = cond.support_value(_side_support(sides, sup, 0))
-        v2 = cond.support_value(_side_support(sides, sup, 1))
+    for mask in enumerate_cycle_supports(pair, cap=cap):
+        sup = support_transitions(pair, mask)
+        v1 = cond.support_value(frozenset((sides[s][0], c) for s, c in sup))
+        v2 = cond.support_value(frozenset((sides[s][1], c) for s, c in sup))
         if v1 == WIN and v2 == LOSE:
             win1_lose2 = True
         elif v1 == LOSE and v2 == WIN:

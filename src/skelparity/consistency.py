@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .conditions import (
     Condition,
@@ -34,12 +34,11 @@ from .skeletons import (
     Color,
     Skeleton,
     State,
-    Transition,
     closed_walk,
     enumerate_cycle_supports,
+    out_masks,
     product,
-    sorted_support,
-    support_states,
+    support_transitions,
 )
 
 
@@ -126,11 +125,11 @@ class SupportAnalysis:
     right-congruence class (a product with the right-congruence automaton,
     or a skeleton that passed the prefix-independence check), so that every
     state has well-defined winning continuations.  Holds the shortest
-    prefix word of each state, the supports in canonical order with their
-    transition bitmasks, and the indices of the supports through each
-    state.  The value of a support at a state comes from the word oracle on
-    the prefix of the state followed by a closed walk anchored there; each
-    (state, support) value is computed at most once.
+    prefix word of each state, the support masks in canonical order, and
+    the indices of the supports through each state.  The value of a support
+    at a state comes from the word oracle on the prefix of the state
+    followed by a closed walk anchored there; each (state, support) value is
+    computed at most once.
     """
 
     def __init__(self, cond: Condition, sk: Skeleton, cap: int = DEFAULT_SUPPORT_CAP):
@@ -138,15 +137,12 @@ class SupportAnalysis:
         self.skeleton = sk
         self.prefix_words = shortest_words_to_states(sk)
         self.supports = enumerate_cycle_supports(sk, cap=cap)
-        # Bitmask representation: the union of two supports through q is
-        # again a support through q, so every union indexes back into them.
-        bit = {(s, c): 1 << i for i, (s, c, _) in enumerate(sk.transitions)}
-        self.masks = [sum(bit[t] for t in g) for g in self.supports]
-        self.index_of_mask = {mask: i for i, mask in enumerate(self.masks)}
-        self.through: dict[State, list[int]] = {q: [] for q in sk.states}
-        for i, g in enumerate(self.supports):
-            for q in support_states(g):
-                self.through[q].append(i)
+        # the union of two supports through q is again a support through q,
+        # so every such union indexes back into the supports
+        self.index_of_mask = {mask: i for i, mask in enumerate(self.supports)}
+        self.through: dict[State, list[int]] = {}
+        for q, leaving in out_masks(sk).items():
+            self.through[q] = [i for i, g in enumerate(self.supports) if g & leaving]
         self._values: dict[tuple[State, int], str] = {}
 
     def value(self, state: State, i: int) -> str:
@@ -159,31 +155,35 @@ class SupportAnalysis:
             )
         return self._values[key]
 
-    def least_state_values(self) -> Iterator[tuple[frozenset[Transition], str]]:
-        """Each support, in canonical order, with its value at its least state."""
-        for i, g in enumerate(self.supports):
-            yield g, self.value(min(support_states(g)), i)
+    def least_state_values(self) -> list[tuple[int, str]]:
+        """Each support mask, in canonical order, with its value at its
+        least state, the source of its lowest transition."""
+        trans = self.skeleton.transitions
+        return [
+            (g, self.value(trans[(g & -g).bit_length() - 1][0], i))
+            for i, g in enumerate(self.supports)
+        ]
 
     def cycle_consistency(self) -> ConsistencyReport:
         """Are the winning and the losing supports through every state
         closed under union?  The first same-value pair, in state order and
         then canonical order, whose union flips value is the witness."""
-        for q in self.skeleton.states:
+        sk = self.skeleton
+        for q in sk.states:
             through = self.through[q]
-            masks = [self.masks[i] for i in through]
+            masks = [self.supports[i] for i in through]
             values = [self.value(q, i) for i in through]
             pair = _first_union_flip(masks, values)
             if pair is not None:
                 i, j = pair
-                g1, g2 = self.supports[through[i]], self.supports[through[j]]
                 union = self.index_of_mask[masks[i] | masks[j]]
                 return ConsistencyReport(
                     verdict="fail",
                     witness={
                         "kind": "support-pair",
                         "state": q,
-                        "support1": [list(t) for t in sorted_support(g1)],
-                        "support2": [list(t) for t in sorted_support(g2)],
+                        "support1": [list(t) for t in support_transitions(sk, masks[i])],
+                        "support2": [list(t) for t in support_transitions(sk, masks[j])],
                         "family_value": values[i],
                         "union_value": self.value(q, union),
                     },

@@ -76,10 +76,6 @@ class GapAutomaton:
     def bot_state(self) -> Optional[State]:
         return "bot" if "bot" in self.gaps else None
 
-    @property
-    def top_state(self) -> Optional[State]:
-        return "top" if "top" in self.gaps else None
-
 
 def gap_automaton(lam: Fraction, k: int) -> GapAutomaton:
     """Breadth-first exploration of gap values under the one-letter update.

@@ -523,6 +523,10 @@ def lift_experiment(
     automaton is solved, both players' positional strategies are projected
     onto the memory skeleton, and each projection is verified optimal.
     """
+    if max_states < 1:
+        raise InputError("max_states must be >= 1")
+    if n_arenas < 0:
+        raise InputError("n_arenas must be >= 0")
     from .synthesis import synthesize
 
     result = synthesize(cond, m, samples=samples, seed=seed, allow_transient=True)

@@ -27,8 +27,7 @@ from .skeletons import (
     Color,
     ParityAutomaton,
     Skeleton,
-    sorted_support,
-    support_key,
+    transition_key,
 )
 
 FORMAT = 1
@@ -139,14 +138,15 @@ def condition_to_dict(cond: Condition) -> dict:
                 "predicate-backed conditions have no canonical file form; "
                 "tabulate the winning supports first"
             )
-        table = sorted(cond.winning_supports, key=support_key)
+        table = sorted(
+            (sorted(g, key=transition_key) for g in cond.winning_supports),
+            key=lambda rows: (len(rows), [transition_key(t) for t in rows]),
+        )
         return {
             **base,
             "kind": "muller",
             "skeleton": skeleton_to_dict(cond.skeleton),
-            "winning_supports": [
-                [[s, _color_out(c)] for s, c in sorted_support(g)] for g in table
-            ],
+            "winning_supports": [[[s, _color_out(c)] for s, c in g] for g in table],
         }
     if isinstance(cond, DiscountedSumCondition):
         return {**base, "kind": "discounted-sum", "lambda": fraction_to_pair(cond.lam), "k": cond.k}
@@ -202,7 +202,15 @@ def load_document(path: str):
     typ = doc.get("type") if isinstance(doc, dict) else None
     if typ not in loaders:
         raise InputError(f"{path}: unknown document type {typ!r}")
-    return loaders[typ](doc)
+    try:
+        return loaders[typ](doc)
+    except InputError:
+        raise
+    except (AttributeError, LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
+        # a missing field, a wrong type or a bad value deep in the document
+        raise InputError(
+            f"{path}: malformed {typ} document ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 def load_typed(path: str, expected: type):

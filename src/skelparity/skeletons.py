@@ -5,12 +5,15 @@ with no acceptance condition.  A parity automaton attaches a natural-number
 priority to every transition.  A cycle support is a set of transitions whose
 induced directed graph is strongly connected; it is the finite proxy used
 everywhere in this package for the (infinite) family of cycles of a skeleton.
+A support is an int bitmask over the skeleton's transitions: bit ``i`` is
+``m.transitions[i]``, and :func:`support_transitions` decodes it.
 
 All types are immutable after construction and every function is pure, so
 everything here is safe to call concurrently.  Iteration order is canonical
 throughout: integer colors sort numerically before string colors, states
-sort as strings, and supports sort by (size, sorted transition encoding) so
-that outputs are reproducible bit-exactly.
+sort as strings, transitions sort by (state, color), and supports sort by
+(size, ascending bit indices), which is (size, sorted transitions), so that
+outputs are reproducible bit-exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapExceeded, InputError
 
@@ -43,23 +46,33 @@ def transition_key(t: Transition):
     return (t[0], color_key(t[1]))
 
 
-def support_key(support: frozenset[Transition]):
-    """Canonical order on supports: by size, then lexicographically."""
-    return (len(support), tuple(sorted(transition_key(t) for t in support)))
+def bit_indices(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def sorted_support(support: Iterable[Transition]) -> tuple[Transition, ...]:
-    return tuple(sorted(support, key=transition_key))
+def support_transitions(m: Skeleton, mask: int) -> tuple[Transition, ...]:
+    """The transitions of the support ``mask`` of ``m``, in canonical order."""
+    trans = m.transitions
+    return tuple(trans[i][:2] for i in bit_indices(mask))
 
 
-def support_label(support: Iterable[Transition]) -> str:
+def out_masks(m: Skeleton) -> dict[State, int]:
+    """For each state, the mask of the transitions leaving it.  A support
+    passes through a state iff it holds one of them."""
+    out: dict[State, int] = {}
+    for i, (s, _, _) in enumerate(m.transitions):
+        out[s] = out.get(s, 0) | 1 << i
+    return out
+
+
+def support_label(m: Skeleton, mask: int) -> str:
     """Human-readable canonical name, e.g. ``[(m1,a)(m2,a)]``."""
-    parts = "".join(f"({s},{c})" for s, c in sorted_support(support))
+    parts = "".join(f"({s},{c})" for s, c in support_transitions(m, mask))
     return f"[{parts}]"
-
-
-def support_states(support: Iterable[Transition]) -> frozenset[State]:
-    return frozenset(s for s, _ in support)
 
 
 @dataclass(frozen=True)
@@ -83,18 +96,20 @@ class Skeleton:
             raise InputError(f"initial state {self.init!r} not a state")
         if not self.alphabet:
             raise InputError("alphabet must be non-empty")
+        alphabet = set(self.alphabet)
         seen: set[Transition] = set()
         for s, c, t in self.transitions:
             if s not in state_set or t not in state_set:
                 raise InputError(f"transition ({s!r},{c!r},{t!r}) uses unknown state")
-            if c not in set(self.alphabet):
+            if c not in alphabet:
                 raise InputError(f"transition color {c!r} not in alphabet")
             if (s, c) in seen:
                 raise InputError(f"duplicate transition source ({s!r},{c!r})")
             seen.add((s, c))
         missing = {(s, c) for s in self.states for c in self.alphabet} - seen
         if missing:
-            raise InputError(f"update map not total, missing {sorted_support(missing)}")
+            missing = tuple(sorted(missing, key=transition_key))
+            raise InputError(f"update map not total, missing {missing}")
         unreachable = state_set - set(self._reach_from(self.init))
         if unreachable:
             raise InputError(f"unreachable states: {sorted(unreachable)}")
@@ -146,7 +161,7 @@ class Skeleton:
         seen = {start}
         order = [start]
         queue = deque([start])
-        upd = {(s, c): t for s, c, t in self.transitions}
+        upd = self._upd
         while queue:
             s = queue.popleft()
             for c in self.alphabet:
@@ -298,16 +313,6 @@ def _scc_ids(vertices: Iterable[State], arcs: Iterable[tuple[State, State]]) -> 
     return comp
 
 
-def is_support(m: Skeleton, transitions: Iterable[Transition]) -> bool:
-    """True iff the transition set induces a strongly connected graph."""
-    trans = set(transitions)
-    if not trans:
-        return False
-    vertices = {s for s, _ in trans} | {m.step(s, c) for s, c in trans}
-    comp = _scc_ids(vertices, [(s, m.step(s, c)) for s, c in trans])
-    return len(set(comp.values())) == 1
-
-
 def _completion_exists(
     m: Skeleton,
     included: set[Transition],
@@ -331,10 +336,9 @@ def _completion_exists(
     return any(comp[s] == comp[m.step(s, c)] for s, c in remaining)
 
 
-def enumerate_cycle_supports(
-    m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP
-) -> list[frozenset[Transition]]:
-    """All transition subsets inducing a strongly connected graph.
+def enumerate_cycle_supports(m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP) -> list[int]:
+    """All transition subsets inducing a strongly connected graph, as
+    masks in canonical order.
 
     Output-sensitive branch-and-prune enumeration: a branch is explored only
     while some strongly connected completion is still possible, so the cost
@@ -343,52 +347,58 @@ def enumerate_cycle_supports(
     """
     if cap <= 0:
         raise InputError("cap must be positive")
-    edges = sorted(((s, c) for s, c, _ in m.transitions), key=transition_key)
-    found: list[frozenset[Transition]] = []
+    edges = [(s, c) for s, c, _ in m.transitions]
+    found: list[int] = []
     included: set[Transition] = set()
-    # depth-first over include/exclude decisions, the include branch first;
-    # a (idx, True) frame drops edges[idx] again and starts the exclude branch
+    mask = 0
+    # depth-first over include/exclude decisions on bits 0, 1, ..., the
+    # include branch first; a (idx, True) frame drops edges[idx] again and
+    # starts the exclude branch
     stack: list[tuple[int, bool]] = [(0, False)]
     while stack:
         idx, backtrack = stack.pop()
         if backtrack:
             included.discard(edges[idx])
+            mask ^= 1 << idx
             stack.append((idx + 1, False))
             continue
         if not _completion_exists(m, included, edges[idx:]):
             continue
         if idx == len(edges):
             if included:
-                found.append(frozenset(included))
+                found.append(mask)
                 if len(found) > cap:
                     raise CapExceeded(
                         f"cycle-support enumeration exceeded cap {cap}", cap
                     )
             continue
         included.add(edges[idx])
+        mask |= 1 << idx
         stack.append((idx, True))
         stack.append((idx + 1, False))
-    found.sort(key=support_key)
+    # Include-first order emits equal-size masks by ascending bit indices,
+    # so a stable sort by size gives the canonical order.
+    found.sort(key=int.bit_count)
     return found
 
 
-def closed_walk(m: Skeleton, support: frozenset[Transition], anchor: State | None = None) -> list[Color]:
+def closed_walk(m: Skeleton, support: int, anchor: State | None = None) -> list[Color]:
     """Colors of a deterministic closed walk from ``anchor`` covering the support.
 
     The walk traverses every transition of the support at least once and
     returns to the anchor (by default the canonically least state of the
     support).  Strong connectivity guarantees existence.
     """
-    if not support:
+    trans = support_transitions(m, support)
+    if not trans:
         raise InputError("empty support has no covering walk")
-    states = sorted(support_states(support))
     if anchor is None:
-        anchor = states[0]
-    if anchor not in states:
-        raise InputError(f"anchor {anchor!r} is not on the support")
+        anchor = trans[0][0]
     out_edges: dict[State, list[Transition]] = {}
-    for t in sorted(support, key=transition_key):
+    for t in trans:
         out_edges.setdefault(t[0], []).append(t)
+    if anchor not in out_edges:
+        raise InputError(f"anchor {anchor!r} is not on the support")
 
     def path_colors(src: State, dst: State) -> list[Color]:
         if src == dst:
@@ -417,7 +427,7 @@ def closed_walk(m: Skeleton, support: frozenset[Transition], anchor: State | Non
 
     walk: list[Color] = []
     current = anchor
-    uncovered = set(support)
+    uncovered = set(trans)
 
     def traverse(colors: list[Color]):
         nonlocal current
@@ -426,22 +436,12 @@ def closed_walk(m: Skeleton, support: frozenset[Transition], anchor: State | Non
             walk.append(c)
             current = m.step(current, c)
 
-    while uncovered:
-        target = min(uncovered, key=transition_key)
-        traverse(path_colors(current, target[0]))
-        traverse([target[1]])
+    for target in trans:  # canonical order: the least uncovered one first
+        if target in uncovered:
+            traverse(path_colors(current, target[0]))
+            traverse([target[1]])
     traverse(path_colors(current, anchor))
     return walk
-
-
-def walk_transitions(m: Skeleton, start: State, word: Sequence[Color]) -> frozenset[Transition]:
-    """Transition set traversed when reading ``word`` from ``start``."""
-    out = set()
-    s = start
-    for c in word:
-        out.add((s, c))
-        s = m.step(s, c)
-    return frozenset(out)
 
 
 def color_abstraction(aut: ParityAutomaton) -> dict:

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import reduce
+from operator import or_
+from typing import Optional, Sequence
 
 from .conditions import (
     Condition,
@@ -48,23 +50,20 @@ from .skeletons import (
     Color,
     ParityAutomaton,
     Skeleton,
-    State,
+    bit_indices,
+    out_masks,
     product,
-    sorted_support,
-    support_key,
     support_label,
-    support_states,
+    support_transitions,
 )
-
-Support = frozenset  # of Transition
 
 
 @dataclass(frozen=True)
 class ClassEntry:
     class_id: str
-    representative: Support
+    representative: int  # the canonically least member
     value: str
-    members: tuple[Support, ...]
+    members: tuple[int, ...]  # support masks, in canonical order
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +72,9 @@ class CycleClassTable:
     quotiented into equivalence classes."""
 
     skeleton: Skeleton
-    supports: tuple[tuple[Support, str], ...]
-    classes: tuple[ClassEntry, ...]
-    class_of: dict
+    supports: tuple[tuple[int, str], ...]  # (support mask, value), canonical order
+    classes: tuple[ClassEntry, ...]  # canonical order of the representatives
+    class_of: dict  # support mask -> class id
     competes: frozenset  # unordered competition, stored as both (a,b),(b,a)
     dominates: frozenset  # (dominator, dominated)
     order: frozenset  # (lower, higher): lower is below higher
@@ -97,8 +96,9 @@ def classify_supports(
     m: Skeleton,
     cond: Condition,
     cap: int = DEFAULT_SUPPORT_CAP,
-) -> list[tuple[Support, str]]:
-    """Label every cycle support of ``m`` as winning or losing.
+) -> list[tuple[int, str]]:
+    """Label every cycle support mask of ``m`` as winning or losing, in
+    canonical order.
 
     Values are obtained from the word oracle on a lasso realizing the
     support; consistency of the pair (condition, skeleton) makes the value
@@ -125,52 +125,7 @@ def classify_supports(
             "cycle classification requires cycle-consistency relative to "
             f"the skeleton; the check failed with witness {cc.witness}"
         )
-    return list(analysis.least_state_values())
-
-
-def competing_witness(
-    g1: Support,
-    g2: Support,
-    values: Mapping[Support, str],
-) -> Optional[Support]:
-    """Canonically least support linking two opposite-value supports while
-    preserving both their values, or None if the two do not compete.
-
-    ``values`` maps every classified support to its value, in canonical
-    support order."""
-    if g1 not in values or g2 not in values:
-        raise InputError("both supports must come from the classified table")
-    if values[g1] == values[g2]:
-        raise InputError("competition is defined for opposite-value supports")
-    s1, s2 = support_states(g1), support_states(g2)
-    for zeta in values:
-        zs = support_states(zeta)
-        if not (zs & s1) or not (zs & s2):
-            continue
-        if values[g1 | zeta] == values[g1] and values[g2 | zeta] == values[g2]:
-            return zeta
-    return None
-
-
-def dominates(
-    g1: Support,
-    g2: Support,
-    zeta: Support,
-    values: Mapping[Support, str],
-) -> Support:
-    """Which of two competing supports keeps its value in the combined cycle."""
-    if values[g1] == values[g2]:
-        raise InputError("domination is defined for opposite-value supports")
-    zs = support_states(zeta)
-    if (
-        not (zs & support_states(g1))
-        or not (zs & support_states(g2))
-        or values[g1 | zeta] != values[g1]
-        or values[g2 | zeta] != values[g2]
-    ):
-        raise InputError("zeta is not a valid witness for this pair")
-    combined = values[g1 | g2 | zeta]
-    return g1 if combined == values[g1] else g2
+    return analysis.least_state_values()
 
 
 def build_cycle_preorder(
@@ -187,108 +142,95 @@ def build_cycle_preorder(
     return _class_table(m, classify_supports(m, cond, cap=cap))
 
 
-def _class_table(
-    m: Skeleton, classified: Sequence[tuple[Support, str]]
-) -> CycleClassTable:
-    """The class table of :func:`build_cycle_preorder` from supports of ``m``
-    already classified, in canonical order."""
-    values = dict(classified)
-    supports = list(values)
+def _class_table(m: Skeleton, classified: Sequence[tuple[int, str]]) -> CycleClassTable:
+    """The class table of :func:`build_cycle_preorder` from the support
+    masks of ``m`` already classified, in canonical order.
 
-    compar: dict = {g: set() for g in supports}
-    dom: dict = {g: set() for g in supports}
-    for i, g1 in enumerate(supports):
-        for g2 in supports[i + 1 :]:
-            if values[g1] == values[g2]:
-                continue
-            zeta = competing_witness(g1, g2, values)
-            if zeta is None:
-                continue
-            compar[g1].add(g2)
-            compar[g2].add(g1)
-            winner = dominates(g1, g2, zeta, values)
-            loser = g2 if winner == g1 else g1
-            dom[winner].add(loser)
+    Supports are numbered by their position and every relation is a bitset
+    over these numbers.  Two opposite-value supports g1, g2 compete when
+    some support zeta sharing a state with each keeps both values in
+    g1 | zeta and g2 | zeta; the least such zeta decides domination by the
+    value of g1 | g2 | zeta.  A support is below every support that
+    dominates it, and below every support that dominates one of those.
+    """
+    masks = [g for g, _ in classified]
+    index_of = {g: i for i, g in enumerate(masks)}
+    wins = [value == WIN for _, value in classified]
+    win = sum(1 << i for i, w in enumerate(wins) if w)
+    lose = (1 << len(masks)) - 1 & ~win
+    leaving = out_masks(m).values()
+    through = [sum(1 << i for i, g in enumerate(masks) if g & out) for out in leaving]
+    # touch[i]: the supports sharing a state with support i
+    touch = [reduce(or_, (t for t, out in zip(through, leaving) if g & out)) for g in masks]
+    # keep[i]: the supports in touch[i] whose union with support i keeps its
+    # value; the competition witnesses of supports i and j are keep[i] & keep[j]
+    keep = [
+        sum(1 << k for k in bit_indices(touch[i]) if wins[index_of[g | masks[k]]] == wins[i])
+        for i, g in enumerate(masks)
+    ]
+    compar = [0] * len(masks)
+    dom = [0] * len(masks)
+    for i, g in enumerate(masks):
+        for j in bit_indices((lose if wins[i] else win) >> i + 1):
+            j += i + 1
+            witnesses = keep[i] & keep[j]
+            if witnesses:
+                compar[i] |= 1 << j
+                compar[j] |= 1 << i
+                zeta = masks[(witnesses & -witnesses).bit_length() - 1]
+                if wins[index_of[g | masks[j] | zeta]] == wins[i]:
+                    dom[i] |= 1 << j
+                else:
+                    dom[j] |= 1 << i
+    # domination runs between opposite values and one way per pair, so the
+    # two-step part of below[i] holds supports of i's own value, never i
+    below = [reduce(or_, (dom[mid] for mid in bit_indices(d)), d) for d in dom]
 
-    below: dict = {g: set() for g in supports}  # below[g] = supports under g
-    for g in supports:
-        below[g] |= dom[g]
-    for g1 in supports:
-        for g2 in supports:
-            if g1 == g2 or values[g1] != values[g2]:
-                continue
-            # g2 below g1 via an intermediate opposite-value support
-            if any(g2 in dom[mid] and mid in dom[g1] for mid in compar[g1]):
-                below[g1].add(g2)
-
-    sig: dict = {}
-    for g in supports:
-        sig[g] = (values[g], frozenset(compar[g]), frozenset(dom[g]))
     groups: dict = {}
-    for g in supports:
-        groups.setdefault(sig[g], []).append(g)
-    entries = []
-    class_of = {}
-    for members in groups.values():
-        members.sort(key=support_key)
-        rep = members[0]
-        cid = support_label(rep)
-        entries.append(
-            ClassEntry(
-                class_id=cid,
-                representative=rep,
-                value=values[rep],
-                members=tuple(members),
-            )
+    for i in range(len(masks)):
+        groups.setdefault((wins[i], compar[i], dom[i]), []).append(i)
+    # members of a class share their competition and domination sets, so
+    # every relation between classes is read off the representatives
+    classes = list(groups.values())
+    reps = [members[0] for members in classes]
+    ids = [support_label(m, masks[r]) for r in reps]
+    class_index = {i: c for c, members in enumerate(classes) for i in members}
+
+    def lift(rel: list) -> frozenset:
+        return frozenset(
+            (ids[c], ids[class_index[k]]) for c, r in enumerate(reps) for k in bit_indices(rel[r])
         )
-        for g in members:
-            class_of[g] = cid
-    entries.sort(key=lambda e: support_key(e.representative))
 
-    def lift(rel: dict) -> frozenset:
-        pairs = set()
-        for a in supports:
-            for b in rel[a]:
-                pairs.add((class_of[a], class_of[b]))
-        return frozenset(pairs)
-
-    competes_pairs = set()
-    for a in supports:
-        for b in compar[a]:
-            competes_pairs.add((class_of[a], class_of[b]))
-    dominates_pairs = lift(dom)
-    order_pairs = {(class_of[b], class_of[a]) for a in supports for b in below[a]}
-
-    # the order must be uniform across members of each class
-    by_id = {e.class_id: e for e in entries}
-    for a_cls, b_cls in order_pairs:
-        for ga in by_id[a_cls].members:
-            for gb in by_id[b_cls].members:
-                if ga not in below[gb]:
-                    raise InternalConsistencyError(
-                        f"order between classes {a_cls} and {b_cls} is not "
-                        "uniform across members; the consistency "
-                        "preconditions are falsified"
-                    )
-
-    for cid in (e.class_id for e in entries):
-        if (cid, cid) in order_pairs:
-            raise InternalConsistencyError(f"class {cid} compares below itself")
-    for a, b in order_pairs:
-        for c, d in order_pairs:
-            if b == c and (a, d) not in order_pairs:
+    above = [0] * len(classes)  # above[c]: the classes strictly above class c
+    for c, r in enumerate(reps):
+        for d in {class_index[k] for k in bit_indices(below[r])}:
+            if any(not below[r] >> i & 1 for i in classes[d]):
                 raise InternalConsistencyError(
-                    f"order not transitive: {a} < {b} < {d} but not {a} < {d}"
+                    f"order between classes {ids[d]} and {ids[c]} is not uniform "
+                    "across members; the consistency preconditions are falsified"
+                )
+            above[d] |= 1 << c
+    for a, up in enumerate(above):
+        if up >> a & 1:
+            raise InternalConsistencyError(f"class {ids[a]} compares below itself")
+        for b in bit_indices(up):
+            for d in bit_indices(above[b] & ~up):
+                raise InternalConsistencyError(
+                    f"order not transitive: {ids[a]} < {ids[b]} < {ids[d]} "
+                    f"but not {ids[a]} < {ids[d]}"
                 )
 
     return CycleClassTable(
         skeleton=m,
-        supports=tuple(values.items()),
-        classes=tuple(entries),
-        class_of=class_of,
-        competes=frozenset(competes_pairs),
-        dominates=frozenset(dominates_pairs),
-        order=frozenset(order_pairs),
+        supports=tuple(classified),
+        classes=tuple(
+            ClassEntry(ids[c], masks[r], classified[r][1], tuple(masks[i] for i in classes[c]))
+            for c, r in enumerate(reps)
+        ),
+        class_of={masks[i]: ids[c] for i, c in class_index.items()},
+        competes=lift(compar),
+        dominates=lift(dom),
+        order=frozenset((ids[d], ids[c]) for d, up in enumerate(above) for c in bit_indices(up)),
     )
 
 
@@ -310,13 +252,9 @@ def linear_extension(table: CycleClassTable) -> dict:
         preds[hi].add(lo)
     assigned: dict = {}
     pending = set(ids)
-    key = {e.class_id: support_key(e.representative) for e in table.classes}
     value = {e.class_id: e.value for e in table.classes}
     while pending:
-        ready = sorted(
-            (cid for cid in pending if preds[cid] <= set(assigned)),
-            key=key.__getitem__,
-        )
+        ready = [cid for cid in ids if cid in pending and preds[cid] <= set(assigned)]
         if not ready:
             raise InternalConsistencyError("class order contains a cycle")
         cid = ready[0]
@@ -366,55 +304,34 @@ def assign_priorities(
     """
     validate_extension(table, pgamma)
     supports = [g for g, _ in table.supports]
-    by_transition: dict = {}
-    for g in supports:
-        for t in g:
-            by_transition.setdefault(t, []).append(g)
-
+    covered = reduce(or_, supports, 0)
     transitions = [(s, c) for s, c, _ in m.transitions]
-    transient = [t for t in transitions if t not in by_transition]
+    transient = tuple(t for i, t in enumerate(transitions) if not covered >> i & 1)
     if transient and not allow_transient:
         raise TransientTransitionError(
             "transitions on no cycle cannot receive a priority from the "
             "class numbering; prune them or pass allow_transient="
-            f"True (offending: {sorted_support(transient)})",
-            tuple(sorted_support(transient)),
+            f"True (offending: {transient})",
+            transient,
         )
 
-    reach_cache: dict = {}
-
-    def reachable(state: State) -> frozenset:
-        if state not in reach_cache:
-            seen = {state}
-            stack = [state]
-            while stack:
-                s = stack.pop()
-                for c in m.alphabet:
-                    t = m.step(s, c)
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-            reach_cache[state] = frozenset(seen)
-        return reach_cache[state]
-
-    class_states = {
-        e.class_id: frozenset().union(*(support_states(g) for g in e.members))
-        for e in table.classes
-    }
+    leaving = out_masks(m)
+    class_cover = {e.class_id: reduce(or_, e.members) for e in table.classes}
     priority: dict = {}
-    for t in transitions:
-        containing = by_transition.get(t)
+    for i, t in enumerate(transitions):
+        containing = [g for g in supports if g >> i & 1]
         if containing:
             minimal = [
-                g for g in containing if not any(g2 < g for g2 in containing)
+                g for g in containing if not any(h & g == h != g for h in containing)
             ]
             priority[t] = min(pgamma[table.class_of[g]] for g in minimal)
         else:
-            targets = reachable(m.step(*t))
+            # a class is reachable when one of its supports leaves a reachable state
+            targets = reduce(or_, (leaving[s] for s in m._reach_from(m.step(*t))))
             candidates = [
                 pgamma[e.class_id]
                 for e in table.classes
-                if class_states[e.class_id] & targets
+                if class_cover[e.class_id] & targets
             ]
             priority[t] = min(candidates)
     return ParityAutomaton.make(m, priority)
@@ -462,21 +379,23 @@ def verify_synthesis(
 def _verify(
     out: ParityAutomaton,
     cond: Condition,
-    classified: Iterable[tuple[Support, str]],
+    classified: Sequence[tuple[int, str]],
     samples: int,
     seed: int,
 ) -> VerifyReport:
-    """:func:`verify_synthesis` given the oracle value of every support of
-    the automaton's skeleton, in canonical order."""
+    """:func:`verify_synthesis` given the oracle value of every support
+    mask of the automaton's skeleton, in canonical order."""
+    sk = out.skeleton
+    pri = [out.priority(s, c) for s, c, _ in sk.transitions]
     support_mismatch = None
     n_supports = 0
     for sup, oracle in classified:
         n_supports += 1
-        automaton = WIN if out.max_support_priority(sup) % 2 == 0 else LOSE
-        if oracle != automaton:
+        top = max(pri[i] for i in bit_indices(sup))
+        if oracle != (WIN if top % 2 == 0 else LOSE):
             support_mismatch = {
-                "support": [list(t) for t in sorted_support(sup)],
-                "max_priority": out.max_support_priority(sup),
+                "support": [list(t) for t in support_transitions(sk, sup)],
+                "max_priority": top,
                 "oracle": oracle,
             }
             break
@@ -548,7 +467,7 @@ def synthesize(
     cc = analysis.cycle_consistency()
     if not cc.passed:
         raise SynthesisStageError("cycle-consistency", cc.witness)
-    classified = list(analysis.least_state_values())
+    classified = analysis.least_state_values()
     table = _class_table(base, classified)
     pgamma = linear_extension(table)
     automaton = assign_priorities(base, table, pgamma, allow_transient=allow_transient)

@@ -17,6 +17,7 @@ from skelparity import (
     sees_all_colors_condition,
     trivial_skeleton,
 )
+from skelparity.skeletons import support_label, support_transitions
 
 ABC = ("a", "b", "c")
 
@@ -126,6 +127,23 @@ def build_contrast_muller() -> MullerCondition:
         skeleton=build_contrast_skeleton(),
         predicate=lambda sup: max(CONTRAST_PRIORITIES[t] for t in sup) % 2 == 0,
     )
+
+
+def mask_of(sk: Skeleton, transitions) -> int:
+    """The support mask of a set of transitions of ``sk``."""
+    bit = {(s, c): 1 << i for i, (s, c, _) in enumerate(sk.transitions)}
+    return sum(bit[t] for t in transitions)
+
+
+def states_on(sk: Skeleton, mask: int) -> set:
+    """The states a support mask passes through."""
+    return {s for s, _ in support_transitions(sk, mask)}
+
+
+def contrast_label(transitions) -> str:
+    """The class-id label of a support of the contrast skeleton."""
+    sk = build_contrast_skeleton()
+    return support_label(sk, mask_of(sk, transitions))
 
 
 @pytest.fixture

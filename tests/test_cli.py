@@ -36,6 +36,7 @@ from skelparity.serialize import (
     skeleton_to_dict,
     skeleton_to_dot,
 )
+from skelparity.skeletons import support_transitions
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -50,7 +51,7 @@ def run_cli(*argv) -> tuple[str, int]:
 @pytest.fixture
 def files(tmp_path, switch_skeleton, contrast_automaton, trivial_abc):
     triv = trivial_abc
-    supports = enumerate_cycle_supports(triv)
+    supports = [frozenset(support_transitions(triv, g)) for g in enumerate_cycle_supports(triv)]
     winning = frozenset(
         g for g in supports if {"a", "b"} <= {c for _, c in g}
     )
@@ -125,7 +126,10 @@ def test_condition_round_trips(ds_half_two, contrast_automaton):
 
 
 def test_muller_table_round_trip(trivial_abc):
-    supports = enumerate_cycle_supports(trivial_abc)
+    supports = [
+        frozenset(support_transitions(trivial_abc, g))
+        for g in enumerate_cycle_supports(trivial_abc)
+    ]
     winning = frozenset(g for g in supports if {"a", "b"} <= {c for _, c in g})
     cond = MullerCondition(skeleton=trivial_abc, winning_supports=winning)
     doc = condition_to_dict(cond)
@@ -317,6 +321,47 @@ def test_cli_lift_experiment_on_inconsistent_pair_exits_4(files):
     doc = json.loads(out)
     assert doc["format"] == 1
     assert "'cycle-consistency' failed" in doc["error"]
+
+
+def test_cli_lift_experiment_rejects_empty_arenas(files):
+    lift = ("game", "lift-experiment", "--condition", files["genbuchi.json"],
+            "--skeleton", files["switch.json"])
+    for bad in (("--max-states", "0"), ("--arenas", "-1")):
+        out, code = run_cli(*lift, *bad)
+        assert code == 2
+        assert "error" in json.loads(out)
+
+
+_TRIVIAL_A = {"format": 1, "type": "skeleton", "alphabet": ["a"], "states": ["m0"],
+              "init": "m0", "upd": [["m0", "a", "m0"]]}
+_CONDITION = {"format": 1, "type": "condition"}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("cond", {**_CONDITION, "kind": "muller", "skeleton": _TRIVIAL_A,
+                  "winning_supports": [[["m0", "a", "x"]]]}),
+        ("cond", {**_CONDITION, "kind": "muller", "winning_supports": []}),
+        ("cond", {**_CONDITION, "kind": "discounted-sum", "lambda": [1, 0], "k": 2}),
+        ("cond", {**_CONDITION, "kind": "discounted-sum", "lambda": [1, 2], "k": "2"}),
+        ("skel", {k: v for k, v in _TRIVIAL_A.items() if k != "upd"}),
+        ("skel", {**_TRIVIAL_A, "states": [["m0"]], "init": ["m0"],
+                  "upd": [[["m0"], "a", ["m0"]]]}),
+    ],
+    ids=["muller-row", "no-skeleton", "zero-denominator", "string-k", "no-upd",
+         "list-state"],
+)
+def test_cli_malformed_documents_exit_2(tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if command == "cond":
+        out, code = run_cli("cond", "rc-automaton", "--condition", str(path))
+    else:
+        out, code = run_cli("skel", "supports", "--skeleton", str(path))
+    assert code == 2
+    report = json.loads(out)
+    assert report["format"] == 1 and "malformed" in report["error"]
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from skelparity import (
     DiscountedSumCondition,
@@ -22,14 +23,12 @@ from skelparity import (
     trivial_skeleton,
 )
 from skelparity.errors import InputError, PreconditionError, TransientTransitionError
-from skelparity.skeletons import support_label, support_states
+from skelparity.skeletons import support_transitions
 from skelparity.synthesis import (
     SynthesisStageError,
     assign_priorities,
     build_cycle_preorder,
     classify_supports,
-    competing_witness,
-    dominates,
     linear_extension,
     synthesize,
     validate_extension,
@@ -38,10 +37,21 @@ from skelparity.synthesis import (
 
 from conftest import (
     CONTRAST_PRIORITIES,
+    build_ab_prefix_automaton,
     build_contrast_muller,
     build_contrast_skeleton,
     build_gen_buchi,
     build_switch_skeleton,
+    contrast_label,
+    mask_of,
+    states_on,
+)
+from preorder_oracle import (
+    as_frozensets,
+    competing_witness,
+    dominates,
+    reference_table,
+    support_states,
 )
 
 f = frozenset
@@ -52,6 +62,10 @@ M1C = f({("m1", "c")})
 M2B = f({("m2", "b")})
 
 
+def contrast_mask(transitions) -> int:
+    return mask_of(build_contrast_skeleton(), transitions)
+
+
 @pytest.fixture(scope="module")
 def contrast_classified():
     return classify_supports(build_contrast_skeleton(), build_contrast_muller())
@@ -59,7 +73,7 @@ def contrast_classified():
 
 @pytest.fixture(scope="module")
 def contrast_values(contrast_classified):
-    return dict(contrast_classified)
+    return as_frozensets(build_contrast_skeleton(), contrast_classified)
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +84,8 @@ def contrast_table():
 # -- classification -------------------------------------------------------------
 
 
-def test_classify_contrast_supports(contrast_classified):
-    values = dict(contrast_classified)
+def test_classify_contrast_supports(contrast_values):
+    values = contrast_values
     assert values[M1B] == "lose"
     assert values[AA] == "win"
     assert values[M2B] == "win"
@@ -80,7 +94,8 @@ def test_classify_contrast_supports(contrast_classified):
 
 
 def test_classify_switch_with_gen_buchi():
-    values = dict(classify_supports(build_switch_skeleton(), build_gen_buchi()))
+    sk = build_switch_skeleton()
+    values = as_frozensets(sk, classify_supports(sk, build_gen_buchi()))
     assert values[f({("init", "b"), ("m2", "a")})] == "win"
     assert values[f({("init", "a")})] == "lose"
 
@@ -163,27 +178,27 @@ def test_witness_independence(contrast_values):
 def test_contrast_table_has_four_classes(contrast_table):
     assert len(contrast_table.classes) == 4
     by_id = {e.class_id: e for e in contrast_table.classes}
-    assert by_id[support_label(M1B)].value == "lose"
-    assert by_id[support_label(AA)].value == "win"
-    assert by_id[support_label(M2B)].value == "win"
-    assert by_id[support_label(M1C)].value == "lose"
+    assert by_id[contrast_label(M1B)].value == "lose"
+    assert by_id[contrast_label(AA)].value == "win"
+    assert by_id[contrast_label(M2B)].value == "win"
+    assert by_id[contrast_label(M1C)].value == "lose"
 
 
 def test_contrast_class_memberships(contrast_table):
     cls = contrast_table.class_of
-    assert cls[AA] == cls[f({("m1", "a"), ("m2", "b"), ("m2", "a")})]
-    assert cls[M2B] == cls[f({("m2", "c")})]
+    assert cls[contrast_mask(AA)] == cls[contrast_mask({("m1", "a"), ("m2", "b"), ("m2", "a")})]
+    assert cls[contrast_mask(M2B)] == cls[contrast_mask({("m2", "c")})]
     for g, _ in contrast_table.supports:
-        if ("m1", "c") in g:
-            assert cls[g] == support_label(M1C)
+        if g & contrast_mask(M1C):
+            assert cls[g] == contrast_label(M1C)
 
 
 def test_contrast_hasse_diagram(contrast_table):
     assert sorted(contrast_table.hasse_edges()) == sorted(
         [
-            (support_label(M1B), support_label(AA)),
-            (support_label(AA), support_label(M1C)),
-            (support_label(M2B), support_label(M1C)),
+            (contrast_label(M1B), contrast_label(AA)),
+            (contrast_label(AA), contrast_label(M1C)),
+            (contrast_label(M2B), contrast_label(M1C)),
         ]
     )
 
@@ -214,6 +229,77 @@ def test_class_relations_respect_equivalence(contrast_table):
         if a.value != b.value
     }
     assert contrast_table.dominates <= contrast_table.competes
+
+
+PREORDER_PAIRS = {
+    "contrast": lambda: (build_contrast_muller(), build_contrast_skeleton()),
+    "gen-buchi-switch": lambda: (build_gen_buchi(), build_switch_skeleton()),
+    "ab-prefix": lambda: (
+        DpaCondition(build_ab_prefix_automaton()), trivial_skeleton(("a", "b"))
+    ),
+    "ds-half-k2": lambda: (
+        DiscountedSumCondition(Fraction(1, 2), 2), trivial_skeleton(range(-2, 3))
+    ),
+    "ds-third-k2": lambda: (
+        DiscountedSumCondition(Fraction(1, 3), 2), trivial_skeleton(range(-2, 3))
+    ),
+}
+
+
+def _assert_preorder_matches_reference(table):
+    sk = table.skeleton
+    ref = reference_table(as_frozensets(sk, table.supports))
+    classes = {
+        e.class_id: frozenset(frozenset(support_transitions(sk, g)) for g in e.members)
+        for e in table.classes
+    }
+    assert classes == ref["classes"]
+    assert table.competes == ref["competes"]
+    assert table.dominates == ref["dominates"]
+    assert table.order == ref["order"]
+
+
+@pytest.mark.parametrize("name", sorted(PREORDER_PAIRS))
+def test_preorder_matches_reference(name):
+    cond, sk = PREORDER_PAIRS[name]()
+    result = synthesize(cond, sk, samples=50, allow_transient=True)
+    _assert_preorder_matches_reference(result.table)
+
+
+@st.composite
+def _small_dpa_pairs(draw):
+    """A random DPA over {a, b} with 2 or 3 states, all reachable, and a
+    memory skeleton with 1 or 2 states."""
+    n = draw(st.integers(2, 3))
+    states = [f"q{i}" for i in range(n)]
+    upd = {(s, c): draw(st.sampled_from(states)) for s in states for c in "ab"}
+    reach, work = {"q0"}, ["q0"]
+    while work:
+        s = work.pop()
+        for c in "ab":
+            if upd[(s, c)] not in reach:
+                reach.add(upd[(s, c)])
+                work.append(upd[(s, c)])
+    sk = Skeleton.make(
+        sorted(reach), "q0", "ab", {k: v for k, v in upd.items() if k[0] in reach}
+    )
+    pri = {(s, c): draw(st.integers(0, 3)) for s, c, _ in sk.transitions}
+    memory = [f"m{i}" for i in range(draw(st.integers(1, 2)))]
+    mupd = {(s, c): draw(st.sampled_from(memory)) for s in memory for c in "ab"}
+    mupd[("m0", "b")] = memory[-1]  # every memory state is reachable
+    return DpaCondition(ParityAutomaton.make(sk, pri)), Skeleton.make(memory, "m0", "ab", mupd)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_dpa_pairs())
+def test_preorder_matches_reference_on_random_dpas(pair):
+    cond, m = pair
+    base = product(right_congruence_automaton(cond), m)
+    try:
+        table = build_cycle_preorder(base, cond)
+    except PreconditionError:
+        assume(False)
+    _assert_preorder_matches_reference(table)
 
 
 def test_all_win_condition_collapses_to_single_class():
@@ -443,7 +529,7 @@ def test_max_priority_parity_law_exhaustive(idx):
     result = list(_synthesized_instances())[idx]
     aut = result.automaton
     for sup, value in result.table.supports:
-        even = aut.max_support_priority(sup) % 2 == 0
+        even = aut.max_support_priority(support_transitions(aut.skeleton, sup)) % 2 == 0
         assert even == (value == "win")
 
 
@@ -457,7 +543,7 @@ def test_shared_state_same_value_unions(idx):
         g1, g2 = rng.choice(supports), rng.choice(supports)
         if values[g1] != values[g2]:
             continue
-        if not (support_states(g1) & support_states(g2)):
+        if not (states_on(result.base, g1) & states_on(result.base, g2)):
             continue
         assert values[g1 | g2] == values[g1]
 
