@@ -4,8 +4,9 @@ The package turns a characterization of omega-regular languages through
 chromatic memory skeletons into executable machinery:
 
 - :mod:`skelparity.skeletons`: skeletons, parity automata, cycle supports;
-- :mod:`skelparity.conditions`: winning conditions, lasso oracles, gaps,
-  residual comparison, right-congruence automata;
+- :mod:`skelparity.conditions`: winning conditions, lasso oracles, the
+  automata that value cycle supports, gaps, residual comparison,
+  right-congruence automata;
 - :mod:`skelparity.consistency`: prefix-independence and cycle-consistency
   checks, plus the mean-payoff counterexample report;
 - :mod:`skelparity.synthesis`: the cycle-competition preorder and the

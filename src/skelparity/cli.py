@@ -4,9 +4,9 @@ Every command prints exactly one canonical JSON report to stdout; wall-clock
 timing goes to stderr so reruns with the same inputs and seed are
 byte-identical.  Exit codes: 0 success / property holds, 1 property fails
 (with witness; still a correct run), 2 input or usage error, 3 resource cap
-exceeded, 4 the run could not complete (an inconsistent pair handed to a
-command that needs synthesis, a violated internal law, recursion too deep, or
-memory exhausted).
+exceeded (the report names the stage that hit the cap), 4 the run could not
+complete (an inconsistent pair handed to a command that needs synthesis, a
+violated internal law, recursion too deep, or memory exhausted).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .conditions import (
     residual_compare,
     right_congruence_automaton,
 )
-from .errors import CapExceeded, InputError, InternalConsistencyError
+from .errors import CapExceeded, InputError, InternalConsistencyError, cap_stage
 from .games import Arena
 from .serialize import (
     arena_to_dot,
@@ -120,7 +120,8 @@ def _cmd_skel_run(args):
 def _cmd_skel_supports(args):
     rep = _Reporter("skel supports")
     sk = rep.load(args.skeleton, Skeleton)
-    sups = enumerate_cycle_supports(sk, cap=args.cap)
+    with cap_stage("skel supports"):
+        sups = enumerate_cycle_supports(sk, cap=args.cap)
     return rep.done(count=len(sups), supports=[_support_rows(sk, g) for g in sups])
 
 
@@ -544,7 +545,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         report, code = {"format": 1, "error": str(exc)}, 2
     except CapExceeded as exc:
-        report, code = {"format": 1, "error": str(exc), "cap": exc.cap}, 3
+        report = {"format": 1, "error": str(exc), "cap": exc.cap, "stage": exc.stage}
+        code = 3
     except FileNotFoundError as exc:
         report, code = {"format": 1, "error": str(exc)}, 2
     except (

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import InfiniteIndexError, InputError, PreconditionError
+from .errors import InfiniteIndexError, InputError, PreconditionError, cap_stage
 from .skeletons import (
     DEFAULT_SUPPORT_CAP,
     Color,
@@ -27,7 +27,9 @@ from .skeletons import (
     State,
     Transition,
     _scc_ids,
+    bit_indices,
     enumerate_cycle_supports,
+    out_masks,
     support_transitions,
     trivial_skeleton,
 )
@@ -351,6 +353,38 @@ def lasso_value(cond: Condition, lasso: Lasso) -> str:
     raise InputError(f"unknown condition type {type(cond).__name__}")
 
 
+def support_automaton(cond: Condition) -> tuple[Skeleton, Callable[[int], str]]:
+    """The condition's automaton ``D`` and the value of its cycle supports.
+
+    A word is in the condition iff the support its run on ``D`` repeats
+    (the transitions seen infinitely often, a mask over ``D.transitions``)
+    is valued ``win``.  ``D`` is the parity automaton's skeleton, valued by
+    the parity of the top priority; the Muller skeleton, valued by its
+    table or predicate; or, for a discounted sum with lambda = 1/n, the gap
+    automaton: a cycle at a finite gap sums to exactly 0 and wins, a cycle
+    at top wins and a cycle at bot loses.  Other conditions have no such
+    automaton and raise :class:`PreconditionError`.
+    """
+    if isinstance(cond, DpaCondition):
+        aut = cond.automaton
+        sk = aut.skeleton
+        pri = [aut.priority(s, c) for s, c, _ in sk.transitions]
+        return sk, lambda mask: WIN if max(pri[i] for i in bit_indices(mask)) % 2 == 0 else LOSE
+    if isinstance(cond, MullerCondition):
+        sk = cond.skeleton
+        return sk, lambda mask: cond.support_value(frozenset(support_transitions(sk, mask)))
+    if isinstance(cond, DiscountedSumCondition) and cond.union_invariant:
+        sk, gaps = _gap_bfs(cond.lam, cond.k)
+        leaving = out_masks(sk)
+        bot = sum(leaving[s] for s, g in gaps.items() if g == GAP_BOT)
+        return sk, lambda mask: LOSE if mask & bot else WIN
+    raise PreconditionError(
+        "no automaton values the cycle supports of this condition: cycle "
+        "values depend on transition sets alone only for parity, Muller and "
+        "discounted-sum conditions with lambda = 1/n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # residual comparison (automaton-backed conditions, exact)
 # ---------------------------------------------------------------------------
@@ -446,7 +480,9 @@ def _residual_flags(
     pair, sides = _pair_skeleton(cond.skeleton, q1, q2)
     win1_lose2 = False
     lose1_win2 = False
-    for mask in enumerate_cycle_supports(pair, cap=cap):
+    with cap_stage("right-congruence"):
+        supports = enumerate_cycle_supports(pair, cap=cap)
+    for mask in supports:
         sup = support_transitions(pair, mask)
         v1 = cond.support_value(frozenset((sides[s][0], c) for s, c in sup))
         v2 = cond.support_value(frozenset((sides[s][1], c) for s, c in sup))

@@ -6,9 +6,10 @@ are constant per product state.  Failures come with small, independently
 re-checkable witnesses.
 
 :class:`SupportAnalysis` is the one support analysis per (condition,
-skeleton): it enumerates the cycle supports once and values each (state,
-support) pair at most once.  The cycle-consistency check reads it, and so
-do support classification and the support-parity verification of
+skeleton): it enumerates the cycle supports once and reads the value set
+of each off the condition's own automaton, with no closed walk and no word
+oracle.  The cycle-consistency check reads it, and so do support
+classification and the support-parity verification of
 :mod:`skelparity.synthesis`; synthesis builds it directly on
 (right-congruence automaton x skeleton), whose states already fix their
 congruence class, so it needs neither a prefix-independence stage nor a
@@ -17,24 +18,29 @@ second product with the congruence automaton.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .conditions import (
+    LOSE,
+    WIN,
     Condition,
     Lasso,
-    lasso_value,
     right_congruence_automaton,
+    support_automaton,
 )
-from .errors import InputError, InternalConsistencyError
+from .errors import InputError, InternalConsistencyError, cap_stage
 from .skeletons import (
     DEFAULT_SUPPORT_CAP,
     Color,
     Skeleton,
     State,
+    bit_indices,
     closed_walk,
+    color_key,
     enumerate_cycle_supports,
     out_masks,
     product,
@@ -121,62 +127,102 @@ def check_prefix_independence(
 class SupportAnalysis:
     """The cycle supports of one skeleton and their values under one condition.
 
-    Meant for a skeleton each of whose states fixes the condition's
-    right-congruence class (a product with the right-congruence automaton,
-    or a skeleton that passed the prefix-independence check), so that every
-    state has well-defined winning continuations.  Holds the shortest
-    prefix word of each state, the support masks in canonical order, and
-    the indices of the supports through each state.  The value of a support
-    at a state comes from the word oracle on the prefix of the state
-    followed by a closed walk anchored there; each (state, support) value is
-    computed at most once.
+    The value set of a support is the set of values of the words whose run
+    on the skeleton repeats exactly that support.  It is read off the
+    condition's own automaton ``D`` (:func:`support_automaton`), with no
+    walk and no word oracle.  When the state of ``D`` is a function of the
+    skeleton state, checked by one breadth-first search of (skeleton x
+    ``D``), a support has one value: that of its projection onto ``D``.
+    Otherwise the supports of the lift ``L`` = (skeleton x ``D``) are
+    enumerated and valued; their projections onto the skeleton are exactly
+    its supports, and a support projected from lifted supports of both
+    values has both.  Supports are masks in canonical order.
     """
 
     def __init__(self, cond: Condition, sk: Skeleton, cap: int = DEFAULT_SUPPORT_CAP):
-        self.cond = cond
         self.skeleton = sk
-        self.prefix_words = shortest_words_to_states(sk)
-        self.supports = enumerate_cycle_supports(sk, cap=cap)
-        # the union of two supports through q is again a support through q,
-        # so every such union indexes back into the supports
-        self.index_of_mask = {mask: i for i, mask in enumerate(self.supports)}
-        self.through: dict[State, list[int]] = {}
-        for q, leaving in out_masks(sk).items():
-            self.through[q] = [i for i, g in enumerate(self.supports) if g & leaving]
-        self._values: dict[tuple[State, int], str] = {}
-
-    def value(self, state: State, i: int) -> str:
-        """Value of support ``i`` anchored at ``state``, a state on it."""
-        key = (state, i)
-        if key not in self._values:
-            walk = closed_walk(self.skeleton, self.supports[i], anchor=state)
-            self._values[key] = lasso_value(
-                self.cond, Lasso.make(self.prefix_words[state], walk)
+        aut, value_of = support_automaton(cond)
+        value = functools.cache(value_of)
+        extra = set(sk.alphabet) - set(aut.alphabet)
+        if extra:
+            raise InputError(
+                f"color {min(extra, key=color_key)!r} not in the condition's alphabet"
             )
-        return self._values[key]
+        pairs = _reachable_pairs(sk, aut)
+        d_bit = {(s, c): i for i, (s, c, _) in enumerate(aut.transitions)}
+        d_of = dict(pairs)
+        if len(d_of) == len(pairs):
+            with cap_stage("cycle-supports"):
+                self.supports = enumerate_cycle_supports(sk, cap=cap)
+            to_d = [1 << d_bit[(d_of[s], c)] for s, c, _ in sk.transitions]
+            self.value_sets = [frozenset((value(_project(g, to_d)),)) for g in self.supports]
+            self._lift = None
+        else:
+            lift, pair_of = _lift_skeleton(sk, aut, pairs)
+            with cap_stage("lifted-supports"):
+                lifted = enumerate_cycle_supports(lift, cap=cap)
+            a_bit = {(s, c): i for i, (s, c, _) in enumerate(sk.transitions)}
+            to_a, to_d = [], []
+            for s, c, _ in lift.transitions:
+                a, d = pair_of[s]
+                to_a.append(1 << a_bit[(a, c)])
+                to_d.append(1 << d_bit[(d, c)])
+            # support mask -> {value: index of its first lifted support of that value}
+            first: dict[int, dict[str, int]] = {}
+            for j, h in enumerate(lifted):
+                first.setdefault(_project(h, to_a), {}).setdefault(value(_project(h, to_d)), j)
+            self.supports = sorted(first, key=lambda g: (g.bit_count(), tuple(bit_indices(g))))
+            self.value_sets = [frozenset(first[g]) for g in self.supports]
+            self._lift = (lift, lifted, first)
 
-    def least_state_values(self) -> list[tuple[int, str]]:
-        """Each support mask, in canonical order, with its value at its
-        least state, the source of its lowest transition."""
-        trans = self.skeleton.transitions
-        return [
-            (g, self.value(trans[(g & -g).bit_length() - 1][0], i))
-            for i, g in enumerate(self.supports)
-        ]
+    def classified(self) -> list[tuple[int, str]]:
+        """Each support mask, in canonical order, with its one value."""
+        return [(g, v) for g, (v,) in zip(self.supports, self.value_sets)]
+
+    def lassos(self, i: int) -> dict[str, Lasso]:
+        """For a support of several values, one lasso per value whose run
+        on the skeleton repeats exactly that support: a shortest prefix to
+        the least state of the first lifted support of that value, then a
+        closed walk covering it."""
+        lift, lifted, first = self._lift
+        words = shortest_words_to_states(lift)
+        out = {}
+        for v, j in first[self.supports[i]].items():
+            h = lifted[j]
+            anchor = lift.transitions[(h & -h).bit_length() - 1][0]
+            out[v] = Lasso.make(words[anchor], closed_walk(lift, h, anchor=anchor))
+        return out
 
     def cycle_consistency(self) -> ConsistencyReport:
-        """Are the winning and the losing supports through every state
-        closed under union?  The first same-value pair, in state order and
-        then canonical order, whose union flips value is the witness."""
+        """Does every support have one value, and are the winning and the
+        losing supports through every state closed under union?  The
+        canonically first support of two values is the witness, with a
+        winning and a losing lasso; otherwise the first same-value pair, in
+        state order and then canonical order, whose union flips value."""
         sk = self.skeleton
-        for q in sk.states:
-            through = self.through[q]
-            masks = [self.supports[i] for i in through]
-            values = [self.value(q, i) for i in through]
+        details = {"supports": len(self.supports)}
+        for i, values in enumerate(self.value_sets):
+            if len(values) > 1:
+                lassos = self.lassos(i)
+                return ConsistencyReport(
+                    verdict="fail",
+                    witness={
+                        "kind": "support-values",
+                        "support": [list(t) for t in support_transitions(sk, self.supports[i])],
+                        **{
+                            key: {"prefix": list(lassos[v].prefix), "period": list(lassos[v].period)}
+                            for key, v in (("winning", WIN), ("losing", LOSE))
+                        },
+                    },
+                    details=details,
+                )
+        value_of = dict(self.classified())
+        for q, leaving in out_masks(sk).items():
+            masks = [g for g in self.supports if g & leaving]
+            values = [value_of[g] for g in masks]
             pair = _first_union_flip(masks, values)
             if pair is not None:
                 i, j = pair
-                union = self.index_of_mask[masks[i] | masks[j]]
                 return ConsistencyReport(
                     verdict="fail",
                     witness={
@@ -185,24 +231,63 @@ class SupportAnalysis:
                         "support1": [list(t) for t in support_transitions(sk, masks[i])],
                         "support2": [list(t) for t in support_transitions(sk, masks[j])],
                         "family_value": values[i],
-                        "union_value": self.value(q, union),
+                        "union_value": value_of[masks[i] | masks[j]],
                     },
-                    details={"supports": len(self.supports)},
+                    details=details,
                 )
-        return ConsistencyReport(
-            verdict="pass", details={"supports": len(self.supports)}
-        )
+        return ConsistencyReport(verdict="pass", details=details)
+
+
+def _reachable_pairs(sk: Skeleton, aut: Skeleton) -> list[tuple[State, State]]:
+    """The reachable states of (sk x aut), in breadth-first order."""
+    start = (sk.init, aut.init)
+    seen = {start}
+    order = [start]
+    queue = deque([start])
+    while queue:
+        a, d = queue.popleft()
+        for c in sk.alphabet:
+            t = (sk.step(a, c), aut.step(d, c))
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+                queue.append(t)
+    return order
+
+
+def _lift_skeleton(
+    sk: Skeleton, aut: Skeleton, pairs: list[tuple[State, State]]
+) -> tuple[Skeleton, dict[State, tuple[State, State]]]:
+    """(sk x aut) on its reachable ``pairs``, with states numbered in
+    breadth-first order, and the pair each state stands for."""
+    name = {p: f"l{k}" for k, p in enumerate(pairs)}
+    upd = {
+        (name[(a, d)], c): name[(sk.step(a, c), aut.step(d, c))]
+        for a, d in pairs
+        for c in sk.alphabet
+    }
+    lift = Skeleton.make(name.values(), name[pairs[0]], sk.alphabet, upd)
+    return lift, {n: p for p, n in name.items()}
+
+
+def _project(mask: int, image: list[int]) -> int:
+    """Union of ``image[i]`` over the set bits ``i`` of ``mask``."""
+    out = 0
+    for i in bit_indices(mask):
+        out |= image[i]
+    return out
 
 
 def check_cycle_consistency(
     cond: Condition, m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP
 ) -> ConsistencyReport:
-    """Are the winning and the losing cycle families on every state closed
-    under union?
+    """Does every cycle support have one value, and are the winning and the
+    losing cycle families on every state closed under union?
 
-    Works on the product with the right-congruence automaton so cycle values
-    are well defined per state; values are established through the word
-    oracle, anchored at the state under scrutiny.  For union-invariant
+    Works on the product with the right-congruence automaton; the values
+    of its supports are read off the condition's own automaton by
+    :class:`SupportAnalysis`.  A support of two values fails first, with a
+    winning and a losing lasso as the witness.  For union-invariant
     conditions, closure under pairwise unions is equivalent to consistency
     of arbitrary infinite concatenations.
     """

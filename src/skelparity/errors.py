@@ -7,17 +7,33 @@ as a failed property), ``RecursionError`` and ``MemoryError``.  Property
 failures are ordinary results (reports with a witness), not exceptions.
 """
 
+from contextlib import contextmanager
+
 
 class InputError(ValueError):
     """Malformed or inadmissible input (bad alphabet, bad parameters, ...)."""
 
 
 class CapExceeded(RuntimeError):
-    """An enumeration would exceed its resource cap."""
+    """An enumeration would exceed its resource cap.  ``stage`` names the
+    pipeline stage whose enumeration hit it (see :func:`cap_stage`)."""
 
     def __init__(self, message: str, cap: int):
         super().__init__(message)
         self.cap = cap
+        self.stage = None
+
+
+@contextmanager
+def cap_stage(stage: str):
+    """Name ``stage`` on a :class:`CapExceeded` raised inside, unless an
+    inner stage has named it already."""
+    try:
+        yield
+    except CapExceeded as exc:
+        if exc.stage is None:
+            exc.stage = stage
+        raise
 
 
 class InfiniteIndexError(InputError):

@@ -100,12 +100,11 @@ def classify_supports(
     """Label every cycle support mask of ``m`` as winning or losing, in
     canonical order.
 
-    Values are obtained from the word oracle on a lasso realizing the
-    support; consistency of the pair (condition, skeleton) makes the value
-    independent of the realizing walk and anchor.  Both preconditions are
-    checked first: prefix-independence relative to ``m``, then
-    cycle-consistency on the support analysis of ``m`` that the values are
-    read from.
+    Values are read off the condition's automaton by the support analysis
+    of ``m``; cycle-consistency of the pair (condition, skeleton) gives
+    every support one value.  Both preconditions are checked first:
+    prefix-independence relative to ``m``, then cycle-consistency on the
+    support analysis that the values are read from.
     """
     if not cond.union_invariant:
         raise PreconditionError(
@@ -125,7 +124,7 @@ def classify_supports(
             "cycle classification requires cycle-consistency relative to "
             f"the skeleton; the check failed with witness {cc.witness}"
         )
-    return analysis.least_state_values()
+    return analysis.classified()
 
 
 def build_cycle_preorder(
@@ -368,35 +367,41 @@ def verify_synthesis(
     """Exhaustive support-parity check plus randomized lasso agreement.
 
     Every cycle support of the output automaton must have an even maximal
-    priority exactly when the condition's oracle declares it winning, and
-    the automaton must agree with the oracle on random ultimately periodic
-    words.  The first discrepancy of each kind is reported.
+    priority exactly when the condition declares it winning, its values
+    read off the condition's automaton by the support analysis, and the
+    automaton must agree with the condition's word oracle on random
+    ultimately periodic words.  The first discrepancy of each kind is
+    reported.  Conditions without such an automaton (mean payoff, total
+    payoff, discounted sums with lambda other than 1/n) raise
+    :class:`PreconditionError`.
     """
     analysis = SupportAnalysis(cond, out.skeleton, cap=cap)
-    return _verify(out, cond, analysis.least_state_values(), samples, seed)
+    return _verify(out, cond, analysis, samples, seed)
 
 
 def _verify(
     out: ParityAutomaton,
     cond: Condition,
-    classified: Sequence[tuple[int, str]],
+    analysis: SupportAnalysis,
     samples: int,
     seed: int,
 ) -> VerifyReport:
-    """:func:`verify_synthesis` given the oracle value of every support
-    mask of the automaton's skeleton, in canonical order."""
+    """:func:`verify_synthesis` given the support analysis of the
+    automaton's skeleton.  A support of two values is a mismatch, reported
+    with the value that the top priority's parity contradicts."""
     sk = out.skeleton
     pri = [out.priority(s, c) for s, c, _ in sk.transitions]
     support_mismatch = None
     n_supports = 0
-    for sup, oracle in classified:
+    for sup, values in zip(analysis.supports, analysis.value_sets):
         n_supports += 1
         top = max(pri[i] for i in bit_indices(sup))
-        if oracle != (WIN if top % 2 == 0 else LOSE):
+        parity = WIN if top % 2 == 0 else LOSE
+        if values != {parity}:
             support_mismatch = {
                 "support": [list(t) for t in support_transitions(sk, sup)],
                 "max_priority": top,
-                "oracle": oracle,
+                "oracle": LOSE if parity == WIN else WIN,
             }
             break
 
@@ -467,13 +472,11 @@ def synthesize(
     cc = analysis.cycle_consistency()
     if not cc.passed:
         raise SynthesisStageError("cycle-consistency", cc.witness)
-    classified = analysis.least_state_values()
-    table = _class_table(base, classified)
+    table = _class_table(base, analysis.classified())
     pgamma = linear_extension(table)
     automaton = assign_priorities(base, table, pgamma, allow_transient=allow_transient)
-    # the automaton's skeleton is ``base``: its supports and their values
-    # are the classified ones
-    report = _verify(automaton, cond, classified, samples, seed)
+    # the automaton's skeleton is ``base``, the skeleton of the analysis
+    report = _verify(automaton, cond, analysis, samples, seed)
     if not report.passed:
         raise SynthesisStageError(
             "verification", report.support_mismatch or report.lasso_mismatch

@@ -129,6 +129,26 @@ def build_contrast_muller() -> MullerCondition:
     )
 
 
+def build_two_valued_dpa() -> DpaCondition:
+    """A DPA over {a, b} that loses (ab)^omega and (abb)^omega but wins
+    (aab)^omega: on the one-state skeleton, the support {a, b} has both
+    values."""
+    sk = Skeleton.make(
+        ["r0", "r1", "r2", "r3"],
+        "r0",
+        ["a", "b"],
+        {
+            ("r0", "a"): "r2", ("r0", "b"): "r0", ("r1", "a"): "r1", ("r1", "b"): "r0",
+            ("r2", "a"): "r0", ("r2", "b"): "r3", ("r3", "a"): "r1", ("r3", "b"): "r0",
+        },
+    )
+    pri = {
+        ("r0", "a"): 1, ("r0", "b"): 1, ("r1", "a"): 2, ("r1", "b"): 1,
+        ("r2", "a"): 2, ("r2", "b"): 1, ("r3", "a"): 0, ("r3", "b"): 1,
+    }
+    return DpaCondition(ParityAutomaton.make(sk, pri))
+
+
 def mask_of(sk: Skeleton, transitions) -> int:
     """The support mask of a set of transitions of ``sk``."""
     bit = {(s, c): 1 << i for i, (s, c, _) in enumerate(sk.transitions)}

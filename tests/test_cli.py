@@ -16,6 +16,7 @@ from skelparity import (
     DiscountedSumCondition,
     DpaCondition,
     MullerCondition,
+    ParityAutomaton,
     consistency,
     enumerate_cycle_supports,
     trivial_skeleton,
@@ -37,6 +38,8 @@ from skelparity.serialize import (
     skeleton_to_dot,
 )
 from skelparity.skeletons import support_transitions
+
+from conftest import build_two_valued_dpa
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -260,6 +263,66 @@ def test_cli_supports_cap_exit_code(files, tmp_path):
     out, code = run_cli("skel", "supports", "--skeleton", str(loops), "--cap", "10")
     assert code == 3
     assert json.loads(out)["cap"] == 10
+    assert json.loads(out)["stage"] == "skel supports"
+
+
+@pytest.mark.parametrize(
+    "argv, stage",
+    [
+        (("cond", "rc-automaton", "--condition", "contrast_muller.json"), "right-congruence"),
+        (("check", "cycle-consistency", "--condition", "genbuchi.json",
+          "--skeleton", "switch.json"), "cycle-supports"),
+        # the automaton's state is not a function of the skeleton state, so
+        # the supports of the lift are enumerated
+        (("check", "cycle-consistency", "--condition", "two_valued.json",
+          "--skeleton", "ab.json"), "lifted-supports"),
+        (("verify", "--automaton", "contrast.json", "--condition", "contrast_cond.json"),
+         "cycle-supports"),
+    ],
+)
+def test_cli_cap_exit_names_its_stage(files, tmp_path, argv, stage, contrast_muller):
+    sk = contrast_muller.skeleton
+    supports = [frozenset(support_transitions(sk, g)) for g in enumerate_cycle_supports(sk)]
+    docs = {
+        "contrast_muller.json": condition_to_dict(
+            MullerCondition(sk, frozenset(g for g in supports if contrast_muller.predicate(g)))
+        ),
+        "two_valued.json": condition_to_dict(build_two_valued_dpa()),
+        "ab.json": skeleton_to_dict(trivial_skeleton("ab")),
+    }
+    for name, doc in docs.items():
+        files[name] = str(tmp_path / name)
+        Path(files[name]).write_text(canonical_json(doc), encoding="utf-8")
+    out, code = run_cli(*(files.get(a, a) for a in argv), "--cap", "2")
+    assert code == 3
+    assert json.loads(out) == {
+        "format": 1,
+        "error": "cycle-support enumeration exceeded cap 2",
+        "cap": 2,
+        "stage": stage,
+    }
+
+
+@pytest.mark.parametrize(
+    "condition",
+    [
+        {"kind": "mean-payoff"},
+        {"kind": "total-payoff"},
+        {"kind": "discounted-sum", "lambda": [2, 5], "k": 1},
+    ],
+)
+def test_cli_verify_refuses_conditions_without_automaton(tmp_path, condition):
+    # no automaton values their cycle supports, so a support check means nothing
+    loops = trivial_skeleton([-1, 0, 1])
+    aut = tmp_path / "aut.json"
+    aut.write_text(canonical_json(automaton_to_dict(
+        ParityAutomaton.make(loops, {("m0", -1): 1, ("m0", 0): 0, ("m0", 1): 0})
+    )))
+    cond = tmp_path / "cond.json"
+    cond.write_text(canonical_json({"format": 1, "type": "condition", **condition}))
+    out, code = run_cli("verify", "--automaton", str(aut), "--condition", str(cond))
+    assert code == 2
+    assert "no automaton values the cycle supports" in json.loads(out)["error"]
 
 
 def test_cli_product(files, tmp_path):
