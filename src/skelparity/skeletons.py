@@ -200,25 +200,33 @@ def trivial_skeleton(alphabet: Iterable[Color], state: State = "m0") -> Skeleton
 
 
 def product(m1: Skeleton, m2: Skeleton) -> Skeleton:
-    """Reachable part of the direct product; states are named ``s1|s2``."""
+    """Reachable part of the direct product; states are named ``s1|s2``.
+
+    Raises :class:`InputError` when two distinct reachable pairs get the
+    same name, which state names holding ``|`` can cause.
+    """
     if set(m1.alphabet) != set(m2.alphabet):
         raise InputError("product requires both skeletons to share the alphabet")
     alpha = m1.alphabet
     init = (m1.init, m2.init)
-    seen = {init}
+    name: Callable[[tuple[State, State]], State] = lambda p: f"{p[0]}|{p[1]}"
+    pairs = {name(init): init}
     queue = deque([init])
     upd: dict[Transition, State] = {}
-    name: Callable[[tuple[State, State]], State] = lambda p: f"{p[0]}|{p[1]}"
     while queue:
-        s1, s2 = queue.popleft()
+        s1, s2 = pair = queue.popleft()
         for c in alpha:
             t = (m1.step(s1, c), m2.step(s2, c))
-            upd[(name((s1, s2)), c)] = name(t)
-            if t not in seen:
-                seen.add(t)
+            key = name(t)
+            if key not in pairs:
+                pairs[key] = t
                 queue.append(t)
-    states = [name(p) for p in seen]
-    return Skeleton.make(states, name(init), alpha, upd)
+            elif pairs[key] != t:
+                raise InputError(
+                    f"product pairs {pairs[key]} and {t} are both named {key!r}"
+                )
+            upd[(name(pair), c)] = key
+    return Skeleton.make(pairs, name(init), alpha, upd)
 
 
 @dataclass(frozen=True)
@@ -313,71 +321,99 @@ def _scc_ids(vertices: Iterable[State], arcs: Iterable[tuple[State, State]]) -> 
     return comp
 
 
-def _completion_exists(
-    m: Skeleton,
-    included: set[Transition],
-    remaining: Sequence[Transition],
-) -> bool:
-    """Can ``included`` be extended inside ``included + remaining`` to a support?"""
-    arcs = [(s, m.step(s, c)) for s, c in included]
-    arcs += [(s, m.step(s, c)) for s, c in remaining]
-    vertices = {u for u, _ in arcs} | {v for _, v in arcs}
-    if not vertices:
-        return False
-    comp = _scc_ids(vertices, arcs)
-    if included:
-        ids = set()
-        for s, c in included:
-            t = m.step(s, c)
-            if comp[s] != comp[t]:
-                return False
-            ids.add(comp[s])
-        return len(ids) == 1
-    return any(comp[s] == comp[m.step(s, c)] for s, c in remaining)
-
-
 def enumerate_cycle_supports(m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP) -> list[int]:
     """All transition subsets inducing a strongly connected graph, as
     masks in canonical order.
 
-    Output-sensitive branch-and-prune enumeration: a branch is explored only
-    while some strongly connected completion is still possible, so the cost
-    is polynomial per emitted support.  Raises :class:`CapExceeded` as soon
-    as the count passes ``cap``.
+    Depth-first over include/exclude decisions on the transitions in bit
+    order, include first, on int bitmasks (states are numbered, so a state
+    set is a mask too).  The lowest included transition ``j`` fixes the
+    anchor, its source state.  Each branch carries ``comp``, the anchor's
+    strongly connected component in the graph of the transitions not
+    excluded, as ``pool``: the transitions of that graph with both endpoints
+    in ``comp``.  Invariant: every included transition is in ``pool``.
+    Only ``pool`` transitions are offered for inclusion (any other lies on
+    no cycle through the anchor, and excluding it leaves ``comp`` as it
+    is), so an include keeps the invariant with no test.  Excluding a
+    ``pool`` transition recomputes ``comp`` by one forward and one backward
+    bitset reach from the anchor, and the branch lives iff the endpoints of
+    the included transitions stay in it.  So every branch ends in a
+    support, at the cost of one pair of reaches per exclude inside
+    ``comp``, plus one pair per transition ``j``, which starts supports iff
+    both its endpoints lie in the anchor's component over the transitions
+    ``j, j+1, ...``.
+
+    Include-first order emits equal-size masks by ascending bit indices, so
+    a stable sort by size gives the canonical order.  Raises
+    :class:`CapExceeded` as soon as the count passes ``cap``.
     """
     if cap <= 0:
         raise InputError("cap must be positive")
-    edges = [(s, c) for s, c, _ in m.transitions]
+    index = {s: i for i, s in enumerate(m.states)}
+    src: list[int] = []
+    ends: list[int] = []
+    out_arcs: list[list[tuple[int, int]]] = [[] for _ in m.states]
+    in_arcs: list[list[tuple[int, int]]] = [[] for _ in m.states]
+    out_edges = [0] * len(m.states)
+    in_edges = [0] * len(m.states)
+    for i, (s, _, t) in enumerate(m.transitions):
+        a, b = index[s], index[t]
+        src.append(1 << a)
+        ends.append(1 << a | 1 << b)
+        out_arcs[a].append((1 << i, 1 << b))
+        in_arcs[b].append((1 << i, 1 << a))
+        out_edges[a] |= 1 << i
+        in_edges[b] |= 1 << i
+
+    def reach(start: int, pool: int, arcs: list[list[tuple[int, int]]]) -> int:
+        seen = todo = start
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            for edge, w in arcs[low.bit_length() - 1]:
+                if pool & edge and not seen & w:
+                    seen |= w
+                    todo |= w
+        return seen
+
+    def component(anchor: int, pool: int) -> tuple[int, int]:
+        """The anchor's component in the graph of ``pool``, and the pool
+        transitions inside it."""
+        comp = reach(anchor, pool, out_arcs) & reach(anchor, pool, in_arcs)
+        leaving = entering = 0
+        for v in bit_indices(comp):
+            leaving |= out_edges[v]
+            entering |= in_edges[v]
+        return comp, pool & leaving & entering
+
     found: list[int] = []
-    included: set[Transition] = set()
-    mask = 0
-    # depth-first over include/exclude decisions on bits 0, 1, ..., the
-    # include branch first; a (idx, True) frame drops edges[idx] again and
-    # starts the exclude branch
-    stack: list[tuple[int, bool]] = [(0, False)]
-    while stack:
-        idx, backtrack = stack.pop()
-        if backtrack:
-            included.discard(edges[idx])
-            mask ^= 1 << idx
-            stack.append((idx + 1, False))
+    everything = (1 << len(m.transitions)) - 1
+    for j, first in enumerate(ends):
+        bit = 1 << j
+        anchor = src[j]
+        comp, pool = component(anchor, everything ^ (bit - 1))
+        if first & ~comp:
             continue
-        if not _completion_exists(m, included, edges[idx:]):
-            continue
-        if idx == len(edges):
-            if included:
-                found.append(mask)
+        # frames: (included, undecided pool transitions, pool, included
+        # endpoints); the exclude branch is pushed first, so it runs second
+        stack = [(bit, pool ^ bit, pool, first)]
+        while stack:
+            included, rest, pool, touched = stack.pop()
+            if not rest:
+                found.append(included)
                 if len(found) > cap:
                     raise CapExceeded(
                         f"cycle-support enumeration exceeded cap {cap}", cap
                     )
-            continue
-        included.add(edges[idx])
-        mask |= 1 << idx
-        stack.append((idx, True))
-        stack.append((idx + 1, False))
-    # Include-first order emits equal-size masks by ascending bit indices,
-    # so a stable sort by size gives the canonical order.
+                continue
+            low = rest & -rest
+            rest ^= low
+            comp, kept = component(anchor, pool ^ low)
+            if not touched & ~comp:
+                stack.append((included, rest & kept, kept, touched))
+            stack.append(
+                (included | low, rest, pool, touched | ends[low.bit_length() - 1])
+            )
     found.sort(key=int.bit_count)
     return found
 

@@ -89,6 +89,23 @@ def build_a_blind_skeleton() -> Skeleton:
     )
 
 
+def build_colliding_pair() -> tuple[Skeleton, Skeleton]:
+    """Skeletons whose reachable pairs (a, b|c) and (a|b, c) share a name."""
+    m1 = Skeleton.make(
+        ["a", "a|b"],
+        "a",
+        ["x", "y"],
+        {("a", "x"): "a|b", ("a", "y"): "a", ("a|b", "x"): "a", ("a|b", "y"): "a|b"},
+    )
+    m2 = Skeleton.make(
+        ["c", "b|c"],
+        "b|c",
+        ["x", "y"],
+        {("b|c", "x"): "c", ("b|c", "y"): "b|c", ("c", "x"): "b|c", ("c", "y"): "c"},
+    )
+    return m1, m2
+
+
 CONTRAST_PRIORITIES = {
     ("m1", "a"): 2,
     ("m1", "b"): 1,

@@ -5,7 +5,9 @@ lines.  Tolerances are exact (rational arithmetic) unless a runtime budget
 is stated, in which case wall-clock time is asserted against it.
 """
 
+import hashlib
 import io
+import json
 import random
 import time
 from contextlib import contextmanager, redirect_stdout
@@ -17,6 +19,7 @@ from skelparity import (
     DpaCondition,
     Lasso,
     ParityAutomaton,
+    enumerate_cycle_supports,
     lasso_value,
     trivial_skeleton,
 )
@@ -33,7 +36,7 @@ from skelparity.discounting import (
     infinite_gap_sequence,
 )
 from skelparity.games import ParityGame, lift_experiment, solve_parity
-from skelparity.skeletons import support_transitions
+from skelparity.skeletons import bit_indices, support_transitions
 from skelparity.synthesis import (
     assign_priorities,
     build_cycle_preorder,
@@ -81,8 +84,6 @@ def test_c01_gap_automaton_golden_file():
         golden = (GOLDEN / "gap_automaton_half_k2.json").read_text(encoding="utf-8")
         assert buf.getvalue() == golden
         # structural spot checks on top of byte identity
-        import json
-
         doc = json.loads(golden)
         assert sorted(doc["automaton"]["states"]) == ["-2", "-4", "0", "2", "bot", "top"]
         assert len(doc["automaton"]["upd"]) == 30
@@ -276,3 +277,15 @@ def test_c11_greedy_expansion():
             n = rng.randint(1, 64)
             _, rem = greedy_expansion(x, lam, k, n)
             assert abs(rem) <= bound * lam**n
+
+
+def test_c12_gap_k3_support_enumeration():
+    with criterion(12, "gap automaton k=3 cycle supports", budget=5.0):
+        sk = gap_automaton(Fraction(1, 2), 3).skeleton
+        masks = enumerate_cycle_supports(sk)
+        assert (len(sk.states), len(sk.transitions), len(masks)) == (8, 56, 10_776)
+        assert masks == sorted(masks, key=lambda g: (g.bit_count(), list(bit_indices(g))))
+        # digest of the list the Tarjan-pruned reference enumerator
+        # (tests/support_oracle.py) returns; it takes about 20 s to rerun
+        digest = hashlib.sha256(json.dumps(masks).encode()).hexdigest()
+        assert digest == "363ef9cc811447bc003563ba7f8726b5b28e9d25839d57088db353a51ea6239d"

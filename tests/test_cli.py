@@ -39,7 +39,7 @@ from skelparity.serialize import (
 )
 from skelparity.skeletons import support_transitions
 
-from conftest import build_two_valued_dpa
+from conftest import build_colliding_pair, build_two_valued_dpa
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -341,6 +341,21 @@ def test_cli_product(files, tmp_path):
     assert json.loads(out)["states"] == 2
     saved = json.loads(Path(out_path).read_text())
     assert saved["type"] == "skeleton"
+
+
+def test_cli_product_colliding_names_exit_2(tmp_path):
+    paths = []
+    for i, sk in enumerate(build_colliding_pair()):
+        path = tmp_path / f"m{i}.json"
+        path.write_text(canonical_json(skeleton_to_dict(sk)))
+        paths.append(str(path))
+    out_path = tmp_path / "prod.json"
+    out, code = run_cli(
+        "skel", "product", "--left", paths[0], "--right", paths[1], "--out", str(out_path)
+    )
+    assert code == 2
+    assert "are both named 'a|b|c'" in json.loads(out)["error"]
+    assert not out_path.exists()
 
 
 def test_cli_residuals(files):

@@ -1,9 +1,10 @@
 """Skeletons, products, cycle supports, color abstraction."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skelparity import (
     ParityAutomaton,
@@ -13,10 +14,13 @@ from skelparity import (
     product,
     trivial_skeleton,
 )
+from skelparity.discounting import gap_automaton
 from skelparity.errors import CapExceeded, InputError
 from skelparity.skeletons import closed_walk, support_transitions
 
+from conftest import build_colliding_pair, build_contrast_skeleton, build_switch_skeleton
 from preorder_oracle import support_key
+from support_oracle import reference_cycle_supports
 
 ABC = ("a", "b", "c")
 
@@ -118,6 +122,11 @@ def test_product_reachable_part(ab_prefix_automaton, a_blind_skeleton):
     expected = {f"{a}|{b}" for a, b in pairs}
     assert set(prod.states) == expected
     assert "[ε]|init" in expected and "[ab]|m2" in expected
+
+
+def test_product_rejects_colliding_pair_names():
+    with pytest.raises(InputError, match=r"\('a', 'b\|c'\) and \('a\|b', 'c'\)"):
+        product(*build_colliding_pair())
 
 
 @settings(max_examples=20, deadline=None)
@@ -222,6 +231,22 @@ def test_supports_match_oracle_and_admit_covering_walks(sk):
         assert sk.run_end(walk, start=anchor) == anchor
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: skeletons(alphabet=ABC[:k], max_states=5)))
+@example(build_switch_skeleton())
+@example(build_contrast_skeleton())
+@example(gap_automaton(Fraction(1, 2), 2).skeleton)
+def test_supports_match_reference_enumerator_in_order(sk):
+    assert enumerate_cycle_supports(sk) == reference_cycle_supports(sk)
+
+
+def test_supports_cap_boundary(switch_skeleton):
+    n = len(enumerate_cycle_supports(switch_skeleton))
+    assert len(enumerate_cycle_supports(switch_skeleton, cap=n)) == n
+    with pytest.raises(CapExceeded):
+        enumerate_cycle_supports(switch_skeleton, cap=n - 1)
+
+
 # -- color abstraction --------------------------------------------------------
 
 
@@ -253,10 +278,6 @@ def test_abstraction_merges_duplicated_color():
 
 
 def test_abstraction_identity_on_gap_automaton():
-    from fractions import Fraction
-
-    from skelparity.discounting import gap_automaton
-
     ga = gap_automaton(Fraction(1, 2), 2)
     aut = ParityAutomaton.make(
         ga.skeleton,
