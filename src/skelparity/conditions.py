@@ -13,7 +13,6 @@ floating point.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -27,9 +26,12 @@ from .skeletons import (
     State,
     Transition,
     _scc_ids,
+    bfs_words,
     bit_indices,
     enumerate_cycle_supports,
+    lift,
     out_masks,
+    pair_words,
     support_transitions,
     trivial_skeleton,
 )
@@ -273,27 +275,34 @@ def gap(word: Sequence[int], lam: Fraction, k: int) -> GapValue:
     return g
 
 
+def ds_frontier(lam: Fraction) -> int:
+    """``ceil(1/lam - 1)``, the regularity frontier of a discounted sum:
+    with colors in [-k, k], a smaller ``k`` gives three gap classes, and a
+    ``k`` at or above it finitely many integer gaps when lambda = 1/n and
+    infinitely many values otherwise."""
+    p, q = lam.numerator, lam.denominator
+    return -(-(q - p) // p)
+
+
 def _gap_bfs(lam: Fraction, k: int) -> tuple[Skeleton, dict[State, GapValue]]:
     """Breadth-first exploration of the gaps reachable from the empty word
     under :func:`gap_step`; states are named by their gap.  Terminates only
     when finitely many gaps are reachable."""
     if not (0 < lam < 1):
         raise InputError("discount factor must satisfy 0 < lambda < 1")
-    alphabet = list(range(-k, k + 1))
-    start = gap((), lam, k)
-    names: dict[GapValue, State] = {start: start.name}
+    alphabet = range(-k, k + 1)
     upd: dict[Transition, State] = {}
-    queue = deque([start])
-    while queue:
-        g = queue.popleft()
-        for c in alphabet:
-            g2 = gap_step(g, c, lam, k)
-            if g2 not in names:
-                names[g2] = g2.name
-                queue.append(g2)
-            upd[(names[g], c)] = names[g2]
-    sk = Skeleton.make(list(names.values()), names[start], alphabet, upd)
-    return sk, {names[g]: g for g in names}
+
+    def step(g: GapValue, c: int) -> GapValue:
+        # each gap is stepped once per color, so the search records the map
+        g2 = gap_step(g, c, lam, k)
+        upd[(g.name, c)] = g2.name
+        return g2
+
+    gaps = bfs_words(gap((), lam, k), alphabet, step)
+    names = {g.name: g for g in gaps}
+    sk = Skeleton.make(names, next(iter(names)), alphabet, upd)
+    return sk, names
 
 
 # ---------------------------------------------------------------------------
@@ -438,36 +447,6 @@ def _parity_win_lose_pairs(aut: ParityAutomaton) -> frozenset[tuple[State, State
     return frozenset((states[u // n], states[u % n]) for u in good)
 
 
-def _pair_skeleton(
-    sk: Skeleton, q1: State, q2: State
-) -> tuple[Skeleton, dict[State, tuple[State, State]]]:
-    """Reachable self-product from the pair (q1, q2), with fresh state names."""
-    names: dict[tuple[State, State], State] = {}
-    sides: dict[State, tuple[State, State]] = {}
-
-    def name(pair: tuple[State, State]) -> State:
-        if pair not in names:
-            n = f"p{len(names)}"
-            names[pair] = n
-            sides[n] = pair
-        return names[pair]
-
-    init = name((q1, q2))
-    queue = deque([(q1, q2)])
-    seen = {(q1, q2)}
-    upd: dict[Transition, State] = {}
-    while queue:
-        a, b = queue.popleft()
-        for c in sk.alphabet:
-            t = (sk.step(a, c), sk.step(b, c))
-            upd[(name((a, b)), c)] = name(t)
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    pair = Skeleton.make(list(sides), init, sk.alphabet, upd)
-    return pair, sides
-
-
 def _residual_flags(
     cond: MullerCondition, q1: State, q2: State, cap: int
 ) -> tuple[bool, bool]:
@@ -477,7 +456,8 @@ def _residual_flags(
     cost is exponential and ``cap`` bounds it.  Parity conditions use
     :func:`_parity_win_lose_pairs` instead.
     """
-    pair, sides = _pair_skeleton(cond.skeleton, q1, q2)
+    sk = cond.skeleton
+    pair, sides = lift(sk, sk, pair_words(sk, sk, (q1, q2)))
     win1_lose2 = False
     lose1_win2 = False
     with cap_stage("right-congruence"):
@@ -577,25 +557,16 @@ def _quotient_by_equivalence(
                 )
 
     # shortest-word labels, BFS in canonical color order over the quotient
-    labels: dict[int, str] = {}
-    init_cls = class_of[sk.init]
-    labels[init_cls] = _word_label(())
-    queue = deque([(init_cls, ())])
-    while queue:
-        cls, word = queue.popleft()
-        rep = reps[cls]
-        for c in sk.alphabet:
-            nxt = class_of[sk.step(rep, c)]
-            if nxt not in labels:
-                w = word + (c,)
-                labels[nxt] = _word_label(w)
-                queue.append((nxt, w))
+    words = bfs_words(
+        class_of[sk.init], sk.alphabet, lambda cls, c: class_of[sk.step(reps[cls], c)]
+    )
+    labels = {cls: _word_label(w) for cls, w in words.items()}
     upd = {
         (labels[class_of[r]], c): labels[class_of[sk.step(r, c)]]
         for r in reps
         for c in sk.alphabet
     }
-    return Skeleton.make(list(labels.values()), labels[init_cls], sk.alphabet, upd)
+    return Skeleton.make(list(labels.values()), labels[class_of[sk.init]], sk.alphabet, upd)
 
 
 def right_congruence_automaton(
@@ -624,8 +595,7 @@ def right_congruence_automaton(
 
     if isinstance(cond, DiscountedSumCondition):
         lam, k = cond.lam, cond.k
-        if lam.numerator != 1 and k >= -(-(lam.denominator - lam.numerator) // lam.numerator):
-            # k >= ceil(1/lam - 1) and lam != 1/n
+        if lam.numerator != 1 and k >= ds_frontier(lam):
             raise InfiniteIndexError(
                 "the right congruence of this discounted-sum condition has "
                 f"infinite index (lambda={lam} is not 1/n and k={k} >= ceil(1/lambda - 1)); "

@@ -19,7 +19,6 @@ second product with the congruence automaton.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -42,7 +41,9 @@ from .skeletons import (
     closed_walk,
     color_key,
     enumerate_cycle_supports,
+    lift,
     out_masks,
+    pair_words,
     product,
     support_transitions,
 )
@@ -63,20 +64,6 @@ class ConsistencyReport:
         return self.verdict == "pass"
 
 
-def shortest_words_to_states(sk: Skeleton) -> dict[State, tuple[Color, ...]]:
-    """Shortest (then lexicographically least) word reaching each state."""
-    words: dict[State, tuple[Color, ...]] = {sk.init: ()}
-    queue = deque([sk.init])
-    while queue:
-        s = queue.popleft()
-        for c in sk.alphabet:
-            t = sk.step(s, c)
-            if t not in words:
-                words[t] = words[s] + (c,)
-                queue.append(t)
-    return words
-
-
 def check_prefix_independence(
     cond: Condition, m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP
 ) -> ConsistencyReport:
@@ -84,41 +71,24 @@ def check_prefix_independence(
     winning continuations?
 
     Implemented as a breadth-first search of the product of ``m`` with the
-    right-congruence automaton; a state of ``m`` paired with two distinct
-    congruence classes yields two shortest witness prefixes.
+    right-congruence automaton; the first state of ``m`` found paired with
+    two distinct congruence classes yields two shortest witness prefixes.
     """
     rc = right_congruence_automaton(cond, cap=cap)
-    seen: dict[tuple[State, State], tuple[Color, ...]] = {}
     first_class: dict[State, tuple[State, tuple[Color, ...]]] = {}
-    start = (m.init, rc.init)
-    seen[start] = ()
-    first_class[m.init] = (rc.init, ())
-    queue = deque([start])
-    while queue:
-        s, cls = queue.popleft()
-        word = seen[(s, cls)]
-        for c in m.alphabet:
-            t = (m.step(s, c), rc.step(cls, c))
-            if t in seen:
-                continue
-            w2 = word + (c,)
-            seen[t] = w2
-            ts, tcls = t
-            if ts not in first_class:
-                first_class[ts] = (tcls, w2)
-            elif first_class[ts][0] != tcls:
-                w1 = first_class[ts][1]
-                return ConsistencyReport(
-                    verdict="fail",
-                    witness={
-                        "kind": "prefix-pair",
-                        "state": ts,
-                        "w1": list(w1),
-                        "w2": list(w2),
-                    },
-                    details={"congruence_states": len(rc.states)},
-                )
-            queue.append(t)
+    for (s, cls), w2 in pair_words(m, rc).items():
+        first, w1 = first_class.setdefault(s, (cls, w2))
+        if first != cls:
+            return ConsistencyReport(
+                verdict="fail",
+                witness={
+                    "kind": "prefix-pair",
+                    "state": s,
+                    "w1": list(w1),
+                    "w2": list(w2),
+                },
+                details={"congruence_states": len(rc.states)},
+            )
     return ConsistencyReport(
         verdict="pass", details={"congruence_states": len(rc.states)}
     )
@@ -148,22 +118,22 @@ class SupportAnalysis:
             raise InputError(
                 f"color {min(extra, key=color_key)!r} not in the condition's alphabet"
             )
-        pairs = _reachable_pairs(sk, aut)
+        words = pair_words(sk, aut)
         d_bit = {(s, c): i for i, (s, c, _) in enumerate(aut.transitions)}
-        d_of = dict(pairs)
-        if len(d_of) == len(pairs):
+        d_of = dict(words.keys())
+        if len(d_of) == len(words):
             with cap_stage("cycle-supports"):
                 self.supports = enumerate_cycle_supports(sk, cap=cap)
             to_d = [1 << d_bit[(d_of[s], c)] for s, c, _ in sk.transitions]
             self.value_sets = [frozenset((value(_project(g, to_d)),)) for g in self.supports]
             self._lift = None
         else:
-            lift, pair_of = _lift_skeleton(sk, aut, pairs)
+            lifted_sk, pair_of = lift(sk, aut, words)
             with cap_stage("lifted-supports"):
-                lifted = enumerate_cycle_supports(lift, cap=cap)
+                lifted = enumerate_cycle_supports(lifted_sk, cap=cap)
             a_bit = {(s, c): i for i, (s, c, _) in enumerate(sk.transitions)}
             to_a, to_d = [], []
-            for s, c, _ in lift.transitions:
+            for s, c, _ in lifted_sk.transitions:
                 a, d = pair_of[s]
                 to_a.append(1 << a_bit[(a, c)])
                 to_d.append(1 << d_bit[(d, c)])
@@ -173,7 +143,7 @@ class SupportAnalysis:
                 first.setdefault(_project(h, to_a), {}).setdefault(value(_project(h, to_d)), j)
             self.supports = sorted(first, key=lambda g: (g.bit_count(), tuple(bit_indices(g))))
             self.value_sets = [frozenset(first[g]) for g in self.supports]
-            self._lift = (lift, lifted, first)
+            self._lift = (lifted_sk, lifted, first, pair_of, words)
 
     def classified(self) -> list[tuple[int, str]]:
         """Each support mask, in canonical order, with its one value."""
@@ -184,13 +154,12 @@ class SupportAnalysis:
         on the skeleton repeats exactly that support: a shortest prefix to
         the least state of the first lifted support of that value, then a
         closed walk covering it."""
-        lift, lifted, first = self._lift
-        words = shortest_words_to_states(lift)
+        lifted_sk, lifted, first, pair_of, words = self._lift
         out = {}
         for v, j in first[self.supports[i]].items():
             h = lifted[j]
-            anchor = lift.transitions[(h & -h).bit_length() - 1][0]
-            out[v] = Lasso.make(words[anchor], closed_walk(lift, h, anchor=anchor))
+            anchor = lifted_sk.transitions[(h & -h).bit_length() - 1][0]
+            out[v] = Lasso.make(words[pair_of[anchor]], closed_walk(lifted_sk, h, anchor=anchor))
         return out
 
     def cycle_consistency(self) -> ConsistencyReport:
@@ -236,38 +205,6 @@ class SupportAnalysis:
                     details=details,
                 )
         return ConsistencyReport(verdict="pass", details=details)
-
-
-def _reachable_pairs(sk: Skeleton, aut: Skeleton) -> list[tuple[State, State]]:
-    """The reachable states of (sk x aut), in breadth-first order."""
-    start = (sk.init, aut.init)
-    seen = {start}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        a, d = queue.popleft()
-        for c in sk.alphabet:
-            t = (sk.step(a, c), aut.step(d, c))
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-                queue.append(t)
-    return order
-
-
-def _lift_skeleton(
-    sk: Skeleton, aut: Skeleton, pairs: list[tuple[State, State]]
-) -> tuple[Skeleton, dict[State, tuple[State, State]]]:
-    """(sk x aut) on its reachable ``pairs``, with states numbered in
-    breadth-first order, and the pair each state stands for."""
-    name = {p: f"l{k}" for k, p in enumerate(pairs)}
-    upd = {
-        (name[(a, d)], c): name[(sk.step(a, c), aut.step(d, c))]
-        for a, d in pairs
-        for c in sk.alphabet
-    }
-    lift = Skeleton.make(name.values(), name[pairs[0]], sk.alphabet, upd)
-    return lift, {n: p for p, n in name.items()}
 
 
 def _project(mask: int, image: list[int]) -> int:

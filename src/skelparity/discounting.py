@@ -20,17 +20,13 @@ from .conditions import (
     Lasso,
     _gap_bfs,
     discounted_sum,
+    ds_frontier,
     lasso_value,
     WIN,
     LOSE,
 )
 from .errors import InfiniteIndexError, InputError
 from .skeletons import Skeleton, State
-
-
-def _ceil_inv_lambda_minus_one(lam: Fraction) -> int:
-    p, q = lam.numerator, lam.denominator
-    return -(-(q - p) // p)
 
 
 @dataclass(frozen=True)
@@ -53,8 +49,7 @@ def classify_ds(lam: Fraction, k: int) -> DsClassification:
         raise InputError("discount factor must satisfy 0 < lambda < 1")
     if k < 0:
         raise InputError("k must be a natural number")
-    threshold = Fraction(1, 1) / lam - 1
-    if k < threshold:
+    if k < ds_frontier(lam):
         sk, _ = _gap_bfs(lam, k)
         return DsClassification(lam, k, "three-class", states=len(sk.states))
     if lam.numerator == 1:
@@ -87,10 +82,10 @@ def gap_automaton(lam: Fraction, k: int) -> GapAutomaton:
     lam = Fraction(lam)
     if k < 0:
         raise InputError("k must be a natural number")
-    if lam.numerator != 1 and k >= _ceil_inv_lambda_minus_one(lam):
+    if lam.numerator != 1 and k >= ds_frontier(lam):
         raise InfiniteIndexError(
             f"gap automaton does not exist: lambda={lam} is not 1/n and "
-            f"k={k} >= ceil(1/lambda - 1) = {_ceil_inv_lambda_minus_one(lam)}, "
+            f"k={k} >= ceil(1/lambda - 1) = {ds_frontier(lam)}, "
             "so the gap function takes infinitely many values"
         )
     sk, gaps = _gap_bfs(lam, k)
@@ -118,10 +113,10 @@ def greedy_expansion(
         raise InputError("discount factor must satisfy 0 < lambda < 1")
     if n_digits < 0:
         raise InputError("n_digits must be a natural number")
-    if k < _ceil_inv_lambda_minus_one(lam):
+    if k < ds_frontier(lam):
         raise InputError(
             f"digit bound too small: need k >= ceil(1/lambda - 1) = "
-            f"{_ceil_inv_lambda_minus_one(lam)}"
+            f"{ds_frontier(lam)}"
         )
     bound = Fraction(k) / (1 - lam)
     if not (-bound <= x <= bound):

@@ -215,20 +215,7 @@ def load_document(path: str):
 
 def load_typed(path: str, expected: type):
     obj = load_document(path)
-    if expected is Condition:
-        ok = isinstance(
-            obj,
-            (
-                DpaCondition,
-                MullerCondition,
-                DiscountedSumCondition,
-                MeanPayoffCondition,
-                TotalPayoffCondition,
-            ),
-        )
-    else:
-        ok = isinstance(obj, expected)
-    if not ok:
+    if not isinstance(obj, expected):
         raise InputError(f"{path}: expected {getattr(expected, '__name__', expected)}")
     return obj
 

@@ -22,13 +22,14 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import CapExceeded, InputError
 
 Color = int | str
 State = str
 Transition = tuple[State, Color]
+Node = TypeVar("Node", bound=Hashable)
 
 DEFAULT_SUPPORT_CAP = 100_000
 
@@ -110,7 +111,7 @@ class Skeleton:
         if missing:
             missing = tuple(sorted(missing, key=transition_key))
             raise InputError(f"update map not total, missing {missing}")
-        unreachable = state_set - set(self._reach_from(self.init))
+        unreachable = state_set - bfs_words(self.init, self.alphabet, self.step).keys()
         if unreachable:
             raise InputError(f"unreachable states: {sorted(unreachable)}")
 
@@ -157,36 +158,11 @@ class Skeleton:
             s = self.step(s, c)
         return s
 
-    def _reach_from(self, start: State) -> list[State]:
-        seen = {start}
-        order = [start]
-        queue = deque([start])
-        upd = self._upd
-        while queue:
-            s = queue.popleft()
-            for c in self.alphabet:
-                t = upd.get((s, c))
-                if t is not None and t not in seen:
-                    seen.add(t)
-                    order.append(t)
-                    queue.append(t)
-        return order
-
     def canonical_form(self) -> tuple:
         """Isomorphism invariant: BFS relabeling in canonical color order."""
-        number: dict[State, int] = {self.init: 0}
-        order = [self.init]
-        queue = deque([self.init])
-        while queue:
-            s = queue.popleft()
-            for c in self.alphabet:
-                t = self.step(s, c)
-                if t not in number:
-                    number[t] = len(order)
-                    order.append(t)
-                    queue.append(t)
+        number = {s: i for i, s in enumerate(bfs_words(self.init, self.alphabet, self.step))}
         table = tuple(
-            tuple(number[self.step(s, c)] for c in self.alphabet) for s in order
+            tuple(number[self.step(s, c)] for c in self.alphabet) for s in number
         )
         return (self.alphabet, table)
 
@@ -199,6 +175,55 @@ def trivial_skeleton(alphabet: Iterable[Color], state: State = "m0") -> Skeleton
     return Skeleton.make([state], state, alpha, {(state, c): state for c in alpha})
 
 
+def bfs_words(
+    start: Node, alphabet: Sequence[Color], step: Callable[[Node, Color], Node]
+) -> dict[Node, tuple[Color, ...]]:
+    """Every node reachable from ``start`` under ``step``, each with its
+    shortest word, and among those the least in ``alphabet`` order.
+
+    Breadth-first, first in first out, with colors tried in ``alphabet``
+    order; the first discovery of a node fixes its word, and the dict lists
+    the nodes in discovery order.  Product state names, lift numbering,
+    witness words and right-congruence labels all follow this order.
+    """
+    words = {start: ()}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        word = words[node]
+        for c in alphabet:
+            nxt = step(node, c)
+            if nxt not in words:
+                words[nxt] = word + (c,)
+                queue.append(nxt)
+    return words
+
+
+def pair_words(
+    m1: Skeleton, m2: Skeleton, start: tuple[State, State] | None = None
+) -> dict[tuple[State, State], tuple[Color, ...]]:
+    """The state pairs that one word leads ``m1`` and ``m2`` to from
+    ``start`` (by default the pair of initial states), with the words of
+    :func:`bfs_words` over ``m1``'s alphabet."""
+    step1, step2 = m1.step, m2.step
+    return bfs_words(
+        (m1.init, m2.init) if start is None else start,
+        m1.alphabet,
+        lambda p, c: (step1(p[0], c), step2(p[1], c)),
+    )
+
+
+def lift(
+    m1: Skeleton, m2: Skeleton, pairs: Iterable[tuple[State, State]]
+) -> tuple[Skeleton, dict[State, tuple[State, State]]]:
+    """The product of ``m1`` and ``m2`` on ``pairs``, which must be closed
+    under steps, as the keys of :func:`pair_words` are: state ``l{k}`` is
+    the k-th pair, and ``l0`` is initial.  Also returns the pair of each
+    state."""
+    name = {p: f"l{k}" for k, p in enumerate(pairs)}
+    return _named_product(m1, m2, name), {n: p for p, n in name.items()}
+
+
 def product(m1: Skeleton, m2: Skeleton) -> Skeleton:
     """Reachable part of the direct product; states are named ``s1|s2``.
 
@@ -207,26 +232,28 @@ def product(m1: Skeleton, m2: Skeleton) -> Skeleton:
     """
     if set(m1.alphabet) != set(m2.alphabet):
         raise InputError("product requires both skeletons to share the alphabet")
+    name: dict[tuple[State, State], State] = {}
+    pair_named: dict[State, tuple[State, State]] = {}
+    for pair in pair_words(m1, m2):
+        key = name[pair] = f"{pair[0]}|{pair[1]}"
+        first = pair_named.setdefault(key, pair)
+        if first != pair:
+            raise InputError(f"product pairs {first} and {pair} are both named {key!r}")
+    return _named_product(m1, m2, name)
+
+
+def _named_product(
+    m1: Skeleton, m2: Skeleton, name: dict[tuple[State, State], State]
+) -> Skeleton:
+    """The product of ``m1`` and ``m2`` on the pairs of ``name``, closed
+    under steps, with the first pair initial."""
     alpha = m1.alphabet
-    init = (m1.init, m2.init)
-    name: Callable[[tuple[State, State]], State] = lambda p: f"{p[0]}|{p[1]}"
-    pairs = {name(init): init}
-    queue = deque([init])
-    upd: dict[Transition, State] = {}
-    while queue:
-        s1, s2 = pair = queue.popleft()
-        for c in alpha:
-            t = (m1.step(s1, c), m2.step(s2, c))
-            key = name(t)
-            if key not in pairs:
-                pairs[key] = t
-                queue.append(t)
-            elif pairs[key] != t:
-                raise InputError(
-                    f"product pairs {pairs[key]} and {t} are both named {key!r}"
-                )
-            upd[(name(pair), c)] = key
-    return Skeleton.make(pairs, name(init), alpha, upd)
+    upd = {
+        (n, c): name[(m1.step(a, c), m2.step(b, c))]
+        for (a, b), n in name.items()
+        for c in alpha
+    }
+    return Skeleton.make(name.values(), next(iter(name.values())), alpha, upd)
 
 
 @dataclass(frozen=True)

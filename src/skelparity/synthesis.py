@@ -50,6 +50,7 @@ from .skeletons import (
     Color,
     ParityAutomaton,
     Skeleton,
+    bfs_words,
     bit_indices,
     out_masks,
     product,
@@ -326,7 +327,8 @@ def assign_priorities(
             priority[t] = min(pgamma[table.class_of[g]] for g in minimal)
         else:
             # a class is reachable when one of its supports leaves a reachable state
-            targets = reduce(or_, (leaving[s] for s in m._reach_from(m.step(*t))))
+            reachable = bfs_words(m.step(*t), m.alphabet, m.step)
+            targets = reduce(or_, (leaving[s] for s in reachable))
             candidates = [
                 pgamma[e.class_id]
                 for e in table.classes

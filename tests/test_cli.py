@@ -22,6 +22,7 @@ from skelparity import (
     trivial_skeleton,
 )
 from skelparity.cli import main, parse_fraction, parse_word
+from skelparity.conditions import Condition, MeanPayoffCondition, TotalPayoffCondition
 from skelparity.errors import InputError, InternalConsistencyError
 from skelparity.games import Arena
 from skelparity.serialize import (
@@ -33,6 +34,7 @@ from skelparity.serialize import (
     canonical_json,
     condition_from_dict,
     condition_to_dict,
+    load_typed,
     skeleton_from_dict,
     skeleton_to_dict,
     skeleton_to_dot,
@@ -189,6 +191,67 @@ def test_cli_synthesize_matches_golden(monkeypatch, golden, argv, code):
     out, got = run_cli("synthesize", *argv)
     assert got == code
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "golden, argv, code",
+    [
+        (
+            "prefix_independence_first_letter.json",
+            ("check", "prefix-independence", "--condition", "inputs/ab_prefix.json",
+             "--skeleton", "inputs/first_letter.json"),
+            1,
+        ),
+        (
+            "cycle_consistency_two_valued.json",
+            ("check", "cycle-consistency", "--condition", "inputs/two_valued_dpa.json",
+             "--skeleton", "inputs/trivial_ab.json"),
+            1,
+        ),
+        (
+            "rc_automaton_contrast_muller.json",
+            ("cond", "rc-automaton", "--condition", "inputs/contrast_muller.json"),
+            0,
+        ),
+    ],
+)
+def test_cli_search_order_reports_match_golden(monkeypatch, golden, argv, code):
+    # breadth-first search order fixes the prefix-pair words (here w2 = ab),
+    # the support-values lassos (aab)^omega / (abb)^omega and the rc labels
+    monkeypatch.chdir(GOLDEN)
+    out, got = run_cli(*argv)
+    assert got == code
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_load_typed_accepts_every_condition_kind(tmp_path, files):
+    conditions = {
+        "dpa": files["contrast_cond.json"],
+        "muller": files["genbuchi.json"],
+        "discounted-sum": files["ds.json"],
+    }
+    for kind, cond in (("mean-payoff", MeanPayoffCondition()),
+                       ("total-payoff", TotalPayoffCondition())):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(canonical_json(condition_to_dict(cond)), encoding="utf-8")
+        conditions[kind] = str(path)
+    for kind, path in conditions.items():
+        assert condition_to_dict(load_typed(path, Condition))["kind"] == kind
+
+
+def test_cli_skeleton_given_as_condition_exits_2(files):
+    out, code = run_cli(
+        "check", "cycle-consistency",
+        "--condition", files["switch.json"], "--skeleton", files["switch.json"],
+    )
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        f"{files['switch.json']}: expected skelparity.conditions.DpaCondition | "
+        "skelparity.conditions.MullerCondition | "
+        "skelparity.conditions.DiscountedSumCondition | "
+        "skelparity.conditions.MeanPayoffCondition | "
+        "skelparity.conditions.TotalPayoffCondition"
+    )
 
 
 def test_cli_reports_are_idempotent(files):

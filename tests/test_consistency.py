@@ -139,15 +139,14 @@ def test_recognized_language_stable_under_product(seed):
 
 def test_union_closure_matches_long_concatenations(gen_buchi, switch_skeleton):
     # sampling: random concatenations of same-value cycles keep that value
-    from skelparity.consistency import shortest_words_to_states
     from skelparity.conditions import right_congruence_automaton
-    from skelparity.skeletons import closed_walk, enumerate_cycle_supports
+    from skelparity.skeletons import bfs_words, closed_walk, enumerate_cycle_supports
 
     from conftest import states_on
 
     rc = right_congruence_automaton(gen_buchi)
     prod = product(switch_skeleton, rc)
-    prefixes = shortest_words_to_states(prod)
+    prefixes = bfs_words(prod.init, prod.alphabet, prod.step)
     supports = enumerate_cycle_supports(prod)
     rng = random.Random(7)
     for _ in range(40):

@@ -1,6 +1,7 @@
 """Gap automata, regularity classification, greedy expansions, gap blowup."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from skelparity import DiscountedSumCondition, Lasso, lasso_value
 from skelparity.conditions import (
     discounted_lasso_sum,
+    ds_frontier,
     right_congruence_automaton,
 )
 from skelparity.discounting import (
@@ -43,6 +45,14 @@ def test_classification_three_cases():
     got = classify_ds(HALF, 2)
     assert (got.verdict, got.states) == ("finite-gap", 6)
     assert classify_ds(Fraction(2, 3), 1).verdict == "infinite-index"
+
+
+@pytest.mark.parametrize("lam", ["1/2", "1/3", "2/3", "3/4", "2/5", "5/7", "1/10"])
+def test_ds_frontier_is_ceil_of_inverse_minus_one(lam):
+    lam = Fraction(lam)
+    for k in range(12):
+        assert (k < ds_frontier(lam)) == (k < 1 / lam - 1)
+        assert (k >= ds_frontier(lam)) == (k >= math.ceil(1 / lam - 1))
 
 
 def test_classification_boundaries():
@@ -119,9 +129,9 @@ def test_finite_gap_cycles_close_at_zero():
     # hence winning: the exact reason support reasoning is safe here
     ga = gap_automaton(HALF, 2)
     sk = ga.skeleton
-    from skelparity.consistency import shortest_words_to_states
+    from skelparity.skeletons import bfs_words
 
-    prefixes = shortest_words_to_states(sk)
+    prefixes = bfs_words(sk.init, sk.alphabet, sk.step)
     rng = random.Random(5)
     supports = enumerate_cycle_supports(sk)
     finite_states = [s for s in sk.states if ga.gaps[s].kind == "finite"]

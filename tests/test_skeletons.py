@@ -16,7 +16,7 @@ from skelparity import (
 )
 from skelparity.discounting import gap_automaton
 from skelparity.errors import CapExceeded, InputError
-from skelparity.skeletons import closed_walk, support_transitions
+from skelparity.skeletons import bfs_words, closed_walk, lift, pair_words, support_transitions
 
 from conftest import build_colliding_pair, build_contrast_skeleton, build_switch_skeleton
 from preorder_oracle import support_key
@@ -133,6 +133,51 @@ def test_product_rejects_colliding_pair_names():
 @given(skeletons(max_states=3), skeletons(max_states=3), skeletons(max_states=2))
 def test_product_associative_up_to_isomorphism(m1, m2, m3):
     assert product(product(m1, m2), m3).isomorphic(product(m1, product(m2, m3)))
+
+
+# -- breadth-first search -----------------------------------------------------
+
+
+def _least_shortest_words(sk: Skeleton) -> dict:
+    """Brute force: every word of length < |states| in order of length, then
+    lexicographically in alphabet order; the first to reach a state is its
+    least shortest word."""
+    words = {}
+    for n in range(len(sk.states)):
+        for word in itertools.product(sk.alphabet, repeat=n):
+            words.setdefault(sk.run_end(word), word)
+    return words
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: skeletons(alphabet=ABC[:k], max_states=5)))
+@example(build_switch_skeleton())
+def test_bfs_words_are_least_shortest_words_in_discovery_order(sk):
+    words = bfs_words(sk.init, sk.alphabet, sk.step)
+    assert words == _least_shortest_words(sk)
+    rank = {c: i for i, c in enumerate(sk.alphabet)}
+    assert list(words) == sorted(words, key=lambda s: (len(words[s]), [rank[c] for c in words[s]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda k: st.tuples(
+            skeletons(alphabet=ABC[:k], max_states=5), skeletons(alphabet=ABC[:k], max_states=5)
+        )
+    )
+)
+def test_pair_words_and_lift_match_product(pair):
+    m1, m2 = pair
+    words = pair_words(m1, m2)
+    prod = product(m1, m2)
+    assert set(words) == {tuple(s.split("|")) for s in prod.states}
+    for (a, b), w in words.items():
+        assert (m1.run_end(w), m2.run_end(w)) == (a, b)
+    lifted, pair_of = lift(m1, m2, words)
+    assert lifted.isomorphic(prod)
+    assert lifted.init == "l0"
+    assert list(pair_of.values()) == list(words)
 
 
 # -- cycle supports -----------------------------------------------------------
