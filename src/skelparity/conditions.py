@@ -7,8 +7,8 @@ discounted-sum threshold conditions over integer colors, and mean-payoff /
 total-payoff threshold conditions.
 
 Ultimately periodic words (finite prefix + non-empty period) are the finite
-currency for evaluating conditions; all arithmetic is exact rational, never
-floating point.
+currency for evaluating conditions; all arithmetic is exact, rational or
+integer, never floating point.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .skeletons import (
     State,
     Transition,
     _scc_ids,
+    bfs,
     bfs_words,
     bit_indices,
     enumerate_cycle_supports,
@@ -207,15 +208,6 @@ def discounted_sum(word: Sequence[int], lam: Fraction) -> Fraction:
     return total
 
 
-def discounted_lasso_sum(lasso: Lasso, lam: Fraction) -> Fraction:
-    """Exact discounted sum of ``prefix . period^omega``."""
-    n = len(lasso.prefix)
-    m = len(lasso.period)
-    return discounted_sum(lasso.prefix, lam) + lam**n * discounted_sum(
-        lasso.period, lam
-    ) / (1 - lam**m)
-
-
 @dataclass(frozen=True)
 class GapValue:
     """Residual class of a finite word under a discounted-sum condition."""
@@ -299,8 +291,7 @@ def _gap_bfs(lam: Fraction, k: int) -> tuple[Skeleton, dict[State, GapValue]]:
         upd[(g.name, c)] = g2.name
         return g2
 
-    gaps = bfs_words(gap((), lam, k), alphabet, step)
-    names = {g.name: g for g in gaps}
+    names = {g.name: g for g, _, _ in bfs(gap((), lam, k), alphabet, step)}
     sk = Skeleton.make(names, next(iter(names)), alphabet, upd)
     return sk, names
 
@@ -310,56 +301,97 @@ def _gap_bfs(lam: Fraction, k: int) -> tuple[Skeleton, dict[State, GapValue]]:
 # ---------------------------------------------------------------------------
 
 
-def entered_cycle(sk: Skeleton, lasso: Lasso) -> tuple[State, frozenset[Transition]]:
-    """State and transition set of the cycle a lasso eventually repeats."""
-    s = sk.run_end(lasso.prefix)
-    index = {s: 0}
-    states = [s]
-    cur = s
-    while True:
-        cur = sk.run_end(lasso.period, start=cur)
-        if cur in index:
-            first = index[cur]
-            break
-        index[cur] = len(states)
-        states.append(cur)
-    start = states[first]
-    trans: set[Transition] = set()
-    c = start
-    for _ in range(len(states) - first):
-        for col in lasso.period:
-            trans.add((c, col))
-            c = sk.step(c, col)
-    return start, frozenset(trans)
+def _repeated_trail(
+    nxt: dict[Transition, State], s: State, prefix: Sequence[Color], period: Sequence[Color]
+) -> list[Transition]:
+    """The transitions, in run order, of the cycle that ``prefix .
+    period^omega`` repeats when read from ``s`` with the transition map
+    ``nxt``: from the first state that starts two blocks of the period."""
+    for c in prefix:
+        s = nxt[s, c]
+    block_at: dict[State, int] = {}
+    trail: list[Transition] = []
+    while s not in block_at:
+        block_at[s] = len(trail)
+        for c in period:
+            trail.append((s, c))
+            s = nxt[s, c]
+    return trail[block_at[s] :]
+
+
+def _scaled_sum(word: Sequence[int], a: int, b: int) -> tuple[int, int]:
+    """``(sum of c_i a^i b^(n-1-i), a^n)`` for the ``n`` colors ``c_i`` of
+    ``word``: its discounted sum with lambda = a/b, times ``b^(n-1)``."""
+    total, power = 0, 1
+    for c in word:
+        total = total * b + c * power
+        power *= a
+    return total, power
+
+
+def lasso_judge(cond: Condition) -> Callable[[Sequence[Color], Sequence[Color]], str]:
+    """The value of ``prefix . period^omega`` as a function of (prefix,
+    period), compiled once for the condition.  Colors are not checked
+    (:func:`lasso_value` checks them).
+
+    A parity or Muller condition steps its transition map to the cycle the
+    word repeats and values it by the parity of its top priority or by the
+    Muller table.  A discounted sum with lambda = a/b, a prefix of length
+    ``p`` and a period of length ``q`` wins iff ``P (b^q - a^q) + a^p D >=
+    0``, where ``P`` and ``D`` are the sums of :func:`_scaled_sum` of the
+    prefix and the period: that is the discounted sum times ``b^p (b^q -
+    a^q) / b > 0``, in exact integers.
+    """
+    if isinstance(cond, DpaCondition):
+        aut = cond.automaton
+        nxt, init, pri = aut.skeleton._upd, aut.skeleton.init, aut._pri
+
+        def dpa(prefix, period):
+            top = max(map(pri.__getitem__, _repeated_trail(nxt, init, prefix, period)))
+            return WIN if top % 2 == 0 else LOSE
+
+        return dpa
+    if isinstance(cond, MullerCondition):
+        nxt, init = cond.skeleton._upd, cond.skeleton.init
+        return lambda prefix, period: cond.support_value(
+            frozenset(_repeated_trail(nxt, init, prefix, period))
+        )
+    if isinstance(cond, DiscountedSumCondition):
+        a, b = cond.lam.numerator, cond.lam.denominator
+
+        def ds(prefix, period):
+            p_sum, a_p = _scaled_sum(prefix, a, b)
+            d_sum, a_q = _scaled_sum(period, a, b)
+            return WIN if p_sum * (b ** len(period) - a_q) + a_p * d_sum >= 0 else LOSE
+
+        return ds
+    if isinstance(cond, MeanPayoffCondition):
+        return lambda prefix, period: WIN if sum(period) >= 0 else LOSE
+    if isinstance(cond, TotalPayoffCondition):
+        return _total_payoff
+    raise InputError(f"unknown condition type {type(cond).__name__}")
+
+
+def _total_payoff(prefix: Sequence[int], period: Sequence[int]) -> str:
+    period_sum = sum(period)
+    if period_sum > 0:
+        return WIN
+    if period_sum < 0:
+        return LOSE
+    best = None
+    running = sum(prefix)
+    for c in period:
+        running += c
+        best = running if best is None else max(best, running)
+    return WIN if best >= 0 else LOSE
 
 
 def lasso_value(cond: Condition, lasso: Lasso) -> str:
     """Win iff the infinite word ``prefix . period^omega`` is in the condition."""
+    judge = lasso_judge(cond)
     _check_word(cond, lasso.prefix)
     _check_word(cond, lasso.period)
-    if isinstance(cond, DpaCondition):
-        _, cycle = entered_cycle(cond.automaton.skeleton, lasso)
-        return WIN if cond.automaton.max_support_priority(cycle) % 2 == 0 else LOSE
-    if isinstance(cond, MullerCondition):
-        _, cycle = entered_cycle(cond.skeleton, lasso)
-        return cond.support_value(cycle)
-    if isinstance(cond, DiscountedSumCondition):
-        return WIN if discounted_lasso_sum(lasso, cond.lam) >= 0 else LOSE
-    if isinstance(cond, MeanPayoffCondition):
-        return WIN if sum(lasso.period) >= 0 else LOSE
-    if isinstance(cond, TotalPayoffCondition):
-        period_sum = sum(lasso.period)
-        if period_sum > 0:
-            return WIN
-        if period_sum < 0:
-            return LOSE
-        best = None
-        running = sum(lasso.prefix)
-        for c in lasso.period:
-            running += c
-            best = running if best is None else max(best, running)
-        return WIN if best >= 0 else LOSE
-    raise InputError(f"unknown condition type {type(cond).__name__}")
+    return judge(lasso.prefix, lasso.period)
 
 
 def support_automaton(cond: Condition) -> tuple[Skeleton, Callable[[int], str]]:

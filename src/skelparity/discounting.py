@@ -17,11 +17,10 @@ from typing import Optional, Sequence
 
 from .conditions import (
     DiscountedSumCondition,
-    Lasso,
     _gap_bfs,
     discounted_sum,
     ds_frontier,
-    lasso_value,
+    lasso_judge,
     WIN,
     LOSE,
 )
@@ -250,7 +249,7 @@ def ds_cycle_consistency_demo(
         raise InputError("discount factor must satisfy 0 < lambda < 1")
     if samples < 0:
         raise InputError("samples must be a natural number")
-    cond = DiscountedSumCondition(lam, k)
+    value = lasso_judge(DiscountedSumCondition(lam, k))
     alphabet = list(range(-k, k + 1))
     consistent = 0
     strict = 0
@@ -266,7 +265,7 @@ def ds_cycle_consistency_demo(
         while len(family) < size and attempts < 200:
             attempts += 1
             cand = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
-            if lasso_value(cond, Lasso.make(prefix, cand)) == target:
+            if value(prefix, cand) == target:
                 family.append(cand)
         if not family:
             consistent += 1  # vacuous: no same-value family found

@@ -111,7 +111,9 @@ class Skeleton:
         if missing:
             missing = tuple(sorted(missing, key=transition_key))
             raise InputError(f"update map not total, missing {missing}")
-        unreachable = state_set - bfs_words(self.init, self.alphabet, self.step).keys()
+        unreachable = state_set.difference(
+            s for s, _, _ in bfs(self.init, self.alphabet, self.step)
+        )
         if unreachable:
             raise InputError(f"unreachable states: {sorted(unreachable)}")
 
@@ -160,7 +162,8 @@ class Skeleton:
 
     def canonical_form(self) -> tuple:
         """Isomorphism invariant: BFS relabeling in canonical color order."""
-        number = {s: i for i, s in enumerate(bfs_words(self.init, self.alphabet, self.step))}
+        found = bfs(self.init, self.alphabet, self.step)
+        number = {s: i for i, (s, _, _) in enumerate(found)}
         table = tuple(
             tuple(number[self.step(s, c)] for c in self.alphabet) for s in number
         )
@@ -175,27 +178,41 @@ def trivial_skeleton(alphabet: Iterable[Color], state: State = "m0") -> Skeleton
     return Skeleton.make([state], state, alpha, {(state, c): state for c in alpha})
 
 
-def bfs_words(
+def bfs(
     start: Node, alphabet: Sequence[Color], step: Callable[[Node, Color], Node]
-) -> dict[Node, tuple[Color, ...]]:
-    """Every node reachable from ``start`` under ``step``, each with its
-    shortest word, and among those the least in ``alphabet`` order.
+) -> Iterator[tuple[Node, Node | None, Color | None]]:
+    """Every node reachable from ``start`` under ``step``, in discovery
+    order, with the (parent, color) of the step that discovered it;
+    ``start`` comes first, with ``(None, None)``.
 
     Breadth-first, first in first out, with colors tried in ``alphabet``
-    order; the first discovery of a node fixes its word, and the dict lists
-    the nodes in discovery order.  Product state names, lift numbering,
-    witness words and right-congruence labels all follow this order.
+    order.  Product state names, lift numbering, witness words and
+    right-congruence labels all follow this order.  It holds one set of
+    the nodes seen and no words.
     """
-    words = {start: ()}
+    yield start, None, None
+    seen = {start}
     queue = deque([start])
     while queue:
         node = queue.popleft()
-        word = words[node]
         for c in alphabet:
             nxt = step(node, c)
-            if nxt not in words:
-                words[nxt] = word + (c,)
+            if nxt not in seen:
+                seen.add(nxt)
                 queue.append(nxt)
+                yield nxt, node, c
+
+
+def bfs_words(
+    start: Node, alphabet: Sequence[Color], step: Callable[[Node, Color], Node]
+) -> dict[Node, tuple[Color, ...]]:
+    """The nodes of :func:`bfs`, in discovery order, each with its word:
+    its parent's word and the color of the discovering step.  That is the
+    shortest word reaching the node, and among those the least in
+    ``alphabet`` order."""
+    words: dict[Node, tuple[Color, ...]] = {}
+    for node, parent, c in bfs(start, alphabet, step):
+        words[node] = words[parent] + (c,) if words else ()
     return words
 
 
@@ -205,12 +222,14 @@ def pair_words(
     """The state pairs that one word leads ``m1`` and ``m2`` to from
     ``start`` (by default the pair of initial states), with the words of
     :func:`bfs_words` over ``m1``'s alphabet."""
-    step1, step2 = m1.step, m2.step
     return bfs_words(
-        (m1.init, m2.init) if start is None else start,
-        m1.alphabet,
-        lambda p, c: (step1(p[0], c), step2(p[1], c)),
+        (m1.init, m2.init) if start is None else start, m1.alphabet, _pair_step(m1, m2)
     )
+
+
+def _pair_step(m1: Skeleton, m2: Skeleton) -> Callable:
+    step1, step2 = m1.step, m2.step
+    return lambda p, c: (step1(p[0], c), step2(p[1], c))
 
 
 def lift(
@@ -234,7 +253,7 @@ def product(m1: Skeleton, m2: Skeleton) -> Skeleton:
         raise InputError("product requires both skeletons to share the alphabet")
     name: dict[tuple[State, State], State] = {}
     pair_named: dict[State, tuple[State, State]] = {}
-    for pair in pair_words(m1, m2):
+    for pair, _, _ in bfs((m1.init, m2.init), m1.alphabet, _pair_step(m1, m2)):
         key = name[pair] = f"{pair[0]}|{pair[1]}"
         first = pair_named.setdefault(key, pair)
         if first != pair:

@@ -10,7 +10,8 @@ minimizing over the inclusion-minimal supports through each transition.
 
 The final automaton is verified both exhaustively (max priority parity of
 every support equals its value) and against the condition's word oracle on
-random lassos.
+random lassos, each side valued by a judge compiled once per condition
+(:func:`~skelparity.conditions.lasso_judge`).
 
 :func:`synthesize` builds the right-congruence automaton once, forms
 ``base`` = (congruence automaton x skeleton), and builds one
@@ -18,7 +19,9 @@ random lassos.
 cycle-consistency check, the support values of the classification and the
 support-parity half of the verification all read that one analysis.  Every
 state of ``base`` fixes its congruence class, so there is no
-prefix-independence stage.
+prefix-independence stage.  The class table relies on the
+cycle-consistency checked first: only opposite-value supports need their
+union looked up.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .conditions import (
     Lasso,
     WIN,
     LOSE,
-    lasso_value,
+    lasso_judge,
     right_congruence_automaton,
 )
 from .consistency import SupportAnalysis, check_prefix_independence
@@ -50,7 +53,7 @@ from .skeletons import (
     Color,
     ParityAutomaton,
     Skeleton,
-    bfs_words,
+    bfs,
     bit_indices,
     out_masks,
     product,
@@ -146,6 +149,11 @@ def _class_table(m: Skeleton, classified: Sequence[tuple[int, str]]) -> CycleCla
     """The class table of :func:`build_cycle_preorder` from the support
     masks of ``m`` already classified, in canonical order.
 
+    Precondition: the pair (condition, ``m``) that classified them is
+    cycle-consistent, as both callers check first.  So the union of two
+    same-value supports sharing a state keeps their value, and only the
+    opposite-value pairs need their union looked up.
+
     Supports are numbered by their position and every relation is a bitset
     over these numbers.  Two opposite-value supports g1, g2 compete when
     some support zeta sharing a state with each keeps both values in
@@ -163,11 +171,15 @@ def _class_table(m: Skeleton, classified: Sequence[tuple[int, str]]) -> CycleCla
     # touch[i]: the supports sharing a state with support i
     touch = [reduce(or_, (t for t, out in zip(through, leaving) if g & out)) for g in masks]
     # keep[i]: the supports in touch[i] whose union with support i keeps its
-    # value; the competition witnesses of supports i and j are keep[i] & keep[j]
-    keep = [
-        sum(1 << k for k in bit_indices(touch[i]) if wins[index_of[g | masks[k]]] == wins[i])
-        for i, g in enumerate(masks)
-    ]
+    # value, all those of its own value by cycle-consistency; the competition
+    # witnesses of supports i and j are keep[i] & keep[j]
+    keep = []
+    for i, g in enumerate(masks):
+        own, other = (win, lose) if wins[i] else (lose, win)
+        flips = touch[i] & other
+        keep.append(touch[i] & own | sum(
+            1 << k for k in bit_indices(flips) if wins[index_of[g | masks[k]]] == wins[i]
+        ))
     compar = [0] * len(masks)
     dom = [0] * len(masks)
     for i, g in enumerate(masks):
@@ -327,8 +339,8 @@ def assign_priorities(
             priority[t] = min(pgamma[table.class_of[g]] for g in minimal)
         else:
             # a class is reachable when one of its supports leaves a reachable state
-            reachable = bfs_words(m.step(*t), m.alphabet, m.step)
-            targets = reduce(or_, (leaving[s] for s in reachable))
+            reachable = bfs(m.step(*t), m.alphabet, m.step)
+            targets = reduce(or_, (leaving[s] for s, _, _ in reachable))
             candidates = [
                 pgamma[e.class_id]
                 for e in table.classes
@@ -371,8 +383,12 @@ def verify_synthesis(
     Every cycle support of the output automaton must have an even maximal
     priority exactly when the condition declares it winning, its values
     read off the condition's automaton by the support analysis, and the
-    automaton must agree with the condition's word oracle on random
-    ultimately periodic words.  The first discrepancy of each kind is
+    automaton must agree with the condition on ``samples`` ultimately
+    periodic words of :func:`random_lasso`, seeded by ``seed``.  Both
+    sides of that comparison are judges compiled once
+    (:func:`~skelparity.conditions.lasso_judge`); the support analysis has
+    already refused any color outside the condition's alphabet, so the
+    words need no color check.  The first discrepancy of each kind is
     reported.  Conditions without such an automaton (mean payoff, total
     payoff, discounted sums with lambda other than 1/n) raise
     :class:`PreconditionError`.
@@ -407,16 +423,18 @@ def _verify(
             }
             break
 
+    # the analysis refused every color of ``sk`` outside the condition's
+    # alphabet, so the sampled words need no color check
     rng = random.Random(seed)
-    out_cond = DpaCondition(out)
+    automaton_value = lasso_judge(DpaCondition(out))
+    oracle_value = lasso_judge(cond)
     lasso_mismatch = None
     n_lassos = 0
-    alphabet = out.skeleton.alphabet
     for _ in range(samples):
         n_lassos += 1
-        lasso = random_lasso(rng, alphabet)
-        got = lasso_value(out_cond, lasso)
-        want = lasso_value(cond, lasso)
+        lasso = random_lasso(rng, sk.alphabet)
+        got = automaton_value(lasso.prefix, lasso.period)
+        want = oracle_value(lasso.prefix, lasso.period)
         if got != want:
             lasso_mismatch = {
                 "prefix": list(lasso.prefix),

@@ -19,6 +19,15 @@ from skelparity.conditions import (
 from skelparity.errors import InputError
 
 
+def discounted_lasso_sum(lasso, lam: Fraction) -> Fraction:
+    """Exact discounted sum of ``prefix . period^omega``, in fractions."""
+    n = len(lasso.prefix)
+    m = len(lasso.period)
+    return discounted_sum(lasso.prefix, lam) + lam**n * discounted_sum(
+        lasso.period, lam
+    ) / (1 - lam**m)
+
+
 def gap_direct(word, lam: Fraction, k: int):
     """Gap from the defining formula DS(w)/lam^|w|, clamped once at the end.
 

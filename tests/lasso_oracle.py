@@ -5,7 +5,46 @@ support; with small bounds some values may be missed."""
 
 from itertools import product
 
-from skelparity.conditions import Lasso, entered_cycle, lasso_value
+from skelparity.conditions import DpaCondition, Lasso, MullerCondition, lasso_value
+
+from gap_oracle import discounted_lasso_sum
+
+
+def entered_cycle(sk, lasso: Lasso):
+    """State and transition set of the cycle a lasso eventually repeats:
+    the period is read block by block until a block starts at a state
+    that started an earlier one."""
+    s = sk.run_end(lasso.prefix)
+    index = {s: 0}
+    states = [s]
+    cur = s
+    while True:
+        cur = sk.run_end(lasso.period, start=cur)
+        if cur in index:
+            first = index[cur]
+            break
+        index[cur] = len(states)
+        states.append(cur)
+    start = states[first]
+    trans = set()
+    c = start
+    for _ in range(len(states) - first):
+        for col in lasso.period:
+            trans.add((c, col))
+            c = sk.step(c, col)
+    return start, frozenset(trans)
+
+
+def reference_value(cond, lasso: Lasso) -> str:
+    """The value of a lasso under a parity, Muller or discounted-sum
+    condition: from the cycle it enters, or from its discounted sum in
+    fractions."""
+    if isinstance(cond, DpaCondition):
+        _, cycle = entered_cycle(cond.automaton.skeleton, lasso)
+        return "win" if cond.automaton.max_support_priority(cycle) % 2 == 0 else "lose"
+    if isinstance(cond, MullerCondition):
+        return cond.support_value(entered_cycle(cond.skeleton, lasso)[1])
+    return "win" if discounted_lasso_sum(lasso, cond.lam) >= 0 else "lose"
 
 
 def cycle_values(cond, sk, max_prefix: int, max_period: int) -> dict:

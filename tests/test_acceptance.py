@@ -289,3 +289,16 @@ def test_c12_gap_k3_support_enumeration():
         # (tests/support_oracle.py) returns; it takes about 20 s to rerun
         digest = hashlib.sha256(json.dumps(masks).encode()).hexdigest()
         assert digest == "363ef9cc811447bc003563ba7f8726b5b28e9d25839d57088db353a51ea6239d"
+
+
+def test_c13_gap_k3_synthesis():
+    with criterion(13, "gap automaton k=3 synthesis", budget=30.0):
+        result = synthesize(
+            DiscountedSumCondition(Fraction(1, 2), 3),
+            trivial_skeleton(range(-3, 4)),
+            allow_transient=True,
+        )
+        assert len(result.table.classes) == 2
+        assert set(result.pgamma.values()) == {0, 1}
+        assert result.verify.supports_checked == 10_776
+        assert result.verify.lassos_checked == 1000

@@ -27,14 +27,15 @@ from skelparity.conditions import (
     GAP_BOT,
     GAP_TOP,
     compare_states,
-    discounted_lasso_sum,
     discounted_sum,
     finite_gap,
+    lasso_judge,
 )
 from skelparity.errors import InfiniteIndexError, InputError, PreconditionError
 
+import lasso_oracle
 import parity_oracle
-from gap_oracle import gap_direct
+from gap_oracle import discounted_lasso_sum, gap_direct
 
 HALF = Fraction(1, 2)
 
@@ -115,6 +116,67 @@ def test_lasso_value_rotation_and_repetition(name, make, data):
     cut = data.draw(st.integers(0, len(period)))
     v1, v2 = period[:cut], period[cut:]
     assert lasso_value(cond_obj, Lasso(prefix + v1, v2 + v1)) == base
+
+
+@st.composite
+def _ds_lassos(draw):
+    """Any rational lambda in (0, 1), k <= 3, a prefix of length <= 4 (often
+    empty) and a period of length <= 8."""
+    b = draw(st.integers(2, 12))
+    lam = Fraction(draw(st.integers(1, b - 1)), b)
+    k = draw(st.integers(0, 3))
+    colors = st.integers(-k, k)
+    prefix = tuple(draw(st.lists(colors, max_size=4)))
+    period = tuple(draw(st.lists(colors, min_size=1, max_size=8)))
+    return lam, k, prefix, period
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ds_lassos())
+@example((HALF, 2, (), (1, -2)))  # these two sum to exactly 0
+@example((Fraction(2, 3), 3, (), (2, -3)))
+@example((Fraction(3, 7), 1, (-1,), (1,)))
+def test_ds_judge_signs_the_fraction_sum(case):
+    lam, k, prefix, period = case
+    cond = DiscountedSumCondition(lam, k)
+    want = lasso_oracle.reference_value(cond, Lasso(prefix, period))
+    assert lasso_judge(cond)(prefix, period) == want
+
+
+@st.composite
+def _automaton_lassos(draw):
+    """A random reachable skeleton over {a, b} with 1 to 4 states, with a
+    random priority and a random 0/1 weight on every transition, and a
+    lasso with a prefix of length <= 4 and a period of length <= 6."""
+    n = draw(st.integers(1, 4))
+    states = [f"q{i}" for i in range(n)]
+    upd = {(s, c): draw(st.sampled_from(states)) for s in states for c in "ab"}
+    reach, work = {"q0"}, ["q0"]
+    while work:
+        s = work.pop()
+        for c in "ab":
+            if upd[(s, c)] not in reach:
+                reach.add(upd[(s, c)])
+                work.append(upd[(s, c)])
+    sk = Skeleton.make(sorted(reach), "q0", "ab", {t: v for t, v in upd.items() if t[0] in reach})
+    pri = {(s, c): draw(st.integers(0, 4)) for s, c, _ in sk.transitions}
+    weight = {(s, c): draw(st.integers(0, 1)) for s, c, _ in sk.transitions}
+    letters = st.sampled_from("ab")
+    prefix = tuple(draw(st.lists(letters, max_size=4)))
+    period = tuple(draw(st.lists(letters, min_size=1, max_size=6)))
+    return ParityAutomaton.make(sk, pri), weight, Lasso(prefix, period)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_automaton_lassos())
+def test_dpa_and_muller_judges_value_the_entered_cycle(case):
+    aut, weight, lasso = case
+    muller = MullerCondition(
+        aut.skeleton, predicate=lambda sup: sum(weight[t] for t in sup) % 2 == 0
+    )
+    for cond in (DpaCondition(aut), muller):
+        want = lasso_oracle.reference_value(cond, lasso)
+        assert lasso_judge(cond)(lasso.prefix, lasso.period) == want
 
 
 # -- gaps -----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from skelparity import DiscountedSumCondition, Lasso, lasso_value
 from skelparity.conditions import (
-    discounted_lasso_sum,
     ds_frontier,
     right_congruence_automaton,
 )
@@ -25,7 +24,7 @@ from skelparity.errors import InfiniteIndexError, InputError
 from skelparity.skeletons import enumerate_cycle_supports, closed_walk
 
 from conftest import states_on
-from gap_oracle import ds_congruence_automaton, gap_direct
+from gap_oracle import discounted_lasso_sum, ds_congruence_automaton, gap_direct
 
 HALF = Fraction(1, 2)
 

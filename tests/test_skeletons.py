@@ -1,6 +1,7 @@
 """Skeletons, products, cycle supports, color abstraction."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,23 @@ def test_bfs_words_are_least_shortest_words_in_discovery_order(sk):
     assert words == _least_shortest_words(sk)
     rank = {c: i for i, c in enumerate(sk.alphabet)}
     assert list(words) == sorted(words, key=lambda s: (len(words[s]), [rank[c] for c in words[s]]))
+
+
+def test_long_chain_reachability_holds_no_words():
+    # the reachability checks of construction and canonical_form search
+    # without words, so a chain costs linear memory, not quadratic
+    n = 5000
+    states = [f"s{i}" for i in range(n)]
+    upd = {(states[i], "a"): states[min(i + 1, n - 1)] for i in range(n)}
+    tracemalloc.start()
+    try:
+        sk = Skeleton.make(states, states[0], ["a"], upd)
+        _, table = sk.canonical_form()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == n
+    assert peak < 30_000_000
 
 
 @settings(max_examples=100, deadline=None)

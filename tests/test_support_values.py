@@ -24,7 +24,6 @@ from skelparity.conditions import (
     LOSE,
     WIN,
     Lasso,
-    entered_cycle,
     lasso_value,
     right_congruence_automaton,
 )
@@ -90,7 +89,7 @@ def _check_against_lassos(cond, sk, max_prefix, max_period):
             assert set(lassos) == {WIN, LOSE}
             for value, lasso in lassos.items():
                 assert lasso_value(cond, lasso) == value
-                assert entered_cycle(sk, lasso)[1] == support
+                assert lasso_oracle.entered_cycle(sk, lasso)[1] == support
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,7 +167,7 @@ def test_two_valued_support_fails_cycle_consistency(false_pass_files):
     for key, value in (("winning", WIN), ("losing", LOSE)):
         lasso = Lasso.make(witness[key]["prefix"], witness[key]["period"])
         assert lasso_value(FALSE_PASS, lasso) == value
-        assert entered_cycle(a, lasso)[1] == support
+        assert lasso_oracle.entered_cycle(a, lasso)[1] == support
 
 
 def test_two_valued_support_stops_synthesis_at_cycle_consistency(false_pass_files):

@@ -30,6 +30,7 @@ from skelparity.synthesis import (
     build_cycle_preorder,
     classify_supports,
     linear_extension,
+    random_lasso,
     synthesize,
     validate_extension,
     verify_synthesis,
@@ -46,6 +47,7 @@ from conftest import (
     mask_of,
     states_on,
 )
+import lasso_oracle
 from preorder_oracle import (
     as_frozensets,
     competing_witness,
@@ -397,6 +399,36 @@ def test_verify_flags_mutated_priority(contrast_automaton, contrast_muller):
     # the witness re-verifies: even maximal priority yet a losing cycle
     assert report.support_mismatch["max_priority"] % 2 == 0
     assert lasso_value(contrast_muller, Lasso.make([], ["c"])) == "lose"
+
+
+@pytest.mark.parametrize("name", ["gen-buchi-switch", "ds-half-k2"])
+def test_verify_lasso_witness_matches_reference_loop(name):
+    # each one-step priority mutation of a synthesized automaton: the first
+    # sampled lasso mismatch and the lasso count agree with a reference loop
+    # over the same seeded lassos
+    cond, sk, transient = {
+        "gen-buchi-switch": (build_gen_buchi(), build_switch_skeleton(), False),
+        "ds-half-k2": (DiscountedSumCondition(Fraction(1, 2), 2), trivial_skeleton(range(-2, 3)), True),
+    }[name]
+    aut = synthesize(cond, sk, allow_transient=transient).automaton
+    pri = {(s, c): p for s, c, p in aut.priorities}
+    found = 0
+    for t in [None, *pri]:
+        mutated = ParityAutomaton.make(aut.skeleton, pri if t is None else {**pri, t: pri[t] + 1})
+        report = verify_synthesis(mutated, cond, seed=3)
+        rng = random.Random(3)
+        want, checked = None, 0
+        while want is None and checked < 1000:
+            checked += 1
+            lasso = random_lasso(rng, aut.skeleton.alphabet)
+            got = lasso_oracle.reference_value(DpaCondition(mutated), lasso)
+            oracle = lasso_oracle.reference_value(cond, lasso)
+            if got != oracle:
+                want = {"prefix": list(lasso.prefix), "period": list(lasso.period),
+                        "automaton": got, "oracle": oracle}
+        assert (report.lasso_mismatch, report.lassos_checked) == (want, checked)
+        found += want is not None
+    assert found
 
 
 def test_verify_trivial_all_win():
