@@ -213,11 +213,26 @@ def test_cli_synthesize_matches_golden(monkeypatch, golden, argv, code):
             ("cond", "rc-automaton", "--condition", "inputs/contrast_muller.json"),
             0,
         ),
+        (
+            "game_solve_ds_half_k2.json",
+            ("game", "solve", "--arena", "inputs/random_arena_6.json",
+             "--automaton", "inputs/ds_half_k2_dpa.json"),
+            0,
+        ),
+        (
+            "game_verify_ds_half_k2.json",
+            ("game", "verify", "--arena", "inputs/random_arena_6.json",
+             "--automaton", "inputs/ds_half_k2_dpa.json"),
+            0,
+        ),
     ],
 )
 def test_cli_search_order_reports_match_golden(monkeypatch, golden, argv, code):
     # breadth-first search order fixes the prefix-pair words (here w2 = ab),
-    # the support-values lassos (aab)^omega / (abb)^omega and the rc labels
+    # the support-values lassos (aab)^omega / (abb)^omega and the rc labels;
+    # the solver's node order fixes the game strategies; the arena is
+    # random_arena(Random("golden:16"), 6, ...) over the alphabet of the DPA
+    # that `synthesize` writes for ds 1/2, k = 2 on the trivial skeleton
     monkeypatch.chdir(GOLDEN)
     out, got = run_cli(*argv)
     assert got == code
