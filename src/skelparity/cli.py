@@ -253,7 +253,7 @@ def _cmd_game_verify(args):
     ok = True
     for player in (1, 2):
         strat = games.strategy_project(arena, aut, sol.strategy[player])
-        check = games.verify_strategy(arena, aut, strat, player)
+        check = games.verify_strategy(game, sol, strat, player)
         ok = ok and check.passed
         results[str(player)] = {
             "passed": check.passed,

@@ -1,10 +1,11 @@
 """Finite edge-colored arenas, parity-game solving and skeleton strategies.
 
 The solver is the classical recursive attractor decomposition, run on a
-state-priority subdivision of the edge-priority game and certified in tests
-against a brute-force enumeration of positional strategies.  Strategies
-computed on a product game project to next-move tables keyed by (arena
-state, memory state).
+state-priority subdivision of the edge-priority game whose nodes are
+integers in canonical order, and certified in tests against a brute-force
+enumeration of positional strategies.  Strategies computed on a product game
+project to next-move tables keyed by (arena state, memory state); a product
+game is built and solved once per arena, and the strategy check reuses both.
 """
 
 from __future__ import annotations
@@ -172,41 +173,39 @@ def solve_parity(g: ParityGame) -> Solution:
     Recursive attractor decomposition on a subdivision carrying edge
     priorities on inserted midpoints (original states get priority 0, which
     never raises the limsup since priorities are naturals).
-    """
-    # subdivision nodes: ("s", state) and ("e", edge)
-    succ: dict = {}
-    pri: dict = {}
-    owner: dict = {}
-    for s in g.states:
-        node = ("s", s)
-        succ[node] = [("e", e) for e in g.out_edges_map[s]]
-        pri[node] = 0
-        owner[node] = g.owner[s]
-    for e in g.edges:
-        node = ("e", e)
-        succ[node] = [("s", e[2])]
-        pri[node] = e[3]
-        owner[node] = 1
 
-    preds: dict = {v: [] for v in succ}
-    for u, vs in succ.items():
+    Subdivision nodes are ints: node ``i < n`` is ``g.states[i]`` and node
+    ``n + j`` is ``g.edges[j]``.  ``ParityGame.make`` sorts the states by
+    name and the edges by (source, color, target, priority), so this
+    numbering is the canonical node order (states first, then edges), and
+    every queue order and ``min`` tie-break compares plain ints.
+    """
+    n = len(g.states)
+    index = {s: i for i, s in enumerate(g.states)}
+    succ: list = [[] for _ in range(n)]
+    pri = [0] * n
+    owner = [g.owner[s] for s in g.states]
+    for j, e in enumerate(g.edges):
+        succ[index[e[0]]].append(n + j)
+        succ.append([index[e[2]]])
+        pri.append(e[3])
+        owner.append(1)
+
+    # built in ascending node order, so every list is already sorted
+    preds: list = [[] for _ in succ]
+    for u, vs in enumerate(succ):
         for v in vs:
             preds[v].append(u)
-
-    node_order = {v: i for i, v in enumerate(sorted(succ, key=_node_sort_key))}
 
     def attractor(alive: set, target: set, player: int):
         attr = set(target)
         strat: dict = {}
-        counters = {
-            v: sum(1 for w in succ[v] if w in alive)
-            for v in alive
-            if owner[v] != player
-        }
-        queue = deque(sorted(target, key=node_order.__getitem__))
+        # live successors left per opponent node, counted on first reach
+        counters: dict = {}
+        queue = deque(sorted(target))
         while queue:
             v = queue.popleft()
-            for u in sorted(preds[v], key=node_order.__getitem__):
+            for u in preds[v]:
                 if u not in alive or u in attr:
                     continue
                 if owner[u] == player:
@@ -214,8 +213,11 @@ def solve_parity(g: ParityGame) -> Solution:
                     strat[u] = v
                     queue.append(u)
                 else:
-                    counters[u] -= 1
-                    if counters[u] == 0:
+                    left = counters.get(u)
+                    if left is None:
+                        left = sum(1 for w in succ[u] if w in alive)
+                    counters[u] = left - 1
+                    if left == 1:
                         attr.add(u)
                         queue.append(u)
         return attr, strat
@@ -232,10 +234,9 @@ def solve_parity(g: ParityGame) -> Solution:
         if not regions[o]:
             strat_p = dict(strats[p])
             strat_p.update(attr_strat)
-            for v in sorted(alive, key=node_order.__getitem__):
+            for v in alive:
                 if owner[v] == p and v not in strat_p:
-                    inside = [w for w in succ[v] if w in alive]
-                    strat_p[v] = min(inside, key=node_order.__getitem__)
+                    strat_p[v] = min(w for w in succ[v] if w in alive)
             return {p: set(alive), o: set()}, {p: strat_p, o: {}}
         escape, escape_strat = attractor(alive, regions[o], o)
         regions2, strats2 = zielonka(alive - escape)
@@ -247,33 +248,23 @@ def solve_parity(g: ParityGame) -> Solution:
             {p: strats2[p], o: strat_o},
         )
 
-    regions, strats = zielonka(set(succ))
+    regions, strats = zielonka(set(range(len(succ))))
     out_regions = {
-        1: frozenset(s for s in g.states if ("s", s) in regions[1]),
-        2: frozenset(s for s in g.states if ("s", s) in regions[2]),
+        player: frozenset(g.states[i] for i in range(n) if i in regions[player])
+        for player in (1, 2)
     }
     out_strategy: dict = {1: {}, 2: {}}
     for player in (1, 2):
-        for s in out_regions[player]:
-            if g.owner[s] != player:
+        for i in range(n):
+            if owner[i] != player or i not in regions[player]:
                 continue
-            chosen = strats[player].get(("s", s))
+            chosen = strats[player].get(i)
             if chosen is None:
                 # interior of an attractor layer never queried; any edge
                 # staying in the region preserves the win
-                inside = [
-                    e for e in g.out_edges_map[s] if ("e", e) in regions[player]
-                ]
-                chosen = ("e", min(inside, key=_gedge_key))
-            out_strategy[player][s] = chosen[1]
+                chosen = min(w for w in succ[i] if w in regions[player])
+            out_strategy[player][g.states[i]] = g.edges[chosen - n]
     return Solution(regions=out_regions, strategy=out_strategy)
-
-
-def _node_sort_key(node):
-    kind, payload = node
-    if kind == "s":
-        return (0, _gstate_key(payload), ("", (0, 0, ""), "", -1))
-    return (1, _gstate_key(payload[0]), _gedge_key(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -308,26 +299,24 @@ class StrategyReport:
 
 
 def verify_strategy(
-    arena: Arena,
-    aut: ParityAutomaton,
+    game: ParityGame,
+    full: Solution,
     strat: SkeletonStrategy,
     player: int,
 ) -> StrategyReport:
     """Optimality check: fix the strategy, give the opponent everything.
 
-    The product game is restricted to the strategy's edges on the player's
-    states inside the player's winning region; the opponent must then win
-    nowhere inside that region.  A failure yields a witness lasso re-checkable
-    against the condition.
+    ``game`` is the product game and ``full`` its solution.  The game is
+    restricted to the strategy's edges on the player's states inside the
+    player's winning region; the opponent must then win nowhere inside that
+    region.  A failure yields a witness lasso re-checkable against the
+    condition.
     """
     if player not in (1, 2):
         raise InputError("player must be 1 or 2")
-    game = product_game(arena, aut)
-    full = solve_parity(game)
     region = full.regions[player]
     opponent = 3 - player
 
-    sk = aut.skeleton
     restricted_edges = []
     for e in game.edges:
         (s, m), c, _, _ = e
@@ -342,7 +331,8 @@ def verify_strategy(
             if (s, c, e[2][0]) != tuple(chosen):
                 continue
         restricted_edges.append(e)
-    restricted = ParityGame.make(game.states, game.owner, restricted_edges)
+    # a subsequence of the canonically sorted edges is still sorted
+    restricted = ParityGame(game.states, game.owners, tuple(restricted_edges))
     res = solve_parity(restricted)
     offenders = sorted(res.regions[opponent] & region, key=_gstate_key)
     if not offenders:
@@ -542,7 +532,7 @@ def lift_experiment(
         for player in (1, 2):
             checks += 1
             strat = strategy_project(arena, aut, solution.strategy[player])
-            report = verify_strategy(arena, aut, strat, player)
+            report = verify_strategy(game, solution, strat, player)
             if not report.passed:
                 failures.append({"arena_index": i, "player": player, "witness": report.witness})
     return LiftReport(

@@ -17,6 +17,7 @@ from skelparity import (
     DpaCondition,
     MullerCondition,
     ParityAutomaton,
+    Skeleton,
     consistency,
     enumerate_cycle_supports,
     trivial_skeleton,
@@ -532,6 +533,28 @@ def test_cli_unfinished_run_exits_4(monkeypatch, exc):
     out, code = run_cli("demo", "mp", "--n-max", "3")
     assert code == 4
     assert json.loads(out) == {"format": 1, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def test_cli_game_too_deep_to_solve_exits_4(tmp_path):
+    # one self-loop arena state against a 1,500-state chain with priorities
+    # 1499, 1498, ..., 0: every priority level peels off one memory state, so
+    # the recursive solver goes deeper than the interpreter allows
+    n = 1500
+    chain = Skeleton.make(
+        [f"m{i}" for i in range(n)], "m0", ["a"],
+        {(f"m{i}", "a"): f"m{min(i + 1, n - 1)}" for i in range(n)},
+    )
+    aut = ParityAutomaton.make(chain, {(f"m{i}", "a"): n - 1 - i for i in range(n)})
+    arena = Arena.make(["s"], {"s": 1}, [("s", "a", "s")])
+    paths = {"arena": arena_to_dict(arena), "automaton": automaton_to_dict(aut)}
+    for name, doc in paths.items():
+        (tmp_path / f"{name}.json").write_text(canonical_json(doc), encoding="utf-8")
+    out, code = run_cli("game", "solve", "--arena", str(tmp_path / "arena.json"),
+                        "--automaton", str(tmp_path / "automaton.json"))
+    assert code == 4
+    report = json.loads(out)
+    assert set(report) == {"format", "error"}
+    assert report["error"].startswith("RecursionError: ")
 
 
 def test_cli_synthesize_verify_game(files, tmp_path):

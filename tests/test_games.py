@@ -204,7 +204,7 @@ def test_projected_strategy_passes(gen_buchi_automaton):
     game = product_game(arena, gen_buchi_automaton)
     sol = solve_parity(game)
     strat = strategy_project(arena, gen_buchi_automaton, sol.strategy[1])
-    report = verify_strategy(arena, gen_buchi_automaton, strat, 1)
+    report = verify_strategy(game, sol, strat, 1)
     assert report.passed
     # the projection alternates between the two memory states
     chosen_colors = {m: e[1] for (s, m), e in strat.nxt.items()}
@@ -220,7 +220,8 @@ def test_constant_choice_fails_with_lasso_witness(gen_buchi_automaton):
             for m in gen_buchi_automaton.skeleton.states
         },
     )
-    report = verify_strategy(arena, gen_buchi_automaton, bad, 1)
+    game = product_game(arena, gen_buchi_automaton)
+    report = verify_strategy(game, solve_parity(game), bad, 1)
     assert not report.passed
     lasso = Lasso.make(report.witness["prefix"], report.witness["period"])
     assert lasso_value(_gen_buchi_ab(), lasso) == "lose"
@@ -228,9 +229,10 @@ def test_constant_choice_fails_with_lasso_witness(gen_buchi_automaton):
 
 def test_verify_strategy_checks_coverage(gen_buchi_automaton):
     arena = Arena.make(["s"], {"s": 1}, [("s", "a", "s"), ("s", "b", "s")])
+    game = product_game(arena, gen_buchi_automaton)
     report = verify_strategy(
-        arena,
-        gen_buchi_automaton,
+        game,
+        solve_parity(game),
         SkeletonStrategy(skeleton=gen_buchi_automaton.skeleton, nxt={}),
         1,
     )
