@@ -13,6 +13,7 @@ integer, never floating point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -301,22 +302,50 @@ def _gap_bfs(lam: Fraction, k: int) -> tuple[Skeleton, dict[State, GapValue]]:
 # ---------------------------------------------------------------------------
 
 
-def _repeated_trail(
-    nxt: dict[Transition, State], s: State, prefix: Sequence[Color], period: Sequence[Color]
-) -> list[Transition]:
-    """The transitions, in run order, of the cycle that ``prefix .
-    period^omega`` repeats when read from ``s`` with the transition map
-    ``nxt``: from the first state that starts two blocks of the period."""
-    for c in prefix:
-        s = nxt[s, c]
-    block_at: dict[State, int] = {}
-    trail: list[Transition] = []
-    while s not in block_at:
-        block_at[s] = len(trail)
-        for c in period:
-            trail.append((s, c))
-            s = nxt[s, c]
-    return trail[block_at[s] :]
+def _cycle_judge(
+    sk: Skeleton,
+    alphabet: Sequence[Color],
+    weight: dict[Transition, int],
+    value: Callable[[int], str],
+) -> Callable[[Sequence[int], Sequence[int]], str]:
+    """The judge that runs ``sk`` on a lasso of color indices into
+    ``alphabet`` and values the cycle it repeats by ``value`` of the OR of
+    the ``weight`` of the transitions on that cycle.
+
+    State ``j`` is the row ``j * len(alphabet)`` of the flat tables, so
+    ``row + c`` is the cell of color index ``c``: ``nxt`` holds the row it
+    leads to and ``w`` its weight.  After the prefix the period is read
+    block by block, each block recording its weight, until a block starts
+    at a state that started an earlier one; the cycle is the blocks from
+    that one on.
+    """
+    n = len(alphabet)
+    row = {s: j * n for j, s in enumerate(sk.states)}
+    upd = sk._upd
+    nxt = [row[upd[s, c]] for s in sk.states for c in alphabet]
+    w = [weight[s, c] for s in sk.states for c in alphabet]
+    init = row[sk.init]
+
+    def judge(prefix, period):
+        s = init
+        for c in prefix:
+            s = nxt[s + c]
+        block_at: dict[int, int] = {}
+        blocks: list[int] = []
+        while s not in block_at:
+            block_at[s] = len(blocks)
+            mask = 0
+            for c in period:
+                c += s
+                mask |= w[c]
+                s = nxt[c]
+            blocks.append(mask)
+        mask = 0
+        for block in blocks[block_at[s] :]:
+            mask |= block
+        return value(mask)
+
+    return judge
 
 
 def _scaled_sum(word: Sequence[int], a: int, b: int) -> tuple[int, int]:
@@ -329,46 +358,60 @@ def _scaled_sum(word: Sequence[int], a: int, b: int) -> tuple[int, int]:
     return total, power
 
 
-def lasso_judge(cond: Condition) -> Callable[[Sequence[Color], Sequence[Color]], str]:
+def lasso_judge(
+    cond: Condition, alphabet: Sequence[Color]
+) -> Callable[[Sequence[int], Sequence[int]], str]:
     """The value of ``prefix . period^omega`` as a function of (prefix,
-    period), compiled once for the condition.  Colors are not checked
+    period) given as color indices into ``alphabet``, compiled once for the
+    condition and the alphabet over int tables.  The colors are not checked
     (:func:`lasso_value` checks them).
 
-    A parity or Muller condition steps its transition map to the cycle the
-    word repeats and values it by the parity of its top priority or by the
-    Muller table.  A discounted sum with lambda = a/b, a prefix of length
-    ``p`` and a period of length ``q`` wins iff ``P (b^q - a^q) + a^p D >=
-    0``, where ``P`` and ``D`` are the sums of :func:`_scaled_sum` of the
-    prefix and the period: that is the discounted sum times ``b^p (b^q -
-    a^q) / b > 0``, in exact integers.
+    A parity or Muller judge runs the condition's skeleton on flat tables
+    (:func:`_cycle_judge`).  The parity judge ORs ``1 << priority`` over the
+    cycle, so the top priority is the mask's highest bit; the Muller judge
+    ORs transition bits into the cycle's support mask and asks the Muller
+    table once per mask.  A discounted sum with lambda = a/b, a prefix of
+    length ``p`` and a period of length ``q`` wins iff ``P (b^q - a^q) +
+    a^p D >= 0``, where ``P`` and ``D`` are the sums of :func:`_scaled_sum`
+    of the prefix and the period colors: that is the discounted sum times
+    ``b^p (b^q - a^q) / b > 0``, in exact integers.  Mean and total payoff
+    add the period colors.
     """
     if isinstance(cond, DpaCondition):
         aut = cond.automaton
-        nxt, init, pri = aut.skeleton._upd, aut.skeleton.init, aut._pri
-
-        def dpa(prefix, period):
-            top = max(map(pri.__getitem__, _repeated_trail(nxt, init, prefix, period)))
-            return WIN if top % 2 == 0 else LOSE
-
-        return dpa
-    if isinstance(cond, MullerCondition):
-        nxt, init = cond.skeleton._upd, cond.skeleton.init
-        return lambda prefix, period: cond.support_value(
-            frozenset(_repeated_trail(nxt, init, prefix, period))
+        # a mask with its highest bit at an even priority has an odd length
+        return _cycle_judge(
+            aut.skeleton,
+            alphabet,
+            {(s, c): 1 << p for s, c, p in aut.priorities},
+            lambda mask: WIN if mask.bit_length() % 2 else LOSE,
         )
+    if isinstance(cond, MullerCondition):
+        sk = cond.skeleton
+        return _cycle_judge(
+            sk,
+            alphabet,
+            {(s, c): 1 << i for i, (s, c, _) in enumerate(sk.transitions)},
+            functools.cache(
+                lambda mask: cond.support_value(frozenset(support_transitions(sk, mask)))
+            ),
+        )
+    color = list(alphabet).__getitem__
     if isinstance(cond, DiscountedSumCondition):
         a, b = cond.lam.numerator, cond.lam.denominator
 
         def ds(prefix, period):
-            p_sum, a_p = _scaled_sum(prefix, a, b)
-            d_sum, a_q = _scaled_sum(period, a, b)
+            p_sum, a_p = _scaled_sum(map(color, prefix), a, b)
+            d_sum, a_q = _scaled_sum(map(color, period), a, b)
             return WIN if p_sum * (b ** len(period) - a_q) + a_p * d_sum >= 0 else LOSE
 
         return ds
     if isinstance(cond, MeanPayoffCondition):
-        return lambda prefix, period: WIN if sum(period) >= 0 else LOSE
+        return lambda prefix, period: WIN if sum(map(color, period)) >= 0 else LOSE
     if isinstance(cond, TotalPayoffCondition):
-        return _total_payoff
+        return lambda prefix, period: _total_payoff(
+            list(map(color, prefix)), list(map(color, period))
+        )
     raise InputError(f"unknown condition type {type(cond).__name__}")
 
 
@@ -388,10 +431,13 @@ def _total_payoff(prefix: Sequence[int], period: Sequence[int]) -> str:
 
 def lasso_value(cond: Condition, lasso: Lasso) -> str:
     """Win iff the infinite word ``prefix . period^omega`` is in the condition."""
-    judge = lasso_judge(cond)
     _check_word(cond, lasso.prefix)
     _check_word(cond, lasso.period)
-    return judge(lasso.prefix, lasso.period)
+    # payoff conditions take any integers: index the lasso's own colors
+    alphabet = cond.alphabet or tuple(dict.fromkeys((*lasso.prefix, *lasso.period)))
+    index = {c: i for i, c in enumerate(alphabet)}
+    judge = lasso_judge(cond, alphabet)
+    return judge([index[c] for c in lasso.prefix], [index[c] for c in lasso.period])
 
 
 def support_automaton(cond: Condition) -> tuple[Skeleton, Callable[[int], str]]:

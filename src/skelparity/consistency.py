@@ -37,6 +37,8 @@ from .skeletons import (
     Color,
     Skeleton,
     State,
+    _pair_step,
+    bfs,
     bit_indices,
     closed_walk,
     color_key,
@@ -71,21 +73,32 @@ def check_prefix_independence(
     winning continuations?
 
     Implemented as a breadth-first search of the product of ``m`` with the
-    right-congruence automaton; the first state of ``m`` found paired with
-    two distinct congruence classes yields two shortest witness prefixes.
+    right-congruence automaton that stops at the first state of ``m`` found
+    paired with two distinct congruence classes; the two shortest witness
+    prefixes are then rebuilt from the parent of each pair.
     """
     rc = right_congruence_automaton(cond, cap=cap)
-    first_class: dict[State, tuple[State, tuple[Color, ...]]] = {}
-    for (s, cls), w2 in pair_words(m, rc).items():
-        first, w1 = first_class.setdefault(s, (cls, w2))
-        if first != cls:
+    parent: dict[tuple[State, State], tuple] = {}
+    first_pair: dict[State, tuple[State, State]] = {}
+
+    def word(pair) -> list[Color]:
+        colors = []
+        while parent[pair][0] is not None:
+            pair, c = parent[pair]
+            colors.append(c)
+        return colors[::-1]
+
+    for pair, before, c in bfs((m.init, rc.init), m.alphabet, _pair_step(m, rc)):
+        parent[pair] = (before, c)
+        first = first_pair.setdefault(pair[0], pair)
+        if first != pair:
             return ConsistencyReport(
                 verdict="fail",
                 witness={
                     "kind": "prefix-pair",
-                    "state": s,
-                    "w1": list(w1),
-                    "w2": list(w2),
+                    "state": pair[0],
+                    "w1": word(first),
+                    "w2": word(pair),
                 },
                 details={"congruence_states": len(rc.states)},
             )

@@ -249,8 +249,12 @@ def ds_cycle_consistency_demo(
         raise InputError("discount factor must satisfy 0 < lambda < 1")
     if samples < 0:
         raise InputError("samples must be a natural number")
-    value = lasso_judge(DiscountedSumCondition(lam, k))
     alphabet = list(range(-k, k + 1))
+    judge = lasso_judge(DiscountedSumCondition(lam, k), alphabet)
+
+    def value(prefix, period):  # color c is index c + k of the alphabet
+        return judge([c + k for c in prefix], [c + k for c in period])
+
     consistent = 0
     strict = 0
     unrefuted = 0

@@ -310,7 +310,9 @@ def verify_strategy(
     restricted to the strategy's edges on the player's states inside the
     player's winning region; the opponent must then win nowhere inside that
     region.  A failure yields a witness lasso re-checkable against the
-    condition.
+    condition.  A strategy with no move, or with a move the arena lacks, at
+    a player's state in the region fails with the witness ``undefined_at``,
+    or ``illegal_move_at`` and the ``move``, instead.
     """
     if player not in (1, 2):
         raise InputError("player must be 1 or 2")
@@ -318,19 +320,26 @@ def verify_strategy(
     opponent = 3 - player
 
     restricted_edges = []
-    for e in game.edges:
-        (s, m), c, _, _ = e
-        if game.owner[(s, m)] == player and (s, m) in region:
-            chosen = strat.nxt.get((s, m))
-            if chosen is None:
-                return StrategyReport(
-                    passed=False,
-                    region_size=len(region),
-                    witness={"undefined_at": [s, m]},
-                )
-            if (s, c, e[2][0]) != tuple(chosen):
-                continue
-        restricted_edges.append(e)
+    for v, outs in game.out_edges_map.items():
+        if game.owner[v] != player or v not in region:
+            restricted_edges += outs
+            continue
+        s, m = v
+        chosen = strat.nxt.get(v)
+        if chosen is None:
+            return StrategyReport(
+                passed=False,
+                region_size=len(region),
+                witness={"undefined_at": [s, m]},
+            )
+        kept = [e for e in outs if (s, e[1], e[2][0]) == tuple(chosen)]
+        if not kept:
+            return StrategyReport(
+                passed=False,
+                region_size=len(region),
+                witness={"illegal_move_at": [s, m], "move": list(chosen)},
+            )
+        restricted_edges += kept
     # a subsequence of the canonically sorted edges is still sorted
     restricted = ParityGame(game.states, game.owners, tuple(restricted_edges))
     res = solve_parity(restricted)

@@ -10,8 +10,8 @@ minimizing over the inclusion-minimal supports through each transition.
 
 The final automaton is verified both exhaustively (max priority parity of
 every support equals its value) and against the condition's word oracle on
-random lassos, each side valued by a judge compiled once per condition
-(:func:`~skelparity.conditions.lasso_judge`).
+random lassos of color indices, each side valued by a judge compiled once
+per condition over int tables (:func:`~skelparity.conditions.lasso_judge`).
 
 :func:`synthesize` builds the right-congruence automaton once, forms
 ``base`` = (congruence automaton x skeleton), and builds one
@@ -29,13 +29,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from operator import or_
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .conditions import (
     Condition,
     DpaCondition,
-    Lasso,
     WIN,
     LOSE,
     lasso_judge,
@@ -50,7 +50,6 @@ from .errors import (
 )
 from .skeletons import (
     DEFAULT_SUPPORT_CAP,
-    Color,
     ParityAutomaton,
     Skeleton,
     bfs,
@@ -365,10 +364,30 @@ class VerifyReport:
     seed: int = 0
 
 
-def random_lasso(rng: random.Random, alphabet: Sequence[Color], max_len: int = 6) -> Lasso:
-    prefix = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
-    period = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, max_len)))
-    return Lasso(prefix, period)
+def index_lassos(rng: random.Random, n: int) -> Iterator[tuple[list[int], list[int]]]:
+    """An endless stream of lassos over the color indices ``0 .. n - 1``,
+    each a prefix of 0 to 6 indices and a period of 1 to 6.
+
+    Each draw below a bound reads ``rng.getrandbits`` as
+    ``random.Random._randbelow`` does: numbers of the bound's bit length
+    until one falls below it.  The lengths are draws below 7 and 6 and the
+    colors draws below ``n``, so the stream is that of ``randint(0, 6)``,
+    ``randint(1, 6)`` and ``choice(alphabet)`` in the reference sampler
+    ``random_lasso`` of ``tests/lasso_oracle.py``, and index ``i`` stands
+    for ``alphabet[i]``.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(bound: int) -> int:
+        k = bound.bit_length()
+        r = getrandbits(k)
+        while r >= bound:
+            r = getrandbits(k)
+        return r
+
+    while True:
+        prefix = [below(n) for _ in range(below(7))]
+        yield prefix, [below(n) for _ in range(1 + below(6))]
 
 
 def verify_synthesis(
@@ -384,15 +403,21 @@ def verify_synthesis(
     priority exactly when the condition declares it winning, its values
     read off the condition's automaton by the support analysis, and the
     automaton must agree with the condition on ``samples`` ultimately
-    periodic words of :func:`random_lasso`, seeded by ``seed``.  Both
-    sides of that comparison are judges compiled once
-    (:func:`~skelparity.conditions.lasso_judge`); the support analysis has
-    already refused any color outside the condition's alphabet, so the
-    words need no color check.  The first discrepancy of each kind is
-    reported.  Conditions without such an automaton (mean payoff, total
-    payoff, discounted sums with lambda other than 1/n) raise
-    :class:`PreconditionError`.
+    periodic words.  The words are drawn as color indices into the
+    skeleton's alphabet by :func:`index_lassos`, seeded by ``seed``: the
+    same stream as the reference sampler ``random_lasso`` of
+    ``tests/lasso_oracle.py``.  Both sides of the comparison are judges
+    compiled once over int tables
+    (:func:`~skelparity.conditions.lasso_judge`), and colors are built only
+    for a mismatch.  The support analysis has already refused any color
+    outside the condition's alphabet, so the words need no color check.
+    The first discrepancy of each kind is reported.  A negative
+    ``samples`` raises :class:`InputError`; conditions without such an
+    automaton (mean payoff, total payoff, discounted sums with lambda other
+    than 1/n) raise :class:`PreconditionError`.
     """
+    if samples < 0:
+        raise InputError("samples must be a natural number")
     analysis = SupportAnalysis(cond, out.skeleton, cap=cap)
     return _verify(out, cond, analysis, samples, seed)
 
@@ -425,20 +450,19 @@ def _verify(
 
     # the analysis refused every color of ``sk`` outside the condition's
     # alphabet, so the sampled words need no color check
-    rng = random.Random(seed)
-    automaton_value = lasso_judge(DpaCondition(out))
-    oracle_value = lasso_judge(cond)
+    alphabet = sk.alphabet
+    automaton_value = lasso_judge(DpaCondition(out), alphabet)
+    oracle_value = lasso_judge(cond, alphabet)
     lasso_mismatch = None
     n_lassos = 0
-    for _ in range(samples):
+    for prefix, period in islice(index_lassos(random.Random(seed), len(alphabet)), samples):
         n_lassos += 1
-        lasso = random_lasso(rng, sk.alphabet)
-        got = automaton_value(lasso.prefix, lasso.period)
-        want = oracle_value(lasso.prefix, lasso.period)
+        got = automaton_value(prefix, period)
+        want = oracle_value(prefix, period)
         if got != want:
             lasso_mismatch = {
-                "prefix": list(lasso.prefix),
-                "period": list(lasso.period),
+                "prefix": [alphabet[c] for c in prefix],
+                "period": [alphabet[c] for c in period],
                 "automaton": got,
                 "oracle": want,
             }
@@ -481,6 +505,8 @@ def synthesize(
 ) -> SynthesisResult:
     """End-to-end synthesis of a deterministic parity automaton for the
     condition on top of (right-congruence automaton x given skeleton)."""
+    if samples < 0:
+        raise InputError("samples must be a natural number")
     if not cond.union_invariant:
         raise PreconditionError(
             "synthesis requires a condition whose cycle values depend on "

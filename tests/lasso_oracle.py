@@ -1,13 +1,36 @@
-"""Word-level reference for support values: the values of all lassos with
-bounded prefix and period, grouped by the cycle their run on a skeleton
-repeats (``entered_cycle``).  Every value found is a value of that cycle's
-support; with small bounds some values may be missed."""
+"""Word-level references for lassos.
 
+``random_lasso`` is the reference sampler whose stream
+``synthesis.index_lassos`` draws as color indices.  ``reference_value``
+values a lasso from the cycle it enters or from exact sums, the reference
+for the compiled judges of ``conditions.lasso_judge``.  ``cycle_values``
+gives the values of all lassos with bounded prefix and period, grouped by
+the cycle their run on a skeleton repeats (``entered_cycle``): every value
+found is a value of that cycle's support; with small bounds some values
+may be missed."""
+
+import random
+from fractions import Fraction
 from itertools import product
 
-from skelparity.conditions import DpaCondition, Lasso, MullerCondition, lasso_value
+from skelparity.conditions import (
+    DpaCondition,
+    Lasso,
+    MeanPayoffCondition,
+    MullerCondition,
+    TotalPayoffCondition,
+    lasso_value,
+)
 
 from gap_oracle import discounted_lasso_sum
+
+
+def random_lasso(rng: random.Random, alphabet, max_len: int = 6) -> Lasso:
+    """The reference sampler of verification: ``synthesis.index_lassos``
+    draws the same stream as color indices."""
+    prefix = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
+    period = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, max_len)))
+    return Lasso(prefix, period)
 
 
 def entered_cycle(sk, lasso: Lasso):
@@ -36,14 +59,25 @@ def entered_cycle(sk, lasso: Lasso):
 
 
 def reference_value(cond, lasso: Lasso) -> str:
-    """The value of a lasso under a parity, Muller or discounted-sum
-    condition: from the cycle it enters, or from its discounted sum in
-    fractions."""
+    """The value of a lasso under any condition: from the cycle it enters
+    (parity, Muller), its discounted sum in fractions, its average in
+    fractions (mean payoff), or the top of its partial sums over the
+    second pass of the period (total payoff; for a zero-sum period they
+    repeat from there on)."""
     if isinstance(cond, DpaCondition):
         _, cycle = entered_cycle(cond.automaton.skeleton, lasso)
         return "win" if cond.automaton.max_support_priority(cycle) % 2 == 0 else "lose"
     if isinstance(cond, MullerCondition):
         return cond.support_value(entered_cycle(cond.skeleton, lasso)[1])
+    if isinstance(cond, MeanPayoffCondition):
+        return "win" if Fraction(sum(lasso.period), len(lasso.period)) >= 0 else "lose"
+    if isinstance(cond, TotalPayoffCondition):
+        drift = sum(lasso.period)
+        if drift:
+            return "win" if drift > 0 else "lose"
+        word = lasso.prefix + lasso.period * 2
+        partial = [sum(word[: i + 1]) for i in range(len(word))]
+        return "win" if max(partial[-len(lasso.period) :]) >= 0 else "lose"
     return "win" if discounted_lasso_sum(lasso, cond.lam) >= 0 else "lose"
 
 

@@ -404,6 +404,24 @@ def test_cli_verify_refuses_conditions_without_automaton(tmp_path, condition):
     assert "no automaton values the cycle supports" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("command", ["verify", "synthesize"])
+def test_cli_negative_samples_exit_2(files, capsys, command):
+    inputs = {
+        "verify": ("--automaton", files["contrast.json"],
+                   "--condition", files["contrast_cond.json"]),
+        "synthesize": ("--condition", files["genbuchi.json"], "--skeleton", files["switch.json"]),
+    }[command]
+    out, code = run_cli(command, *inputs, "--samples", "-1")
+    assert code == 2
+    assert json.loads(out) == {"format": 1, "error": "samples must be a natural number"}
+    assert "Traceback" not in capsys.readouterr().err
+    out, code = run_cli(command, *inputs, "--samples", "0")
+    assert code == 0
+    report = json.loads(out)
+    lassos = report["lassos_checked"] if command == "verify" else report["verified"]["lassos"]
+    assert lassos == 0
+
+
 def test_cli_product(files, tmp_path):
     out_path = str(tmp_path / "prod.json")
     out, code = run_cli(

@@ -32,6 +32,7 @@ from skelparity.conditions import (
     lasso_judge,
 )
 from skelparity.errors import InfiniteIndexError, InputError, PreconditionError
+from skelparity.skeletons import enumerate_cycle_supports, support_transitions
 
 import lasso_oracle
 import parity_oracle
@@ -118,6 +119,14 @@ def test_lasso_value_rotation_and_repetition(name, make, data):
     assert lasso_value(cond_obj, Lasso(prefix + v1, v2 + v1)) == base
 
 
+def _judge_colors(cond, alphabet, prefix, period) -> str:
+    """The judge compiled over ``alphabet``, asked with the color indices
+    of ``prefix`` and ``period``."""
+    index = {c: i for i, c in enumerate(alphabet)}
+    judge = lasso_judge(cond, alphabet)
+    return judge([index[c] for c in prefix], [index[c] for c in period])
+
+
 @st.composite
 def _ds_lassos(draw):
     """Any rational lambda in (0, 1), k <= 3, a prefix of length <= 4 (often
@@ -140,7 +149,7 @@ def test_ds_judge_signs_the_fraction_sum(case):
     lam, k, prefix, period = case
     cond = DiscountedSumCondition(lam, k)
     want = lasso_oracle.reference_value(cond, Lasso(prefix, period))
-    assert lasso_judge(cond)(prefix, period) == want
+    assert _judge_colors(cond, cond.alphabet, prefix, period) == want
 
 
 @st.composite
@@ -176,7 +185,40 @@ def test_dpa_and_muller_judges_value_the_entered_cycle(case):
     )
     for cond in (DpaCondition(aut), muller):
         want = lasso_oracle.reference_value(cond, lasso)
-        assert lasso_judge(cond)(lasso.prefix, lasso.period) == want
+        assert _judge_colors(cond, cond.alphabet, lasso.prefix, lasso.period) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_automaton_lassos(), st.data())
+def test_judges_over_any_alphabet_agree_with_reference(case, data):
+    # every kind of judge, compiled over a drawn order of a drawn subset of
+    # the condition's alphabet, as verification compiles it over the
+    # alphabet of the automaton's skeleton
+    aut, weight, _ = case
+    sk = aut.skeleton
+    even = lambda sup: sum(weight[t] for t in sup) % 2 == 0
+    supports = (
+        frozenset(support_transitions(sk, g)) for g in enumerate_cycle_supports(sk)
+    )
+    b = data.draw(st.integers(2, 9))
+    lam = Fraction(data.draw(st.integers(1, b - 1)), b)
+    for cond in (
+        DpaCondition(aut),
+        MullerCondition(sk, predicate=even),
+        MullerCondition(sk, winning_supports=frozenset(filter(even, supports))),
+        DiscountedSumCondition(lam, data.draw(st.integers(0, 3))),
+        MeanPayoffCondition(),
+        TotalPayoffCondition(),
+    ):
+        colors = cond.alphabet or range(-3, 4)
+        alphabet = data.draw(st.permutations(colors).map(tuple))
+        alphabet = alphabet[: data.draw(st.integers(1, len(alphabet)))]
+        letters = st.sampled_from(alphabet)
+        prefix = tuple(data.draw(st.lists(letters, max_size=4)))
+        period = tuple(data.draw(st.lists(letters, min_size=1, max_size=6)))
+        want = lasso_oracle.reference_value(cond, Lasso(prefix, period))
+        assert _judge_colors(cond, alphabet, prefix, period) == want
+        assert lasso_value(cond, Lasso(prefix, period)) == want
 
 
 # -- gaps -----------------------------------------------------------------------

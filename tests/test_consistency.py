@@ -47,6 +47,23 @@ def test_ab_prefix_fails_on_a_blind_skeleton(ab_prefix_condition, a_blind_skelet
     assert v1 != v2
 
 
+def test_prefix_independence_stops_at_the_first_conflict(ab_prefix_condition, monkeypatch):
+    # "a" and "b" both lead to state 1 of a 200-state chain, but to two
+    # classes of the ab-prefix condition: the search stops there, after
+    # the two steps out of state 0, and explores no more of chain x classes
+    names = [f"s{i:03d}" for i in range(200)]
+    upd = {(s, c): names[min(i + 1, 199)] for i, s in enumerate(names) for c in "ab"}
+    chain = Skeleton.make(names, names[0], "ab", upd)
+    steps = []
+    step = Skeleton.step
+    monkeypatch.setattr(
+        Skeleton, "step", lambda sk, s, c: steps.append(sk is chain) or step(sk, s, c)
+    )
+    report = check_prefix_independence(ab_prefix_condition, chain)
+    assert report.witness == {"kind": "prefix-pair", "state": "s001", "w1": ["a"], "w2": ["b"]}
+    assert steps.count(True) == 2
+
+
 def test_gen_buchi_passes_on_switch_skeleton(gen_buchi, switch_skeleton):
     assert check_prefix_independence(gen_buchi, switch_skeleton).passed
 

@@ -239,6 +239,26 @@ def test_verify_strategy_checks_coverage(gen_buchi_automaton):
     assert not report.passed
 
 
+def test_verify_strategy_reports_a_move_the_arena_lacks(gen_buchi_automaton):
+    arena = Arena.make(["s"], {"s": 1}, [("s", "a", "s"), ("s", "b", "s")])
+    game = product_game(arena, gen_buchi_automaton)
+    report = verify_strategy(
+        game,
+        solve_parity(game),
+        SkeletonStrategy(
+            skeleton=gen_buchi_automaton.skeleton,
+            nxt={("s", m): ("s", "c", "s") for m in gen_buchi_automaton.skeleton.states},
+        ),
+        1,
+    )
+    assert not report.passed
+    assert report.region_size == 2
+    assert report.witness == {
+        "illegal_move_at": ["s", gen_buchi_automaton.skeleton.init],
+        "move": ["s", "c", "s"],
+    }
+
+
 # -- generators ---------------------------------------------------------------------------
 
 

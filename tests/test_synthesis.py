@@ -29,8 +29,8 @@ from skelparity.synthesis import (
     assign_priorities,
     build_cycle_preorder,
     classify_supports,
+    index_lassos,
     linear_extension,
-    random_lasso,
     synthesize,
     validate_extension,
     verify_synthesis,
@@ -48,6 +48,7 @@ from conftest import (
     states_on,
 )
 import lasso_oracle
+from lasso_oracle import random_lasso
 from preorder_oracle import (
     as_frozensets,
     competing_witness,
@@ -429,6 +430,23 @@ def test_verify_lasso_witness_matches_reference_loop(name):
         assert (report.lasso_mismatch, report.lassos_checked) == (want, checked)
         found += want is not None
     assert found
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64), st.integers(1, 9))
+def test_index_lassos_draw_the_stream_of_random_lasso(seed, n):
+    # the same lassos, as indices and as colors, from the same stream: a
+    # Python whose Random._randbelow draws differently fails here
+    alphabet = tuple(f"c{i}" for i in range(n))
+    indices, colors, kernel = (random.Random(seed) for _ in range(3))
+    drawn = index_lassos(kernel, n)
+    for _ in range(40):
+        prefix, period = next(drawn)
+        assert random_lasso(indices, range(n)) == Lasso(tuple(prefix), tuple(period))
+        assert random_lasso(colors, alphabet) == Lasso(
+            tuple(alphabet[i] for i in prefix), tuple(alphabet[i] for i in period)
+        )
+    assert kernel.getstate() == indices.getstate() == colors.getstate()
 
 
 def test_verify_trivial_all_win():
