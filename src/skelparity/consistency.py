@@ -37,6 +37,7 @@ from .skeletons import (
     Color,
     Skeleton,
     State,
+    SupportIndex,
     _pair_step,
     bfs,
     bit_indices,
@@ -44,6 +45,7 @@ from .skeletons import (
     color_key,
     enumerate_cycle_supports,
     lift,
+    mask_map,
     out_masks,
     pair_words,
     product,
@@ -137,8 +139,8 @@ class SupportAnalysis:
         if len(d_of) == len(words):
             with cap_stage("cycle-supports"):
                 self.supports = enumerate_cycle_supports(sk, cap=cap)
-            to_d = [1 << d_bit[(d_of[s], c)] for s, c, _ in sk.transitions]
-            self.value_sets = [frozenset((value(_project(g, to_d)),)) for g in self.supports]
+            to_d = mask_map([1 << d_bit[(d_of[s], c)] for s, c, _ in sk.transitions])
+            self.value_sets = [frozenset((value(to_d(g)),)) for g in self.supports]
             self._lift = None
         else:
             lifted_sk, pair_of = lift(sk, aut, words)
@@ -150,13 +152,19 @@ class SupportAnalysis:
                 a, d = pair_of[s]
                 to_a.append(1 << a_bit[(a, c)])
                 to_d.append(1 << d_bit[(d, c)])
+            to_a, to_d = mask_map(to_a), mask_map(to_d)
             # support mask -> {value: index of its first lifted support of that value}
             first: dict[int, dict[str, int]] = {}
             for j, h in enumerate(lifted):
-                first.setdefault(_project(h, to_a), {}).setdefault(value(_project(h, to_d)), j)
+                first.setdefault(to_a(h), {}).setdefault(value(to_d(h)), j)
             self.supports = sorted(first, key=lambda g: (g.bit_count(), tuple(bit_indices(g))))
             self.value_sets = [frozenset(first[g]) for g in self.supports]
             self._lift = (lifted_sk, lifted, first, pair_of, words)
+
+    @functools.cached_property
+    def index(self) -> SupportIndex:
+        """The transposed index of :attr:`supports`, built on first use."""
+        return SupportIndex(self.supports, len(self.skeleton.transitions))
 
     def classified(self) -> list[tuple[int, str]]:
         """Each support mask, in canonical order, with its one value."""
@@ -180,7 +188,12 @@ class SupportAnalysis:
         losing supports through every state closed under union?  The
         canonically first support of two values is the witness, with a
         winning and a losing lasso; otherwise the first same-value pair, in
-        state order and then canonical order, whose union flips value."""
+        state order and then canonical order, whose union flips value.
+
+        The union-closure test reads :attr:`index`: the supports through a
+        state are ``holding`` of the transitions leaving it, and
+        :func:`_first_open_state` finds the first state that fails.  Only
+        that state is scanned pairwise for the witness pair."""
         sk = self.skeleton
         details = {"supports": len(self.supports)}
         for i, values in enumerate(self.value_sets):
@@ -199,33 +212,28 @@ class SupportAnalysis:
                     details=details,
                 )
         value_of = dict(self.classified())
-        for q, leaving in out_masks(sk).items():
-            masks = [g for g in self.supports if g & leaving]
+        index = self.index
+        leaving = list(out_masks(sk).items())
+        win = sum(1 << k for k, g in enumerate(self.supports) if value_of[g] == WIN)
+        p = _first_open_state(index, [out for _, out in leaving], win)
+        if p is not None:
+            q, out = leaving[p]
+            masks = [self.supports[k] for k in bit_indices(index.holding(out))]
             values = [value_of[g] for g in masks]
-            pair = _first_union_flip(masks, values)
-            if pair is not None:
-                i, j = pair
-                return ConsistencyReport(
-                    verdict="fail",
-                    witness={
-                        "kind": "support-pair",
-                        "state": q,
-                        "support1": [list(t) for t in support_transitions(sk, masks[i])],
-                        "support2": [list(t) for t in support_transitions(sk, masks[j])],
-                        "family_value": values[i],
-                        "union_value": value_of[masks[i] | masks[j]],
-                    },
-                    details=details,
-                )
+            i, j = _first_pair(masks, values)
+            return ConsistencyReport(
+                verdict="fail",
+                witness={
+                    "kind": "support-pair",
+                    "state": q,
+                    "support1": [list(t) for t in support_transitions(sk, masks[i])],
+                    "support2": [list(t) for t in support_transitions(sk, masks[j])],
+                    "family_value": values[i],
+                    "union_value": value_of[masks[i] | masks[j]],
+                },
+                details=details,
+            )
         return ConsistencyReport(verdict="pass", details=details)
-
-
-def _project(mask: int, image: list[int]) -> int:
-    """Union of ``image[i]`` over the set bits ``i`` of ``mask``."""
-    out = 0
-    for i in bit_indices(mask):
-        out |= image[i]
-    return out
 
 
 def check_cycle_consistency(
@@ -255,23 +263,57 @@ def _first_union_flip(through: list, values: list):
     """Index pair (i, j), canonical order, whose same-value union flips value.
 
     ``through`` must contain every support mask through the state, so every
-    union mask indexes back into it.  The family of masks of one value is
-    closed under union iff no mask ``u`` of the other value equals the union
-    of the family's masks inside ``u``: pairwise closure gives closure under
-    every finite union, and a pair whose union leaves the family makes that
-    union such a ``u``.  The test keeps, per transition, a bitset of the
-    family members containing it, so each ``u`` costs one pass over the
-    transitions; only a failing family is scanned pairwise for the first
-    pair.
+    union mask indexes back into it, and ``values`` holds two values at
+    most.  The masks are tested by :func:`_first_open_state` on a
+    :class:`SupportIndex` of ``through``, as the supports of one state;
+    only a failing state is scanned pairwise for the first pair.
     """
-    if not any(
-        _union_leaves_family(
-            [m for m, v in zip(through, values) if v == value],
-            [m for m, v in zip(through, values) if v != value],
-        )
-        for value in set(values)
-    ):
+    width = max(through, default=0).bit_length()
+    index = SupportIndex(through, width)
+    family = sum(1 << k for k, v in enumerate(values) if v == values[0])
+    if _first_open_state(index, [(1 << width) - 1], family) is None:
         return None
+    return _first_pair(through, values)
+
+
+def _first_open_state(index: SupportIndex, leaving: list, win: int):
+    """The least ``q`` whose winning or losing supports through it are not
+    closed under union, or None.
+
+    ``leaving[q]`` is the mask of the transitions leaving state ``q``, so
+    the supports through it are ``index.holding(leaving[q])``, and ``win``
+    is the bitset of the winning supports.  The supports of one value
+    through ``q`` are closed under union iff no support ``u`` of the other
+    value through ``q`` is the union of those inside it: pairwise closure
+    gives closure under every finite union, and a pair whose union leaves
+    the family makes that union such a ``u``.  Each ``u`` reads the
+    opposite-value supports inside it once, as ``~not_inside(u)``; those
+    through ``q`` have union ``u`` iff they hit ``col[t]`` for every
+    transition ``t`` of ``u``.  If ``u`` fails at some state, all of them
+    hit every ``col[t]`` too, and that one test rules out most ``u`` before
+    any state is tested.  Only states below the least failing one found so
+    far are tested.
+    """
+    col = index.col
+    lose = index.everyone ^ win
+    first = len(leaving)
+    for u, g in enumerate(index.supports):
+        inside = (lose if win >> u & 1 else win) & ~index.not_inside(u)
+        if not inside:
+            continue
+        cols = [col[t] for t in bit_indices(g)]
+        if not all(map(inside.__and__, cols)):
+            continue
+        for q in range(first):
+            if g & leaving[q] and all(map((inside & index.holding(leaving[q])).__and__, cols)):
+                first = q
+                break
+    return first if first < len(leaving) else None
+
+
+def _first_pair(through: list, values: list) -> tuple[int, int]:
+    """The canonically first index pair of same-value masks of ``through``
+    whose union has the other value; there must be one."""
     value_of = dict(zip(through, values))
     for i, m1 in enumerate(through):
         v1 = values[i]
@@ -279,32 +321,6 @@ def _first_union_flip(through: list, values: list):
             if values[j] == v1 and value_of[m1 | through[j]] != v1:
                 return i, j
     raise InternalConsistencyError("a union leaves its family but no pair flips")
-
-
-def _union_leaves_family(family: list, others: list) -> bool:
-    """Does some mask of ``others`` equal the union of the masks of
-    ``family`` that it contains?"""
-    covered = 0
-    for m in family:
-        covered |= m
-    columns = []  # (transition bit, bitset of the family members holding it)
-    bit = 1
-    while bit <= covered:
-        if covered & bit:
-            columns.append((bit, sum(1 << k for k, m in enumerate(family) if m & bit)))
-        bit <<= 1
-    everyone = (1 << len(family)) - 1
-    for u in others:
-        if u & ~covered:
-            continue
-        outside = 0
-        for b, members in columns:
-            if not u & b:
-                outside |= members
-        inside = everyone & ~outside
-        if all(inside & members for b, members in columns if u & b):
-            return True
-    return False
 
 
 def mp_counterexample_report(n_max: int) -> ConsistencyReport:

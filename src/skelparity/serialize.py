@@ -164,9 +164,15 @@ def condition_from_dict(doc: Mapping) -> Condition:
         return DpaCondition(automaton_from_dict(doc["automaton"]))
     if kind == "muller":
         sk = skeleton_from_dict(doc["skeleton"])
+        bit = {s: 1 << i for i, s in enumerate(sk.states)}
+        arc = {(s, c): (bit[s], bit[t]) for s, c, t in sk.transitions}
         table = set()
         for rows in doc["winning_supports"]:
             g = frozenset((s, _color_in(c)) for s, c in rows)
+            if not g <= arc.keys():
+                raise InputError(f"winning support {rows!r} names a transition the skeleton lacks")
+            if not _strongly_connected([arc[t] for t in g]):
+                raise InputError(f"winning support {rows!r} is not a cycle support")
             table.add(g)
         return MullerCondition(skeleton=sk, winning_supports=frozenset(table))
     if kind == "discounted-sum":
@@ -176,6 +182,26 @@ def condition_from_dict(doc: Mapping) -> Condition:
     if kind == "total-payoff":
         return TotalPayoffCondition()
     raise InputError(f"unknown condition kind {kind!r}")
+
+
+def _strongly_connected(arcs: list[tuple[int, int]]) -> bool:
+    """Do ``arcs``, pairs of one-bit state masks, form a nonempty strongly
+    connected graph: do the states that the first source reaches forwards,
+    and those that reach it, both make up every source?"""
+    sources = 0
+    for a, _ in arcs:
+        sources |= a
+    fwd = bwd = sources & -sources
+    while True:
+        f, b = fwd, bwd
+        for tail, head in arcs:
+            if tail & fwd:
+                f |= head
+            if head & bwd:
+                b |= tail
+        if f == fwd and b == bwd:
+            return 0 < fwd == bwd == sources
+        fwd, bwd = f, b
 
 
 def _expect(doc: Mapping, typ: str):

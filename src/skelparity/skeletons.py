@@ -70,6 +70,68 @@ def out_masks(m: Skeleton) -> dict[State, int]:
     return out
 
 
+def mask_map(images: Sequence[int]) -> Callable[[int], int]:
+    """The map ``mask -> OR of images[i] over the set bits i of mask``.
+
+    The mask is read in chunks of at most eight bits, each from a table of
+    the ORs of its chunk's images, built by doubling: the entries below
+    ``1 << b`` OR'd with image ``b`` give those from ``1 << b`` up.  Up to
+    eight images make one table; up to sixteen make two of half the bits
+    each, read by one mask and one shift; more make one 256-entry table
+    per byte of the mask.  So each nonzero chunk costs one lookup.
+    """
+
+    def table_of(chunk: Sequence[int]) -> list[int]:
+        out = [0]
+        for image in chunk:
+            out += [x | image for x in out]
+        return out
+
+    if len(images) <= 8:
+        return table_of(images).__getitem__
+    if len(images) <= 16:
+        half = (len(images) + 1) // 2
+        low, high, bits = table_of(images[:half]), table_of(images[half:]), (1 << half) - 1
+        return lambda mask: low[mask & bits] | high[mask >> half]
+    tables = [table_of(images[lo : lo + 8]) for lo in range(0, len(images), 8)]
+    width = len(tables)
+
+    def image_of(mask: int) -> int:
+        out = 0
+        for table, byte in zip(tables, mask.to_bytes(width, "little")):
+            if byte:
+                out |= table[byte]
+        return out
+
+    return image_of
+
+
+class SupportIndex:
+    """The transposed form of a list of supports over ``width`` transitions.
+
+    Supports are numbered by their position in the list, and a set of
+    supports is a bitset over these numbers.  ``col[t]`` is the set of the
+    supports holding transition ``t``.  ``holding(mask)``, the OR of
+    ``col`` over the transitions of ``mask``, is the set of the supports
+    holding one of them: for the transitions leaving a state, the supports
+    through it.  ``not_inside(k)`` is ``holding`` of the transitions
+    outside support ``k``, the complement of the supports contained in it.
+    """
+
+    def __init__(self, supports: Sequence[int], width: int):
+        self.supports = supports
+        self.everyone = (1 << len(supports)) - 1
+        self._width = width
+        # one pass over the supports' bits: row k of a bit matrix is support
+        # k, written most significant first, and column t is one numeral
+        rows = "".join([format(g, f"0{width}b") for g in reversed(supports)])
+        self.col = [int(rows[width - 1 - t :: width] or "0", 2) for t in range(width)]
+        self.holding = mask_map(self.col)
+
+    def not_inside(self, k: int) -> int:
+        return self.holding((1 << self._width) - 1 ^ self.supports[k])
+
+
 def support_label(m: Skeleton, mask: int) -> str:
     """Human-readable canonical name, e.g. ``[(m1,a)(m2,a)]``."""
     parts = "".join(f"({s},{c})" for s, c in support_transitions(m, mask))
@@ -410,6 +472,7 @@ def enumerate_cycle_supports(m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP) -> lis
         in_arcs[b].append((1 << i, 1 << a))
         out_edges[a] |= 1 << i
         in_edges[b] |= 1 << i
+    leaving, entering = mask_map(out_edges), mask_map(in_edges)
 
     def reach(start: int, pool: int, arcs: list[list[tuple[int, int]]]) -> int:
         seen = todo = start
@@ -426,11 +489,7 @@ def enumerate_cycle_supports(m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP) -> lis
         """The anchor's component in the graph of ``pool``, and the pool
         transitions inside it."""
         comp = reach(anchor, pool, out_arcs) & reach(anchor, pool, in_arcs)
-        leaving = entering = 0
-        for v in bit_indices(comp):
-            leaving |= out_edges[v]
-            entering |= in_edges[v]
-        return comp, pool & leaving & entering
+        return comp, pool & leaving(comp) & entering(comp)
 
     found: list[int] = []
     everything = (1 << len(m.transitions)) - 1

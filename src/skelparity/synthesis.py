@@ -21,7 +21,14 @@ support-parity half of the verification all read that one analysis.  Every
 state of ``base`` fixes its congruence class, so there is no
 prefix-independence stage.  The class table relies on the
 cycle-consistency checked first: only opposite-value supports need their
-union looked up.
+union looked up, once per pair.
+
+The class table and the priority transfer read the supports through a
+:class:`~skelparity.skeletons.SupportIndex`, their transposed form: per
+transition, the bitset of the supports holding it.  ``synthesize`` hands
+the class table the index that its support analysis built for the
+cycle-consistency check; :func:`build_cycle_preorder` and
+:func:`assign_priorities` build their own.
 """
 
 from __future__ import annotations
@@ -52,8 +59,10 @@ from .skeletons import (
     DEFAULT_SUPPORT_CAP,
     ParityAutomaton,
     Skeleton,
+    SupportIndex,
     bfs,
     bit_indices,
+    mask_map,
     out_masks,
     product,
     support_label,
@@ -141,20 +150,33 @@ def build_cycle_preorder(
     transitive; a violation falsifies the consistency preconditions and
     raises an internal-consistency error naming the offending classes.
     """
-    return _class_table(m, classify_supports(m, cond, cap=cap))
+    classified = classify_supports(m, cond, cap=cap)
+    return _class_table(m, classified, _index(m, classified))
 
 
-def _class_table(m: Skeleton, classified: Sequence[tuple[int, str]]) -> CycleClassTable:
+def _index(m: Skeleton, classified: Sequence[tuple[int, str]]) -> SupportIndex:
+    """The index of the classified support masks of ``m``."""
+    return SupportIndex([g for g, _ in classified], len(m.transitions))
+
+
+def _class_table(
+    m: Skeleton, classified: Sequence[tuple[int, str]], index: SupportIndex
+) -> CycleClassTable:
     """The class table of :func:`build_cycle_preorder` from the support
-    masks of ``m`` already classified, in canonical order.
+    masks of ``m`` already classified, in canonical order, and their
+    :class:`~skelparity.skeletons.SupportIndex`.
 
     Precondition: the pair (condition, ``m``) that classified them is
     cycle-consistent, as both callers check first.  So the union of two
     same-value supports sharing a state keeps their value, and only the
-    opposite-value pairs need their union looked up.
+    opposite-value pairs need their union looked up.  That union is a
+    support of one of the two values, so one lookup per pair decides for
+    both supports whether the other keeps its value.
 
     Supports are numbered by their position and every relation is a bitset
-    over these numbers.  Two opposite-value supports g1, g2 compete when
+    over these numbers.  The supports sharing a state with support ``g``
+    are read off the index as ``holding`` of the transitions leaving the
+    states of ``g``.  Two opposite-value supports g1, g2 compete when
     some support zeta sharing a state with each keeps both values in
     g1 | zeta and g2 | zeta; the least such zeta decides domination by the
     value of g1 | g2 | zeta.  A support is below every support that
@@ -165,20 +187,22 @@ def _class_table(m: Skeleton, classified: Sequence[tuple[int, str]]) -> CycleCla
     wins = [value == WIN for _, value in classified]
     win = sum(1 << i for i, w in enumerate(wins) if w)
     lose = (1 << len(masks)) - 1 & ~win
-    leaving = out_masks(m).values()
-    through = [sum(1 << i for i, g in enumerate(masks) if g & out) for out in leaving]
+    leaving = out_masks(m)
+    # leaving_states(g): the transitions leaving the states of support g
+    leaving_states = mask_map([leaving[s] for s, _, _ in m.transitions])
     # touch[i]: the supports sharing a state with support i
-    touch = [reduce(or_, (t for t, out in zip(through, leaving) if g & out)) for g in masks]
+    touch = [index.holding(leaving_states(g)) for g in masks]
     # keep[i]: the supports in touch[i] whose union with support i keeps its
     # value, all those of its own value by cycle-consistency; the competition
     # witnesses of supports i and j are keep[i] & keep[j]
-    keep = []
+    keep = [t & (win if w else lose) for t, w in zip(touch, wins)]
     for i, g in enumerate(masks):
-        own, other = (win, lose) if wins[i] else (lose, win)
-        flips = touch[i] & other
-        keep.append(touch[i] & own | sum(
-            1 << k for k in bit_indices(flips) if wins[index_of[g | masks[k]]] == wins[i]
-        ))
+        for k in bit_indices((touch[i] & (lose if wins[i] else win)) >> i + 1):
+            k += i + 1
+            if wins[index_of[g | masks[k]]] == wins[i]:
+                keep[i] |= 1 << k
+            else:
+                keep[k] |= 1 << i
     compar = [0] * len(masks)
     dom = [0] * len(masks)
     for i, g in enumerate(masks):
@@ -312,12 +336,16 @@ def assign_priorities(
     transient; by default they are an error, with ``allow_transient`` they
     receive the least class number reachable from their target (their
     priority never matters in the limit since they occur finitely often).
+
+    Read off the :class:`~skelparity.skeletons.SupportIndex` of the
+    table's supports: the supports strictly inside support ``k`` are
+    ``~not_inside(k)`` without ``k``, and ``k`` is minimal for a transition
+    ``t`` of it iff none of them is in ``col[t]``.
     """
     validate_extension(table, pgamma)
-    supports = [g for g, _ in table.supports]
-    covered = reduce(or_, supports, 0)
+    index = _index(m, table.supports)
     transitions = [(s, c) for s, c, _ in m.transitions]
-    transient = tuple(t for i, t in enumerate(transitions) if not covered >> i & 1)
+    transient = tuple(t for t, col in zip(transitions, index.col) if not col)
     if transient and not allow_transient:
         raise TransientTransitionError(
             "transitions on no cycle cannot receive a priority from the "
@@ -326,16 +354,19 @@ def assign_priorities(
             transient,
         )
 
+    least: dict = {}  # transition index -> least number of its minimal supports
+    for k, (g, _) in enumerate(table.supports):
+        smaller = index.everyone ^ index.not_inside(k) ^ 1 << k
+        n = pgamma[table.class_of[g]]
+        for i in bit_indices(g):
+            if not smaller & index.col[i]:
+                least[i] = min(n, least.get(i, n))
     leaving = out_masks(m)
     class_cover = {e.class_id: reduce(or_, e.members) for e in table.classes}
     priority: dict = {}
     for i, t in enumerate(transitions):
-        containing = [g for g in supports if g >> i & 1]
-        if containing:
-            minimal = [
-                g for g in containing if not any(h & g == h != g for h in containing)
-            ]
-            priority[t] = min(pgamma[table.class_of[g]] for g in minimal)
+        if i in least:
+            priority[t] = least[i]
         else:
             # a class is reachable when one of its supports leaves a reachable state
             reachable = bfs(m.step(*t), m.alphabet, m.step)
@@ -518,7 +549,7 @@ def synthesize(
     cc = analysis.cycle_consistency()
     if not cc.passed:
         raise SynthesisStageError("cycle-consistency", cc.witness)
-    table = _class_table(base, analysis.classified())
+    table = _class_table(base, analysis.classified(), analysis.index)
     pgamma = linear_extension(table)
     automaton = assign_priorities(base, table, pgamma, allow_transient=allow_transient)
     # the automaton's skeleton is ``base``, the skeleton of the analysis

@@ -116,3 +116,33 @@ def reference_table(values: Mapping) -> dict:
         "dominates": frozenset((class_of[a], class_of[b]) for a in supports for b in dom[a]),
         "order": frozenset((class_of[b], class_of[a]) for a in supports for b in below[a]),
     }
+
+
+def reference_priorities(m, table, pgamma: Mapping) -> dict:
+    """{transition: priority} by the paper's transfer rule, scanned pairwise.
+
+    A transition on some support gets the least class number among the
+    inclusion-minimal supports holding it, found by comparing every pair of
+    them.  A transient one gets the least class number of a support through
+    a state reachable from its target.
+    """
+    number = {
+        frozenset(support_transitions(m, g)): pgamma[table.class_of[g]] for g, _ in table.supports
+    }
+    out = {}
+    for s, c, target in m.transitions:
+        holding = [g for g in number if (s, c) in g]
+        if holding:
+            minimal = [g for g in holding if not any(h < g for h in holding)]
+            out[(s, c)] = min(number[g] for g in minimal)
+            continue
+        reached, todo = {target}, [target]
+        while todo:
+            state = todo.pop()
+            for color in m.alphabet:
+                nxt = m.step(state, color)
+                if nxt not in reached:
+                    reached.add(nxt)
+                    todo.append(nxt)
+        out[(s, c)] = min(n for g, n in number.items() if support_states(g) & reached)
+    return out

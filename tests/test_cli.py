@@ -539,6 +539,34 @@ def test_cli_malformed_documents_exit_2(tmp_path, command, doc):
     assert report["format"] == 1 and "malformed" in report["error"]
 
 
+_TRIVIAL_AB = {**_TRIVIAL_A, "alphabet": ["a", "b"],
+               "upd": [["m0", "a", "m0"], ["m0", "b", "m0"]]}
+_TWO_STATE_AB = {**_TRIVIAL_AB, "states": ["m0", "m1"],
+                 "upd": [["m0", "a", "m1"], ["m0", "b", "m0"], ["m1", "a", "m0"], ["m1", "b", "m1"]]}
+
+
+@pytest.mark.parametrize(
+    "skeleton, rows, named",
+    [
+        (_TRIVIAL_AB, [[["m0", "z"]]], "[['m0', 'z']]"),
+        (_TRIVIAL_AB, [[]], "[]"),
+        (_TWO_STATE_AB, [[["m0", "b"]], [["m0", "a"]]], "[['m0', 'a']]"),
+    ],
+    ids=["unknown-transition", "empty-row", "not-strongly-connected"],
+)
+def test_cli_muller_rows_must_be_cycle_supports(tmp_path, capsys, skeleton, rows, named):
+    cond = tmp_path / "cond.json"
+    cond.write_text(json.dumps({**_CONDITION, "kind": "muller", "skeleton": skeleton,
+                                "winning_supports": rows}))
+    sk = tmp_path / "sk.json"
+    sk.write_text(json.dumps(_TRIVIAL_AB))
+    out, code = run_cli("check", "cycle-consistency", "--condition", str(cond),
+                        "--skeleton", str(sk))
+    assert code == 2
+    assert named in json.loads(out)["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "exc",
     [InternalConsistencyError("law violated"), RecursionError("too deep"), MemoryError()],

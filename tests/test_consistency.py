@@ -1,6 +1,7 @@
 """Prefix-independence and cycle-consistency checks, plus the mean-payoff demo."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +9,16 @@ from hypothesis import given, settings, strategies as st
 from skelparity import (
     DpaCondition,
     Lasso,
+    MullerCondition,
     Skeleton,
+    enumerate_cycle_supports,
     lasso_value,
     product,
+    right_congruence_automaton,
     trivial_skeleton,
 )
 from skelparity.consistency import (
+    SupportAnalysis,
     _first_union_flip,
     check_cycle_consistency,
     check_prefix_independence,
@@ -21,12 +26,14 @@ from skelparity.consistency import (
 )
 from skelparity.conditions import MeanPayoffCondition
 from skelparity.errors import InputError
+from skelparity.skeletons import support_transitions
 
 from conftest import (
     ABC,
     build_contrast_automaton,
     build_gen_buchi,
     build_switch_skeleton,
+    states_on,
 )
 
 
@@ -152,6 +159,54 @@ def test_recognized_language_stable_under_product(seed):
     prod = product(aut.skeleton, _random_skeleton(seed, ABC))
     assert check_prefix_independence(cond, prod).passed
     assert check_cycle_consistency(cond, prod).passed
+
+
+def _pairwise_union_witness(analysis):
+    """The union-closure witness of ``analysis.cycle_consistency()`` by
+    definition: at each state, in the order of the skeleton's transitions,
+    the supports through it in canonical order are compared pairwise, and
+    the first same-value pair whose union has the other value is reported."""
+    sk = analysis.skeleton
+    value_of = dict(analysis.classified())
+    for q in dict.fromkeys(s for s, _, _ in sk.transitions):
+        through = [g for g in analysis.supports if q in states_on(sk, g)]
+        for i, g1 in enumerate(through):
+            for g2 in through[i + 1 :]:
+                if value_of[g1] == value_of[g2] != value_of[g1 | g2]:
+                    return {
+                        "kind": "support-pair",
+                        "state": q,
+                        "support1": [list(t) for t in support_transitions(sk, g1)],
+                        "support2": [list(t) for t in support_transitions(sk, g2)],
+                        "family_value": value_of[g1],
+                        "union_value": value_of[g1 | g2],
+                    }
+    return None
+
+
+def test_cycle_consistency_matches_pairwise_reference():
+    # seeded Muller tables on 1- to 3-state skeletons over {a, b}, each half
+    # winning, against 1- or 2-state memories: both verdicts occur
+    verdicts = Counter()
+    for seed in range(120):
+        rng = random.Random(seed)
+        d = _random_skeleton(rng.randrange(10**6), "ab")
+        table = frozenset(
+            frozenset(support_transitions(d, g))
+            for g in enumerate_cycle_supports(d)
+            if rng.random() < 0.5
+        )
+        cond = MullerCondition(skeleton=d, winning_supports=table)
+        m = _random_skeleton(rng.randrange(10**6), "ab", max_states=2)
+        analysis = SupportAnalysis(cond, product(m, right_congruence_automaton(cond)))
+        if any(len(values) > 1 for values in analysis.value_sets):
+            continue
+        report = analysis.cycle_consistency()
+        want = _pairwise_union_witness(analysis)
+        assert report.witness == want, seed
+        assert report.passed == (want is None)
+        verdicts[report.verdict] += 1
+    assert verdicts["pass"] >= 20 and verdicts["fail"] >= 20, verdicts
 
 
 def test_union_closure_matches_long_concatenations(gen_buchi, switch_skeleton):

@@ -17,7 +17,14 @@ from skelparity import (
 )
 from skelparity.discounting import gap_automaton
 from skelparity.errors import CapExceeded, InputError
-from skelparity.skeletons import bfs_words, closed_walk, lift, pair_words, support_transitions
+from skelparity.skeletons import (
+    bfs_words,
+    closed_walk,
+    lift,
+    mask_map,
+    pair_words,
+    support_transitions,
+)
 
 from conftest import build_colliding_pair, build_contrast_skeleton, build_switch_skeleton
 from preorder_oracle import support_key
@@ -294,13 +301,61 @@ def test_supports_match_oracle_and_admit_covering_walks(sk):
         assert sk.run_end(walk, start=anchor) == anchor
 
 
-@settings(max_examples=200, deadline=None)
+def _chain(n: int) -> Skeleton:
+    """States q0 .. q(n-1): ``a`` steps to the next one, cyclically, and
+    ``b`` steps back three, stopping at q0."""
+    states = [f"q{i}" for i in range(n)]
+    upd = {}
+    for i, s in enumerate(states):
+        upd[(s, "a")] = states[(i + 1) % n]
+        upd[(s, "b")] = states[max(0, i - 3)]
+    return Skeleton.make(states, "q0", "ab", upd)
+
+
+def _gadgets(k: int) -> Skeleton:
+    """k three-state gadgets x -a-> y -a-> z -a-> x, with ``b`` a loop on x,
+    a step back from z to y, and a step from y to the next gadget's x (a
+    loop on the last y): 3k states, and supports only inside gadgets."""
+    states = [f"q{i}" for i in range(3 * k)]
+    upd = {}
+    for j in range(k):
+        x, y, z = states[3 * j : 3 * j + 3]
+        upd.update({(x, "a"): y, (y, "a"): z, (z, "a"): x, (x, "b"): x, (z, "b"): y})
+        upd[(y, "b")] = states[3 * j + 3] if j + 1 < k else y
+    return Skeleton.make(states, "q0", "ab", upd)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 3).flatmap(lambda k: skeletons(alphabet=ABC[:k], max_states=5)))
 @example(build_switch_skeleton())
 @example(build_contrast_skeleton())
 @example(gap_automaton(Fraction(1, 2), 2).skeleton)
+@example(_chain(9))  # 9 states: the enumerator's state maps read two half tables
+@example(_gadgets(6))  # 18 states: they read one table per byte
 def test_supports_match_reference_enumerator_in_order(sk):
     assert enumerate_cycle_supports(sk) == reference_cycle_supports(sk)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([(0, 0), (1, 8), (9, 16), (17, 40)])
+    .flatmap(lambda r: st.integers(*r))
+    .flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, 2**130), min_size=n, max_size=n),
+            st.lists(st.integers(0, 2**n - 1), max_size=20),
+        )
+    )
+)
+def test_mask_map_is_the_or_of_the_images(case):
+    images, masks = case
+    image_of = mask_map(images)
+    for mask in [0, 2 ** len(images) - 1, *masks]:
+        want = 0
+        for i, image in enumerate(images):
+            if mask >> i & 1:
+                want |= image
+        assert image_of(mask) == want
 
 
 def test_supports_cap_boundary(switch_skeleton):

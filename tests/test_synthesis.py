@@ -53,6 +53,7 @@ from preorder_oracle import (
     as_frozensets,
     competing_witness,
     dominates,
+    reference_priorities,
     reference_table,
     support_states,
 )
@@ -303,6 +304,21 @@ def test_preorder_matches_reference_on_random_dpas(pair):
     except PreconditionError:
         assume(False)
     _assert_preorder_matches_reference(table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_dpa_pairs())
+def test_priorities_match_reference_on_random_dpas(pair):
+    cond, m = pair
+    base = product(right_congruence_automaton(cond), m)
+    try:
+        table = build_cycle_preorder(base, cond)
+    except PreconditionError:
+        assume(False)
+    pgamma = linear_extension(table)
+    aut = assign_priorities(base, table, pgamma, allow_transient=True)
+    got = {(s, c): p for s, c, p in aut.priorities}
+    assert got == reference_priorities(base, table, pgamma)
 
 
 def test_all_win_condition_collapses_to_single_class():
