@@ -547,7 +547,8 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         report = {"format": 1, "error": str(exc), "cap": exc.cap, "stage": exc.stage}
         code = 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing file, a directory, or a path that cannot be read or written
         report, code = {"format": 1, "error": str(exc)}, 2
     except (
         synthesis.SynthesisStageError,

@@ -317,7 +317,8 @@ def _cycle_judge(
     leads to and ``w`` its weight.  After the prefix the period is read
     block by block, each block recording its weight, until a block starts
     at a state that started an earlier one; the cycle is the blocks from
-    that one on.
+    that one on.  The block starts are kept in a list, in block order: it
+    holds at most one entry per state, so scanning it is cheap.
     """
     n = len(alphabet)
     row = {s: j * n for j, s in enumerate(sk.states)}
@@ -330,10 +331,10 @@ def _cycle_judge(
         s = init
         for c in prefix:
             s = nxt[s + c]
-        block_at: dict[int, int] = {}
+        starts: list[int] = []
         blocks: list[int] = []
-        while s not in block_at:
-            block_at[s] = len(blocks)
+        while s not in starts:
+            starts.append(s)
             mask = 0
             for c in period:
                 c += s
@@ -341,21 +342,11 @@ def _cycle_judge(
                 s = nxt[c]
             blocks.append(mask)
         mask = 0
-        for block in blocks[block_at[s] :]:
+        for block in blocks[starts.index(s) :]:
             mask |= block
         return value(mask)
 
     return judge
-
-
-def _scaled_sum(word: Sequence[int], a: int, b: int) -> tuple[int, int]:
-    """``(sum of c_i a^i b^(n-1-i), a^n)`` for the ``n`` colors ``c_i`` of
-    ``word``: its discounted sum with lambda = a/b, times ``b^(n-1)``."""
-    total, power = 0, 1
-    for c in word:
-        total = total * b + c * power
-        power *= a
-    return total, power
 
 
 def lasso_judge(
@@ -372,10 +363,11 @@ def lasso_judge(
     ORs transition bits into the cycle's support mask and asks the Muller
     table once per mask.  A discounted sum with lambda = a/b, a prefix of
     length ``p`` and a period of length ``q`` wins iff ``P (b^q - a^q) +
-    a^p D >= 0``, where ``P`` and ``D`` are the sums of :func:`_scaled_sum`
-    of the prefix and the period colors: that is the discounted sum times
-    ``b^p (b^q - a^q) / b > 0``, in exact integers.  Mean and total payoff
-    add the period colors.
+    a^p D >= 0``, where ``P`` and ``D`` are the sums ``c_0 b^(n-1) + c_1 a
+    b^(n-2) + ... + c_(n-1) a^(n-1)`` over the ``n`` colors ``c_i`` of the
+    prefix and of the period, summed inline over the indices: that is the
+    discounted sum times ``b^p (b^q - a^q) / b > 0``, in exact integers.
+    Mean and total payoff add the period colors.
     """
     if isinstance(cond, DpaCondition):
         aut = cond.automaton
@@ -396,13 +388,20 @@ def lasso_judge(
                 lambda mask: cond.support_value(frozenset(support_transitions(sk, mask)))
             ),
         )
-    color = list(alphabet).__getitem__
+    colors = list(alphabet)
+    color = colors.__getitem__
     if isinstance(cond, DiscountedSumCondition):
         a, b = cond.lam.numerator, cond.lam.denominator
 
         def ds(prefix, period):
-            p_sum, a_p = _scaled_sum(map(color, prefix), a, b)
-            d_sum, a_q = _scaled_sum(map(color, period), a, b)
+            p_sum, a_p = 0, 1
+            for c in prefix:
+                p_sum = p_sum * b + colors[c] * a_p
+                a_p *= a
+            d_sum, a_q = 0, 1
+            for c in period:
+                d_sum = d_sum * b + colors[c] * a_q
+                a_q *= a
             return WIN if p_sum * (b ** len(period) - a_q) + a_p * d_sum >= 0 else LOSE
 
         return ds

@@ -3,9 +3,12 @@
 The solver is the classical recursive attractor decomposition, run on a
 state-priority subdivision of the edge-priority game whose nodes are
 integers in canonical order, and certified in tests against a brute-force
-enumeration of positional strategies.  Strategies computed on a product game
-project to next-move tables keyed by (arena state, memory state); a product
-game is built and solved once per arena, and the strategy check reuses both.
+enumeration of positional strategies.  Each game builds its subdivision
+once.  Strategies computed on a product game project to next-move tables
+keyed by (arena state, memory state); a product game is built and solved
+once per arena, and the strategy check reruns the solver on the product's
+subdivision with the player's other moves left out, instead of building and
+solving a second game.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .conditions import Condition, Lasso
 from .errors import InputError
@@ -78,6 +81,16 @@ def _gedge_key(e: GameEdge):
     return (_gstate_key(e[0]), color_key(e[1]), _gstate_key(e[2]), e[3])
 
 
+class Subdivision(NamedTuple):
+    """A parity game as int nodes; see :attr:`ParityGame.subdivision`."""
+
+    index: dict  # state -> node
+    succ: list  # node -> ascending successor nodes
+    pri: list  # node -> priority
+    owner: list  # node -> player
+    preds: list  # node -> ascending predecessor nodes
+
+
 @dataclass(frozen=True, eq=False)
 class ParityGame:
     """Arena with a natural-number priority on every edge."""
@@ -115,6 +128,36 @@ class ParityGame:
         for e in self.edges:
             out[e[0]].append(e)
         return out
+
+    @cached_property
+    def subdivision(self) -> "Subdivision":
+        """The state-priority game the solver runs on, built once per game.
+
+        Node ``i < n`` is ``states[i]``, with priority 0, which never
+        raises the limsup since priorities are naturals; node ``n + j`` is
+        the midpoint of ``edges[j]``, owned by player 1, with the edge's
+        priority and the edge's target as its one successor.
+        ``ParityGame.make`` sorts the states by name and the edges by
+        (source, color, target, priority), so this numbering is the
+        canonical node order (states first, then edges), and every queue
+        order and ``min`` tie-break of the solver compares plain ints.
+        """
+        n = len(self.states)
+        index = {s: i for i, s in enumerate(self.states)}
+        succ: list = [[] for _ in range(n)]
+        pri = [0] * n
+        owner = [self.owner[s] for s in self.states]
+        for j, e in enumerate(self.edges):
+            succ[index[e[0]]].append(n + j)
+            succ.append([index[e[2]]])
+            pri.append(e[3])
+            owner.append(1)
+        # built in ascending node order, so every list is already sorted
+        preds: list = [[] for _ in succ]
+        for u, vs in enumerate(succ):
+            for v in vs:
+                preds[v].append(u)
+        return Subdivision(index, succ, pri, owner, preds)
 
     def flip_parity(self) -> "ParityGame":
         """Add one to every priority, swapping the winning parities."""
@@ -167,35 +210,13 @@ class Solution:
     strategy: dict  # player -> {state: GameEdge}
 
 
-def solve_parity(g: ParityGame) -> Solution:
-    """Exact regions and uniform positional strategies for both players.
-
-    Recursive attractor decomposition on a subdivision carrying edge
-    priorities on inserted midpoints (original states get priority 0, which
-    never raises the limsup since priorities are naturals).
-
-    Subdivision nodes are ints: node ``i < n`` is ``g.states[i]`` and node
-    ``n + j`` is ``g.edges[j]``.  ``ParityGame.make`` sorts the states by
-    name and the edges by (source, color, target, priority), so this
-    numbering is the canonical node order (states first, then edges), and
-    every queue order and ``min`` tie-break compares plain ints.
-    """
-    n = len(g.states)
-    index = {s: i for i, s in enumerate(g.states)}
-    succ: list = [[] for _ in range(n)]
-    pri = [0] * n
-    owner = [g.owner[s] for s in g.states]
-    for j, e in enumerate(g.edges):
-        succ[index[e[0]]].append(n + j)
-        succ.append([index[e[2]]])
-        pri.append(e[3])
-        owner.append(1)
-
-    # built in ascending node order, so every list is already sorted
-    preds: list = [[] for _ in succ]
-    for u, vs in enumerate(succ):
-        for v in vs:
-            preds[v].append(u)
+def _zielonka(sub: Subdivision, alive: set) -> tuple[dict, dict]:
+    """Regions and strategies, as sets of nodes and maps from a node to
+    its chosen successor, of the subdivision restricted to ``alive``: the
+    recursive attractor decomposition.  Nodes outside ``alive`` are never
+    visited, and nodes are compared only by ``sorted``, ``min`` and set
+    membership."""
+    succ, pri, owner, preds = sub.succ, sub.pri, sub.owner, sub.preds
 
     def attractor(alive: set, target: set, player: int):
         attr = set(target)
@@ -248,7 +269,29 @@ def solve_parity(g: ParityGame) -> Solution:
             {p: strats2[p], o: strat_o},
         )
 
-    regions, strats = zielonka(set(range(len(succ))))
+    return zielonka(alive)
+
+
+def _move(sub: Subdivision, regions: dict, strats: dict, player: int, v: int) -> int:
+    """The midpoint ``player`` moves to from its node ``v`` of its region:
+    the solver's choice or, inside an attractor layer never queried, the
+    least successor staying in the region, which preserves the win."""
+    chosen = strats[player].get(v)
+    if chosen is None:
+        chosen = min(w for w in sub.succ[v] if w in regions[player])
+    return chosen
+
+
+def solve_parity(g: ParityGame) -> Solution:
+    """Exact regions and uniform positional strategies for both players.
+
+    Recursive attractor decomposition on all nodes of the game's integer
+    subdivision (:attr:`ParityGame.subdivision`), which carries the edge
+    priorities on inserted midpoints.
+    """
+    sub = g.subdivision
+    n = len(g.states)
+    regions, strats = _zielonka(sub, set(range(len(sub.succ))))
     out_regions = {
         player: frozenset(g.states[i] for i in range(n) if i in regions[player])
         for player in (1, 2)
@@ -256,14 +299,9 @@ def solve_parity(g: ParityGame) -> Solution:
     out_strategy: dict = {1: {}, 2: {}}
     for player in (1, 2):
         for i in range(n):
-            if owner[i] != player or i not in regions[player]:
-                continue
-            chosen = strats[player].get(i)
-            if chosen is None:
-                # interior of an attractor layer never queried; any edge
-                # staying in the region preserves the win
-                chosen = min(w for w in succ[i] if w in regions[player])
-            out_strategy[player][g.states[i]] = g.edges[chosen - n]
+            if sub.owner[i] == player and i in regions[player]:
+                chosen = _move(sub, regions, strats, player, i)
+                out_strategy[player][g.states[i]] = g.edges[chosen - n]
     return Solution(regions=out_regions, strategy=out_strategy)
 
 
@@ -309,8 +347,12 @@ def verify_strategy(
     ``game`` is the product game and ``full`` its solution.  The game is
     restricted to the strategy's edges on the player's states inside the
     player's winning region; the opponent must then win nowhere inside that
-    region.  A failure yields a witness lasso re-checkable against the
-    condition.  A strategy with no move, or with a move the arena lacks, at
+    region.  The solver reruns on ``game``'s subdivision with the midpoints
+    of the other edges of those states left out, which is the restricted
+    game's own subdivision in the same node order.  A failure yields a
+    witness lasso re-checkable against the condition: the opponent's
+    strategy from the first offending state, against the least kept edge
+    elsewhere.  A strategy with no move, or with a move the arena lacks, at
     a player's state in the region fails with the witness ``undefined_at``,
     or ``illegal_move_at`` and the ``move``, instead.
     """
@@ -318,11 +360,13 @@ def verify_strategy(
         raise InputError("player must be 1 or 2")
     region = full.regions[player]
     opponent = 3 - player
+    sub = game.subdivision
+    n = len(game.states)
+    edges = game.edges
 
-    restricted_edges = []
-    for v, outs in game.out_edges_map.items():
-        if game.owner[v] != player or v not in region:
-            restricted_edges += outs
+    alive = set(range(len(sub.succ)))
+    for i, v in enumerate(game.states):
+        if sub.owner[i] != player or v not in region:
             continue
         s, m = v
         chosen = strat.nxt.get(v)
@@ -332,40 +376,35 @@ def verify_strategy(
                 region_size=len(region),
                 witness={"undefined_at": [s, m]},
             )
-        kept = [e for e in outs if (s, e[1], e[2][0]) == tuple(chosen)]
-        if not kept:
+        move = tuple(chosen)
+        dropped = [w for w in sub.succ[i] if (s, edges[w - n][1], edges[w - n][2][0]) != move]
+        if len(dropped) == len(sub.succ[i]):
             return StrategyReport(
                 passed=False,
                 region_size=len(region),
                 witness={"illegal_move_at": [s, m], "move": list(chosen)},
             )
-        restricted_edges += kept
-    # a subsequence of the canonically sorted edges is still sorted
-    restricted = ParityGame(game.states, game.owners, tuple(restricted_edges))
-    res = solve_parity(restricted)
-    offenders = sorted(res.regions[opponent] & region, key=_gstate_key)
+        alive.difference_update(dropped)
+    regions, strats = _zielonka(sub, alive)
+    offenders = [i for i in range(n) if i in regions[opponent] and game.states[i] in region]
     if not offenders:
         return StrategyReport(passed=True, region_size=len(region))
 
-    start = offenders[0]
-    choice = dict(res.strategy[opponent])
-    walk_state = start
+    start = min(offenders, key=lambda i: _gstate_key(game.states[i]))
+    walk = start
     seen: dict = {}
     colors: list[Color] = []
-    while walk_state not in seen:
-        seen[walk_state] = len(colors)
-        e = choice.get(walk_state)
-        if e is None:
-            outs = restricted.out_edges_map[walk_state]
-            e = min(outs, key=_gedge_key)
+    while walk not in seen:
+        seen[walk] = len(colors)
+        if sub.owner[walk] == opponent and walk in regions[opponent]:
+            e = edges[_move(sub, regions, strats, opponent, walk) - n]
+        else:
+            e = min((edges[w - n] for w in sub.succ[walk] if w in alive), key=_gedge_key)
         colors.append(e[1])
-        walk_state = e[2]
-    cut = seen[walk_state]
-    witness = {
-        "state": [start[0], start[1]],
-        "prefix": colors[:cut],
-        "period": colors[cut:],
-    }
+        walk = sub.index[e[2]]
+    cut = seen[walk]
+    s, m = game.states[start]
+    witness = {"state": [s, m], "prefix": colors[:cut], "period": colors[cut:]}
     return StrategyReport(passed=False, region_size=len(region), witness=witness)
 
 

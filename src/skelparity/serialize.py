@@ -219,6 +219,8 @@ def load_document(path: str):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: not valid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc})") from None
     loaders = {
         "skeleton": skeleton_from_dict,
         "parity-automaton": automaton_from_dict,

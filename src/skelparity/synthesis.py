@@ -399,26 +399,38 @@ def index_lassos(rng: random.Random, n: int) -> Iterator[tuple[list[int], list[i
     """An endless stream of lassos over the color indices ``0 .. n - 1``,
     each a prefix of 0 to 6 indices and a period of 1 to 6.
 
-    Each draw below a bound reads ``rng.getrandbits`` as
-    ``random.Random._randbelow`` does: numbers of the bound's bit length
-    until one falls below it.  The lengths are draws below 7 and 6 and the
-    colors draws below ``n``, so the stream is that of ``randint(0, 6)``,
-    ``randint(1, 6)`` and ``choice(alphabet)`` in the reference sampler
-    ``random_lasso`` of ``tests/lasso_oracle.py``, and index ``i`` stands
-    for ``alphabet[i]``.
+    Each draw below a bound is an inline loop over ``rng.getrandbits`` that
+    reads it as ``random.Random._randbelow`` does: numbers of the bound's
+    bit length until one falls below it.  The prefix length reads 3 bits
+    until they are not 7, the period length 3 bits until they are below 6,
+    and each color ``n.bit_length()`` bits until they are below ``n``.  So
+    the stream is that of ``randint(0, 6)``, ``randint(1, 6)`` and
+    ``choice(alphabet)`` in the reference sampler ``random_lasso`` of
+    ``tests/lasso_oracle.py``, the generator leaves ``rng`` in the same
+    state, and index ``i`` stands for ``alphabet[i]``.
     """
     getrandbits = rng.getrandbits
-
-    def below(bound: int) -> int:
-        k = bound.bit_length()
-        r = getrandbits(k)
-        while r >= bound:
-            r = getrandbits(k)
-        return r
-
+    k = n.bit_length()
     while True:
-        prefix = [below(n) for _ in range(below(7))]
-        yield prefix, [below(n) for _ in range(1 + below(6))]
+        r = getrandbits(3)
+        while r == 7:
+            r = getrandbits(3)
+        prefix = []
+        for _ in range(r):
+            c = getrandbits(k)
+            while c >= n:
+                c = getrandbits(k)
+            prefix.append(c)
+        r = getrandbits(3)
+        while r >= 6:
+            r = getrandbits(3)
+        period = []
+        for _ in range(r + 1):
+            c = getrandbits(k)
+            while c >= n:
+                c = getrandbits(k)
+            period.append(c)
+        yield prefix, period
 
 
 def verify_synthesis(
@@ -465,11 +477,17 @@ def _verify(
     with the value that the top priority's parity contradicts."""
     sk = out.skeleton
     pri = [out.priority(s, c) for s, c, _ in sk.transitions]
+    # the top priority of a support is the highest bit of the OR of its
+    # transitions' bits: the rank of each priority among the distinct ones,
+    # so the bits stay few however large the priorities are
+    levels = sorted(set(pri))
+    rank = {p: r for r, p in enumerate(levels)}
+    top_of = mask_map([1 << rank[p] for p in pri])
     support_mismatch = None
     n_supports = 0
     for sup, values in zip(analysis.supports, analysis.value_sets):
         n_supports += 1
-        top = max(pri[i] for i in bit_indices(sup))
+        top = levels[top_of(sup).bit_length() - 1]
         parity = WIN if top % 2 == 0 else LOSE
         if values != {parity}:
             support_mismatch = {

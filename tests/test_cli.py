@@ -539,6 +539,26 @@ def test_cli_malformed_documents_exit_2(tmp_path, command, doc):
     assert report["format"] == 1 and "malformed" in report["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("skel", "supports", "--skeleton", "{dir}"),
+        ("ds", "gap-automaton", "--lambda", "1/2", "--k", "1", "--out", "{dir}"),
+        ("skel", "supports", "--skeleton", "{bytes}"),
+        ("skel", "supports", "--skeleton", "{missing}"),
+    ],
+    ids=["directory-input", "directory-out", "not-utf8", "missing-file"],
+)
+def test_cli_unreadable_paths_exit_2(tmp_path, capsys, argv):
+    (tmp_path / "bytes.json").write_bytes(b"\xff\xfe")
+    paths = {"dir": tmp_path, "bytes": tmp_path / "bytes.json", "missing": tmp_path / "none.json"}
+    out, code = run_cli(*(a.format(**paths) for a in argv))
+    assert code == 2
+    report = json.loads(out)
+    assert set(report) == {"format", "error"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 _TRIVIAL_AB = {**_TRIVIAL_A, "alphabet": ["a", "b"],
                "upd": [["m0", "a", "m0"], ["m0", "b", "m0"]]}
 _TWO_STATE_AB = {**_TRIVIAL_AB, "states": ["m0", "m1"],

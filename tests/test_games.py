@@ -2,10 +2,17 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from skelparity import Lasso, ParityAutomaton, lasso_value, trivial_skeleton
+from skelparity import (
+    DiscountedSumCondition,
+    Lasso,
+    ParityAutomaton,
+    lasso_value,
+    trivial_skeleton,
+)
 from skelparity.errors import CapExceeded, InputError
 from skelparity.games import (
     Arena,
@@ -21,7 +28,7 @@ from skelparity.games import (
 )
 from skelparity.synthesis import synthesize
 
-from games_oracle import brute_force_regions
+from games_oracle import brute_force_regions, reference_verify_strategy
 
 
 def _gen_buchi_ab():
@@ -257,6 +264,56 @@ def test_verify_strategy_reports_a_move_the_arena_lacks(gen_buchi_automaton):
         "illegal_move_at": ["s", gen_buchi_automaton.skeleton.init],
         "move": ["s", "c", "s"],
     }
+
+
+def _strategy_variants(rng: random.Random, arena: Arena, projected: SkeletonStrategy):
+    """The projected strategy, and unless it is empty the same with one
+    move changed to another arena move (when there is one), one move
+    missing and one move the arena lacks."""
+    yield "projected", projected
+    if not projected.nxt:
+        return
+    key = rng.choice(sorted(projected.nxt, key=str))
+    others = [e for e in arena.edges if e[0] == key[0] and e != tuple(projected.nxt[key])]
+    if others:
+        changed = {**projected.nxt, key: rng.choice(others)}
+        yield "changed", SkeletonStrategy(projected.skeleton, changed)
+    missing = {k: e for k, e in projected.nxt.items() if k != key}
+    yield "missing", SkeletonStrategy(projected.skeleton, missing)
+    illegal = (key[0], "illegal", key[0])
+    yield "illegal", SkeletonStrategy(projected.skeleton, {**projected.nxt, key: illegal})
+
+
+@pytest.mark.parametrize("name", ["gen-buchi", "ds-half-k2"])
+def test_verify_strategy_matches_restricted_game_reference(name, gen_buchi_automaton):
+    # the check on the product's subdivision against solving the restricted
+    # game as a ParityGame of its own, on seeded random arenas
+    aut = {
+        "gen-buchi": lambda: gen_buchi_automaton,
+        "ds-half-k2": lambda: synthesize(
+            DiscountedSumCondition(Fraction(1, 2), 2),
+            trivial_skeleton(range(-2, 3)),
+            allow_transient=True,
+        ).automaton,
+    }[name]()
+    kinds = Counter()
+    for seed in range(60):
+        rng = random.Random(f"{name}:{seed}")
+        arena = random_arena(rng, 8, aut.skeleton.alphabet)
+        game = product_game(arena, aut)
+        sol = solve_parity(game)
+        for player in (1, 2):
+            projected = strategy_project(arena, aut, sol.strategy[player])
+            for kind, strat in _strategy_variants(rng, arena, projected):
+                got = verify_strategy(game, sol, strat, player)
+                assert got == reference_verify_strategy(game, sol, strat, player)
+                if got.passed:
+                    kinds[kind, "passed"] += 1
+                else:
+                    kinds[kind, next(iter(got.witness))] += 1
+    assert kinds["projected", "passed"] == 120
+    assert kinds["missing", "undefined_at"] and kinds["illegal", "illegal_move_at"]
+    assert kinds["changed", "state"], kinds  # lasso witnesses
 
 
 # -- generators ---------------------------------------------------------------------------

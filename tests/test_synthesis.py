@@ -22,6 +22,7 @@ from skelparity import (
     right_congruence_automaton,
     trivial_skeleton,
 )
+from skelparity.consistency import SupportAnalysis
 from skelparity.errors import InputError, PreconditionError, TransientTransitionError
 from skelparity.skeletons import support_transitions
 from skelparity.synthesis import (
@@ -38,6 +39,7 @@ from skelparity.synthesis import (
 
 from conftest import (
     CONTRAST_PRIORITIES,
+    build_a_blind_skeleton,
     build_ab_prefix_automaton,
     build_contrast_muller,
     build_contrast_skeleton,
@@ -416,6 +418,67 @@ def test_verify_flags_mutated_priority(contrast_automaton, contrast_muller):
     # the witness re-verifies: even maximal priority yet a losing cycle
     assert report.support_mismatch["max_priority"] % 2 == 0
     assert lasso_value(contrast_muller, Lasso.make([], ["c"])) == "lose"
+
+
+def _random_dpa(rng: random.Random) -> DpaCondition:
+    """A DPA over {a, b} with 2 to 4 states, all reachable, priorities 0-3."""
+    states = [f"q{i}" for i in range(rng.randint(2, 4))]
+    upd = {(s, c): rng.choice(states) for s in states for c in "ab"}
+    reach, work = {"q0"}, ["q0"]
+    while work:
+        s = work.pop()
+        for c in "ab":
+            if upd[(s, c)] not in reach:
+                reach.add(upd[(s, c)])
+                work.append(upd[(s, c)])
+    sk = Skeleton.make(sorted(reach), "q0", "ab", {k: v for k, v in upd.items() if k[0] in reach})
+    pri = {(s, c): rng.randint(0, 3) for s, c, _ in sk.transitions}
+    return DpaCondition(ParityAutomaton.make(sk, pri))
+
+
+def _reference_support_mismatch(aut: ParityAutomaton, cond):
+    # the first support, in the analysis' order, whose values are not the
+    # parity of the max of its transitions' priorities
+    sk = aut.skeleton
+    analysis = SupportAnalysis(cond, sk)
+    for sup, values in zip(analysis.supports, analysis.value_sets):
+        rows = support_transitions(sk, sup)
+        top = max(aut.priority(s, c) for s, c in rows)
+        parity = "win" if top % 2 == 0 else "lose"
+        if values != {parity}:
+            oracle = "lose" if parity == "win" else "win"
+            return {"support": [list(t) for t in rows], "max_priority": top, "oracle": oracle}
+    return None
+
+
+def test_support_mismatch_matches_reference_loop():
+    # every +-1 priority mutation of synthesized automata for random DPAs
+    # and for the discounted sum with lambda = 1/2, k = 2
+    rng = random.Random(17)
+    pairs = [(DiscountedSumCondition(Fraction(1, 2), 2), trivial_skeleton(range(-2, 3)))]
+    pairs += [
+        (_random_dpa(rng), rng.choice([trivial_skeleton("ab"), build_a_blind_skeleton()]))
+        for _ in range(12)
+    ]
+    mismatches = Counter()
+    synthesized = 0
+    for cond, memory in pairs:
+        try:
+            aut = synthesize(cond, memory, samples=0, allow_transient=True).automaton
+        except (PreconditionError, SynthesisStageError):
+            continue
+        synthesized += 1
+        pri = {(s, c): p for s, c, p in aut.priorities}
+        mutations = [pri] + [
+            {**pri, t: pri[t] + d} for t in pri for d in (-1, 1) if pri[t] + d >= 0
+        ]
+        for mutation in mutations:
+            mutated = ParityAutomaton.make(aut.skeleton, mutation)
+            got = verify_synthesis(mutated, cond, samples=0).support_mismatch
+            assert got == _reference_support_mismatch(mutated, cond)
+            mismatches[got is None] += 1
+    assert synthesized >= 5
+    assert mismatches[True] > 10 and mismatches[False] > 20, mismatches
 
 
 @pytest.mark.parametrize("name", ["gen-buchi-switch", "ds-half-k2"])
