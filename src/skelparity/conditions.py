@@ -29,9 +29,9 @@ from .skeletons import (
     _scc_ids,
     bfs,
     bfs_words,
-    bit_indices,
     enumerate_cycle_supports,
     lift,
+    mask_map,
     out_masks,
     pair_words,
     support_transitions,
@@ -305,12 +305,13 @@ def _gap_bfs(lam: Fraction, k: int) -> tuple[Skeleton, dict[State, GapValue]]:
 def _cycle_judge(
     sk: Skeleton,
     alphabet: Sequence[Color],
-    weight: dict[Transition, int],
+    weights: Sequence[int],
     value: Callable[[int], str],
 ) -> Callable[[Sequence[int], Sequence[int]], str]:
     """The judge that runs ``sk`` on a lasso of color indices into
     ``alphabet`` and values the cycle it repeats by ``value`` of the OR of
-    the ``weight`` of the transitions on that cycle.
+    ``weights`` over the transitions on that cycle, ``weights[i]`` being
+    that of ``sk.transitions[i]`` (:func:`support_automaton`).
 
     State ``j`` is the row ``j * len(alphabet)`` of the flat tables, so
     ``row + c`` is the cell of color index ``c``: ``nxt`` holds the row it
@@ -323,6 +324,7 @@ def _cycle_judge(
     n = len(alphabet)
     row = {s: j * n for j, s in enumerate(sk.states)}
     upd = sk._upd
+    weight = {(s, c): x for (s, c, _), x in zip(sk.transitions, weights)}
     nxt = [row[upd[s, c]] for s in sk.states for c in alphabet]
     w = [weight[s, c] for s in sk.states for c in alphabet]
     init = row[sk.init]
@@ -358,36 +360,19 @@ def lasso_judge(
     (:func:`lasso_value` checks them).
 
     A parity or Muller judge runs the condition's skeleton on flat tables
-    (:func:`_cycle_judge`).  The parity judge ORs ``1 << priority`` over the
-    cycle, so the top priority is the mask's highest bit; the Muller judge
-    ORs transition bits into the cycle's support mask and asks the Muller
-    table once per mask.  A discounted sum with lambda = a/b, a prefix of
-    length ``p`` and a period of length ``q`` wins iff ``P (b^q - a^q) +
-    a^p D >= 0``, where ``P`` and ``D`` are the sums ``c_0 b^(n-1) + c_1 a
-    b^(n-2) + ... + c_(n-1) a^(n-1)`` over the ``n`` colors ``c_i`` of the
-    prefix and of the period, summed inline over the indices: that is the
-    discounted sum times ``b^p (b^q - a^q) / b > 0``, in exact integers.
-    Mean and total payoff add the period colors.
+    (:func:`_cycle_judge`) with the weights and the value of
+    :func:`support_automaton`, asking the value once per OR of weights.
+    A discounted sum with lambda = a/b, a prefix of length ``p`` and a
+    period of length ``q`` wins iff ``P (b^q - a^q) + a^p D >= 0``, where
+    ``P`` and ``D`` are the sums ``c_0 b^(n-1) + c_1 a b^(n-2) + ... +
+    c_(n-1) a^(n-1)`` over the ``n`` colors ``c_i`` of the prefix and of
+    the period, summed inline over the indices: that is the discounted sum
+    times ``b^p (b^q - a^q) / b > 0``, in exact integers.  Mean and total
+    payoff add the period colors.
     """
-    if isinstance(cond, DpaCondition):
-        aut = cond.automaton
-        # a mask with its highest bit at an even priority has an odd length
-        return _cycle_judge(
-            aut.skeleton,
-            alphabet,
-            {(s, c): 1 << p for s, c, p in aut.priorities},
-            lambda mask: WIN if mask.bit_length() % 2 else LOSE,
-        )
-    if isinstance(cond, MullerCondition):
-        sk = cond.skeleton
-        return _cycle_judge(
-            sk,
-            alphabet,
-            {(s, c): 1 << i for i, (s, c, _) in enumerate(sk.transitions)},
-            functools.cache(
-                lambda mask: cond.support_value(frozenset(support_transitions(sk, mask)))
-            ),
-        )
+    if isinstance(cond, (DpaCondition, MullerCondition)):
+        sk, weights, value = support_automaton(cond)
+        return _cycle_judge(sk, alphabet, weights, functools.cache(value))
     colors = list(alphabet)
     color = colors.__getitem__
     if isinstance(cond, DiscountedSumCondition):
@@ -439,36 +424,49 @@ def lasso_value(cond: Condition, lasso: Lasso) -> str:
     return judge([index[c] for c in lasso.prefix], [index[c] for c in lasso.period])
 
 
-def support_automaton(cond: Condition) -> tuple[Skeleton, Callable[[int], str]]:
-    """The condition's automaton ``D`` and the value of its cycle supports.
+def support_automaton(
+    cond: Condition,
+) -> tuple[Skeleton, list[int], Callable[[int], str]]:
+    """The condition's automaton ``D``, the weights of its transitions and
+    the value of their ORs: the one valuation of transition sets.
 
-    A word is in the condition iff the support its run on ``D`` repeats
-    (the transitions seen infinitely often, a mask over ``D.transitions``)
-    is valued ``win``.  ``D`` is the parity automaton's skeleton, valued by
-    the parity of the top priority; the Muller skeleton, valued by its
-    table or predicate; or, for a discounted sum with lambda = 1/n, the gap
-    automaton: a cycle at a finite gap sums to exactly 0 and wins, a cycle
-    at top wins and a cycle at bot loses.  Other conditions have no such
-    automaton and raise :class:`PreconditionError`.
+    ``weights[i]`` is a one-bit weight of ``D.transitions[i]``.  A word is
+    in the condition iff ``value`` of the OR of the weights of the support
+    its run on ``D`` repeats (the transitions seen infinitely often) is
+    ``win``.  For a parity automaton ``D`` is its skeleton and the weight
+    is the bit of the priority's rank among the distinct priorities, so the
+    highest bit of an OR is the rank of the top priority, whose parity is
+    the value; the bits stay few however large the priorities are.
+    Otherwise the weight is the transition's own bit, so an OR is a support
+    mask of ``D``: of the Muller skeleton, valued by its table or
+    predicate, or, for a discounted sum with lambda = 1/n, of the gap
+    automaton, where a cycle at a finite gap sums to exactly 0 and wins, a
+    cycle at top wins and a cycle at bot loses.  Other conditions have no
+    such automaton and raise :class:`PreconditionError`.
     """
     if isinstance(cond, DpaCondition):
         aut = cond.automaton
         sk = aut.skeleton
         pri = [aut.priority(s, c) for s, c, _ in sk.transitions]
-        return sk, lambda mask: WIN if max(pri[i] for i in bit_indices(mask)) % 2 == 0 else LOSE
+        levels = sorted(set(pri))
+        bit = {p: 1 << r for r, p in enumerate(levels)}
+        value = lambda mask: LOSE if levels[mask.bit_length() - 1] % 2 else WIN
+        return sk, [bit[p] for p in pri], value
     if isinstance(cond, MullerCondition):
         sk = cond.skeleton
-        return sk, lambda mask: cond.support_value(frozenset(support_transitions(sk, mask)))
-    if isinstance(cond, DiscountedSumCondition) and cond.union_invariant:
+        value = lambda mask: cond.support_value(frozenset(support_transitions(sk, mask)))
+    elif isinstance(cond, DiscountedSumCondition) and cond.union_invariant:
         sk, gaps = _gap_bfs(cond.lam, cond.k)
         leaving = out_masks(sk)
         bot = sum(leaving[s] for s, g in gaps.items() if g == GAP_BOT)
-        return sk, lambda mask: LOSE if mask & bot else WIN
-    raise PreconditionError(
-        "no automaton values the cycle supports of this condition: cycle "
-        "values depend on transition sets alone only for parity, Muller and "
-        "discounted-sum conditions with lambda = 1/n"
-    )
+        value = lambda mask: LOSE if mask & bot else WIN
+    else:
+        raise PreconditionError(
+            "no automaton values the cycle supports of this condition: cycle "
+            "values depend on transition sets alone only for parity, Muller and "
+            "discounted-sum conditions with lambda = 1/n"
+        )
+    return sk, [1 << i for i in range(len(sk.transitions))], value
 
 
 # ---------------------------------------------------------------------------
@@ -530,26 +528,29 @@ def _residual_flags(
     """(some continuation wins after q1 and loses after q2, the converse).
 
     Classifies every cycle support of the pair product from (q1, q2), so the
-    cost is exponential and ``cap`` bounds it.  Parity conditions use
-    :func:`_parity_win_lose_pairs` instead.
+    cost is exponential and ``cap`` bounds it.  Each side of a support is
+    valued by projecting it onto the weights of :func:`support_automaton`
+    with one :func:`mask_map` per side, and each projection is valued once.
+    Parity conditions use :func:`_parity_win_lose_pairs` instead.
     """
-    sk = cond.skeleton
+    sk, weights, value = support_automaton(cond)
+    value = functools.cache(value)
+    weight = {(s, c): x for (s, c, _), x in zip(sk.transitions, weights)}
     pair, sides = lift(sk, sk, pair_words(sk, sk, (q1, q2)))
-    win1_lose2 = False
-    lose1_win2 = False
+    left, right = (
+        mask_map([weight[sides[s][side], c] for s, c, _ in pair.transitions])
+        for side in (0, 1)
+    )
     with cap_stage("right-congruence"):
         supports = enumerate_cycle_supports(pair, cap=cap)
+    flips = set()  # the q1-side values of the supports whose sides differ
     for mask in supports:
-        sup = support_transitions(pair, mask)
-        v1 = cond.support_value(frozenset((sides[s][0], c) for s, c in sup))
-        v2 = cond.support_value(frozenset((sides[s][1], c) for s, c in sup))
-        if v1 == WIN and v2 == LOSE:
-            win1_lose2 = True
-        elif v1 == LOSE and v2 == WIN:
-            lose1_win2 = True
-        if win1_lose2 and lose1_win2:
-            break
-    return win1_lose2, lose1_win2
+        v1 = value(left(mask))
+        if v1 != value(right(mask)):
+            flips.add(v1)
+            if len(flips) == 2:
+                break
+    return WIN in flips, LOSE in flips
 
 
 def compare_states(

@@ -126,7 +126,7 @@ class SupportAnalysis:
 
     def __init__(self, cond: Condition, sk: Skeleton, cap: int = DEFAULT_SUPPORT_CAP):
         self.skeleton = sk
-        aut, value_of = support_automaton(cond)
+        aut, weights, value_of = support_automaton(cond)
         value = functools.cache(value_of)
         extra = set(sk.alphabet) - set(aut.alphabet)
         if extra:
@@ -134,25 +134,21 @@ class SupportAnalysis:
                 f"color {min(extra, key=color_key)!r} not in the condition's alphabet"
             )
         words = pair_words(sk, aut)
-        d_bit = {(s, c): i for i, (s, c, _) in enumerate(aut.transitions)}
+        d_weight = {(s, c): x for (s, c, _), x in zip(aut.transitions, weights)}
         d_of = dict(words.keys())
         if len(d_of) == len(words):
             with cap_stage("cycle-supports"):
                 self.supports = enumerate_cycle_supports(sk, cap=cap)
-            to_d = mask_map([1 << d_bit[(d_of[s], c)] for s, c, _ in sk.transitions])
+            to_d = mask_map([d_weight[d_of[s], c] for s, c, _ in sk.transitions])
             self.value_sets = [frozenset((value(to_d(g)),)) for g in self.supports]
             self._lift = None
         else:
             lifted_sk, pair_of = lift(sk, aut, words)
             with cap_stage("lifted-supports"):
                 lifted = enumerate_cycle_supports(lifted_sk, cap=cap)
-            a_bit = {(s, c): i for i, (s, c, _) in enumerate(sk.transitions)}
-            to_a, to_d = [], []
-            for s, c, _ in lifted_sk.transitions:
-                a, d = pair_of[s]
-                to_a.append(1 << a_bit[(a, c)])
-                to_d.append(1 << d_bit[(d, c)])
-            to_a, to_d = mask_map(to_a), mask_map(to_d)
+            a_bit = {(s, c): 1 << i for i, (s, c, _) in enumerate(sk.transitions)}
+            to_a = mask_map([a_bit[pair_of[s][0], c] for s, c, _ in lifted_sk.transitions])
+            to_d = mask_map([d_weight[pair_of[s][1], c] for s, c, _ in lifted_sk.transitions])
             # support mask -> {value: index of its first lifted support of that value}
             first: dict[int, dict[str, int]] = {}
             for j, h in enumerate(lifted):
@@ -257,23 +253,6 @@ def check_cycle_consistency(
         )
     rc = right_congruence_automaton(cond, cap=cap)
     return SupportAnalysis(cond, product(m, rc), cap=cap).cycle_consistency()
-
-
-def _first_union_flip(through: list, values: list):
-    """Index pair (i, j), canonical order, whose same-value union flips value.
-
-    ``through`` must contain every support mask through the state, so every
-    union mask indexes back into it, and ``values`` holds two values at
-    most.  The masks are tested by :func:`_first_open_state` on a
-    :class:`SupportIndex` of ``through``, as the supports of one state;
-    only a failing state is scanned pairwise for the first pair.
-    """
-    width = max(through, default=0).bit_length()
-    index = SupportIndex(through, width)
-    family = sum(1 << k for k, v in enumerate(values) if v == values[0])
-    if _first_open_state(index, [(1 << width) - 1], family) is None:
-        return None
-    return _first_pair(through, values)
 
 
 def _first_open_state(index: SupportIndex, leaving: list, win: int):

@@ -27,6 +27,7 @@ from .skeletons import (
     Color,
     ParityAutomaton,
     Skeleton,
+    _scc_ids,
     transition_key,
 )
 
@@ -35,10 +36,6 @@ FORMAT = 1
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
-def _color_out(c: Color):
-    return c
 
 
 def _color_in(c) -> Color:
@@ -54,10 +51,10 @@ def skeleton_to_dict(sk: Skeleton) -> dict:
     return {
         "format": FORMAT,
         "type": "skeleton",
-        "alphabet": [_color_out(c) for c in sk.alphabet],
+        "alphabet": list(sk.alphabet),
         "states": list(sk.states),
         "init": sk.init,
-        "upd": [[s, _color_out(c), t] for s, c, t in sk.transitions],
+        "upd": [[s, c, t] for s, c, t in sk.transitions],
     }
 
 
@@ -75,7 +72,7 @@ def skeleton_from_dict(doc: Mapping) -> Skeleton:
 def automaton_to_dict(aut: ParityAutomaton) -> dict:
     doc = skeleton_to_dict(aut.skeleton)
     doc["type"] = "parity-automaton"
-    doc["priority"] = [[s, _color_out(c), p] for s, c, p in aut.priorities]
+    doc["priority"] = [[s, c, p] for s, c, p in aut.priorities]
     return doc
 
 
@@ -100,7 +97,7 @@ def arena_to_dict(arena: Arena) -> dict:
         "type": "arena",
         "states": list(arena.states),
         "owner": {s: p for s, p in arena.owners},
-        "edges": [[s, _color_out(c), t] for s, c, t in arena.edges],
+        "edges": [[s, c, t] for s, c, t in arena.edges],
     }
 
 
@@ -146,7 +143,7 @@ def condition_to_dict(cond: Condition) -> dict:
             **base,
             "kind": "muller",
             "skeleton": skeleton_to_dict(cond.skeleton),
-            "winning_supports": [[[s, _color_out(c)] for s, c in g] for g in table],
+            "winning_supports": [[[s, c] for s, c in g] for g in table],
         }
     if isinstance(cond, DiscountedSumCondition):
         return {**base, "kind": "discounted-sum", "lambda": fraction_to_pair(cond.lam), "k": cond.k}
@@ -164,14 +161,15 @@ def condition_from_dict(doc: Mapping) -> Condition:
         return DpaCondition(automaton_from_dict(doc["automaton"]))
     if kind == "muller":
         sk = skeleton_from_dict(doc["skeleton"])
-        bit = {s: 1 << i for i, s in enumerate(sk.states)}
-        arc = {(s, c): (bit[s], bit[t]) for s, c, t in sk.transitions}
+        arc = {(s, c): (s, t) for s, c, t in sk.transitions}
         table = set()
         for rows in doc["winning_supports"]:
             g = frozenset((s, _color_in(c)) for s, c in rows)
             if not g <= arc.keys():
                 raise InputError(f"winning support {rows!r} names a transition the skeleton lacks")
-            if not _strongly_connected([arc[t] for t in g]):
+            arcs = [arc[t] for t in g]
+            # a cycle support: its arcs make one nonempty strongly connected graph
+            if len(set(_scc_ids({v for a in arcs for v in a}, arcs).values())) != 1:
                 raise InputError(f"winning support {rows!r} is not a cycle support")
             table.add(g)
         return MullerCondition(skeleton=sk, winning_supports=frozenset(table))
@@ -182,26 +180,6 @@ def condition_from_dict(doc: Mapping) -> Condition:
     if kind == "total-payoff":
         return TotalPayoffCondition()
     raise InputError(f"unknown condition kind {kind!r}")
-
-
-def _strongly_connected(arcs: list[tuple[int, int]]) -> bool:
-    """Do ``arcs``, pairs of one-bit state masks, form a nonempty strongly
-    connected graph: do the states that the first source reaches forwards,
-    and those that reach it, both make up every source?"""
-    sources = 0
-    for a, _ in arcs:
-        sources |= a
-    fwd = bwd = sources & -sources
-    while True:
-        f, b = fwd, bwd
-        for tail, head in arcs:
-            if tail & fwd:
-                f |= head
-            if head & bwd:
-                b |= tail
-        if f == fwd and b == bwd:
-            return 0 < fwd == bwd == sources
-        fwd, bwd = f, b
 
 
 def _expect(doc: Mapping, typ: str):

@@ -25,10 +25,11 @@ union looked up, once per pair.
 
 The class table and the priority transfer read the supports through a
 :class:`~skelparity.skeletons.SupportIndex`, their transposed form: per
-transition, the bitset of the supports holding it.  ``synthesize`` hands
-the class table the index that its support analysis built for the
-cycle-consistency check; :func:`build_cycle_preorder` and
-:func:`assign_priorities` build their own.
+transition, the bitset of the supports holding it.  The class table is
+built from one support analysis, in :func:`synthesize` and in
+:func:`build_cycle_preorder` alike, and reads the index that the
+analysis built for its cycle-consistency check; the table carries that
+index on to :func:`assign_priorities`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from operator import or_
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .conditions import (
     Condition,
@@ -47,6 +48,7 @@ from .conditions import (
     LOSE,
     lasso_judge,
     right_congruence_automaton,
+    support_automaton,
 )
 from .consistency import SupportAnalysis, check_prefix_independence
 from .errors import (
@@ -85,6 +87,7 @@ class CycleClassTable:
 
     skeleton: Skeleton
     supports: tuple[tuple[int, str], ...]  # (support mask, value), canonical order
+    index: SupportIndex  # the transposed form of the supports
     classes: tuple[ClassEntry, ...]  # canonical order of the representatives
     class_of: dict  # support mask -> class id
     competes: frozenset  # unordered competition, stored as both (a,b),(b,a)
@@ -104,20 +107,9 @@ class CycleClassTable:
         return sorted(edges)
 
 
-def classify_supports(
-    m: Skeleton,
-    cond: Condition,
-    cap: int = DEFAULT_SUPPORT_CAP,
-) -> list[tuple[int, str]]:
-    """Label every cycle support mask of ``m`` as winning or losing, in
-    canonical order.
-
-    Values are read off the condition's automaton by the support analysis
-    of ``m``; cycle-consistency of the pair (condition, skeleton) gives
-    every support one value.  Both preconditions are checked first:
-    prefix-independence relative to ``m``, then cycle-consistency on the
-    support analysis that the values are read from.
-    """
+def _checked_analysis(m: Skeleton, cond: Condition, cap: int) -> SupportAnalysis:
+    """The support analysis of ``m``, once the preconditions that
+    :func:`classify_supports` names hold."""
     if not cond.union_invariant:
         raise PreconditionError(
             "support classification is only meaningful for conditions whose "
@@ -136,7 +128,24 @@ def classify_supports(
             "cycle classification requires cycle-consistency relative to "
             f"the skeleton; the check failed with witness {cc.witness}"
         )
-    return analysis.classified()
+    return analysis
+
+
+def classify_supports(
+    m: Skeleton,
+    cond: Condition,
+    cap: int = DEFAULT_SUPPORT_CAP,
+) -> list[tuple[int, str]]:
+    """Label every cycle support mask of ``m`` as winning or losing, in
+    canonical order.
+
+    Values are read off the condition's automaton by the support analysis
+    of ``m``; cycle-consistency of the pair (condition, skeleton) gives
+    every support one value.  Both preconditions are checked first:
+    prefix-independence relative to ``m``, then cycle-consistency on the
+    support analysis that the values are read from.
+    """
+    return _checked_analysis(m, cond, cap).classified()
 
 
 def build_cycle_preorder(
@@ -146,25 +155,20 @@ def build_cycle_preorder(
 ) -> CycleClassTable:
     """Full competition/domination analysis quotiented by equivalence.
 
-    The strict order on classes is verified to be irreflexive and
-    transitive; a violation falsifies the consistency preconditions and
-    raises an internal-consistency error naming the offending classes.
+    The preconditions are checked as by :func:`classify_supports`.  The
+    strict order on classes is verified to be irreflexive and transitive; a
+    violation falsifies the consistency preconditions and raises an
+    internal-consistency error naming the offending classes.
     """
-    classified = classify_supports(m, cond, cap=cap)
-    return _class_table(m, classified, _index(m, classified))
+    return _class_table(_checked_analysis(m, cond, cap))
 
 
-def _index(m: Skeleton, classified: Sequence[tuple[int, str]]) -> SupportIndex:
-    """The index of the classified support masks of ``m``."""
-    return SupportIndex([g for g, _ in classified], len(m.transitions))
-
-
-def _class_table(
-    m: Skeleton, classified: Sequence[tuple[int, str]], index: SupportIndex
-) -> CycleClassTable:
+def _class_table(analysis: SupportAnalysis) -> CycleClassTable:
     """The class table of :func:`build_cycle_preorder` from the support
-    masks of ``m`` already classified, in canonical order, and their
-    :class:`~skelparity.skeletons.SupportIndex`.
+    analysis of a skeleton ``m``: its supports, classified in canonical
+    order by :meth:`~skelparity.consistency.SupportAnalysis.classified`,
+    and their :class:`~skelparity.skeletons.SupportIndex`, which the table
+    keeps for the priority transfer.
 
     Precondition: the pair (condition, ``m``) that classified them is
     cycle-consistent, as both callers check first.  So the union of two
@@ -182,6 +186,9 @@ def _class_table(
     value of g1 | g2 | zeta.  A support is below every support that
     dominates it, and below every support that dominates one of those.
     """
+    m = analysis.skeleton
+    classified = analysis.classified()
+    index = analysis.index
     masks = [g for g, _ in classified]
     index_of = {g: i for i, g in enumerate(masks)}
     wins = [value == WIN for _, value in classified]
@@ -258,6 +265,7 @@ def _class_table(
     return CycleClassTable(
         skeleton=m,
         supports=tuple(classified),
+        index=index,
         classes=tuple(
             ClassEntry(ids[c], masks[r], classified[r][1], tuple(masks[i] for i in classes[c]))
             for c, r in enumerate(reps)
@@ -337,13 +345,14 @@ def assign_priorities(
     receive the least class number reachable from their target (their
     priority never matters in the limit since they occur finitely often).
 
-    Read off the :class:`~skelparity.skeletons.SupportIndex` of the
-    table's supports: the supports strictly inside support ``k`` are
+    Read off ``table.index``, the
+    :class:`~skelparity.skeletons.SupportIndex` of the table's supports:
+    the supports strictly inside support ``k`` are
     ``~not_inside(k)`` without ``k``, and ``k`` is minimal for a transition
     ``t`` of it iff none of them is in ``col[t]``.
     """
     validate_extension(table, pgamma)
-    index = _index(m, table.supports)
+    index = table.index
     transitions = [(s, c) for s, c, _ in m.transitions]
     transient = tuple(t for t, col in zip(transitions, index.col) if not col)
     if transient and not allow_transient:
@@ -476,23 +485,18 @@ def _verify(
     automaton's skeleton.  A support of two values is a mismatch, reported
     with the value that the top priority's parity contradicts."""
     sk = out.skeleton
-    pri = [out.priority(s, c) for s, c, _ in sk.transitions]
-    # the top priority of a support is the highest bit of the OR of its
-    # transitions' bits: the rank of each priority among the distinct ones,
-    # so the bits stay few however large the priorities are
-    levels = sorted(set(pri))
-    rank = {p: r for r, p in enumerate(levels)}
-    top_of = mask_map([1 << rank[p] for p in pri])
+    _, weights, parity_of = support_automaton(DpaCondition(out))
+    to_parity = mask_map(weights)
     support_mismatch = None
     n_supports = 0
     for sup, values in zip(analysis.supports, analysis.value_sets):
         n_supports += 1
-        top = levels[top_of(sup).bit_length() - 1]
-        parity = WIN if top % 2 == 0 else LOSE
+        parity = parity_of(to_parity(sup))
         if values != {parity}:
+            transitions = support_transitions(sk, sup)
             support_mismatch = {
-                "support": [list(t) for t in support_transitions(sk, sup)],
-                "max_priority": top,
+                "support": [list(t) for t in transitions],
+                "max_priority": out.max_support_priority(transitions),
                 "oracle": LOSE if parity == WIN else WIN,
             }
             break
@@ -567,7 +571,7 @@ def synthesize(
     cc = analysis.cycle_consistency()
     if not cc.passed:
         raise SynthesisStageError("cycle-consistency", cc.witness)
-    table = _class_table(base, analysis.classified(), analysis.index)
+    table = _class_table(analysis)
     pgamma = linear_extension(table)
     automaton = assign_priorities(base, table, pgamma, allow_transient=allow_transient)
     # the automaton's skeleton is ``base``, the skeleton of the analysis

@@ -571,8 +571,9 @@ _TWO_STATE_AB = {**_TRIVIAL_AB, "states": ["m0", "m1"],
         (_TRIVIAL_AB, [[["m0", "z"]]], "[['m0', 'z']]"),
         (_TRIVIAL_AB, [[]], "[]"),
         (_TWO_STATE_AB, [[["m0", "b"]], [["m0", "a"]]], "[['m0', 'a']]"),
+        (_TWO_STATE_AB, [[["m0", "b"], ["m1", "b"]]], "[['m0', 'b'], ['m1', 'b']]"),
     ],
-    ids=["unknown-transition", "empty-row", "not-strongly-connected"],
+    ids=["unknown-transition", "empty-row", "not-strongly-connected", "disjoint-self-loops"],
 )
 def test_cli_muller_rows_must_be_cycle_supports(tmp_path, capsys, skeleton, rows, named):
     cond = tmp_path / "cond.json"

@@ -19,14 +19,15 @@ from skelparity import (
 )
 from skelparity.consistency import (
     SupportAnalysis,
-    _first_union_flip,
+    _first_open_state,
+    _first_pair,
     check_cycle_consistency,
     check_prefix_independence,
     mp_counterexample_report,
 )
 from skelparity.conditions import MeanPayoffCondition
 from skelparity.errors import InputError
-from skelparity.skeletons import support_transitions
+from skelparity.skeletons import SupportIndex, support_transitions
 
 from conftest import (
     ABC,
@@ -286,6 +287,23 @@ def _first_flip_by_definition(masks, values):
             if values[i] == values[j] and value_of[masks[i] | masks[j]] != values[i]:
                 return i, j
     return None
+
+
+def _first_union_flip(through: list, values: list):
+    """Index pair (i, j), canonical order, whose same-value union flips value.
+
+    ``through`` must contain every support mask through the state, so every
+    union mask indexes back into it, and ``values`` holds two values at
+    most.  The masks are tested by ``_first_open_state`` on a
+    ``SupportIndex`` of ``through``, as the supports of one state; only a
+    failing state is scanned pairwise for the first pair.
+    """
+    width = max(through, default=0).bit_length()
+    index = SupportIndex(through, width)
+    family = sum(1 << k for k, v in enumerate(values) if v == values[0])
+    if _first_open_state(index, [(1 << width) - 1], family) is None:
+        return None
+    return _first_pair(through, values)
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,6 +6,8 @@ import io
 import json
 from contextlib import redirect_stdout
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,10 +28,11 @@ from skelparity.conditions import (
     Lasso,
     lasso_value,
     right_congruence_automaton,
+    support_automaton,
 )
 from skelparity.consistency import SupportAnalysis, check_cycle_consistency
 from skelparity.serialize import canonical_json, condition_to_dict, skeleton_to_dict
-from skelparity.skeletons import enumerate_cycle_supports, support_transitions
+from skelparity.skeletons import bit_indices, enumerate_cycle_supports, support_transitions
 from skelparity.synthesis import SynthesisStageError, synthesize
 
 import lasso_oracle
@@ -132,6 +135,44 @@ def test_ds_support_values_match_lassos(pair):
         _check_against_lassos(cond, m, max_prefix=2, max_period=4)
     else:
         _check_against_lassos(cond, m, max_prefix=1, max_period=3)
+
+
+# -- the one valuation of transition sets ------------------------------------------
+
+
+def _check_valuation(cond, reference):
+    """``support_automaton`` weighs every transition of ``D`` by one bit,
+    and its value of the OR of the weights over each cycle support of ``D``
+    is ``reference`` of that support's transition set."""
+    sk, weights, value = support_automaton(cond)
+    assert len(weights) == len(sk.transitions)
+    assert all(w.bit_count() == 1 for w in weights)
+    for g in enumerate_cycle_supports(sk):
+        ored = reduce(or_, (weights[i] for i in bit_indices(g)))
+        assert value(ored) == reference(frozenset(support_transitions(sk, g)))
+
+
+@st.composite
+def _sparse_dpas(draw):
+    """A DPA over {a, b} with 1 to 4 states, its priorities drawn from up
+    to four levels in [0, 10**6]."""
+    sk = draw(_skeletons("ab", 4, prefix="q"))
+    levels = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+    pri = {(s, c): draw(st.sampled_from(levels)) for s, c, _ in sk.transitions}
+    return DpaCondition(ParityAutomaton.make(sk, pri))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_dpas())
+def test_parity_valuation_is_the_parity_of_the_top_priority(cond):
+    aut = cond.automaton
+    _check_valuation(cond, lambda sup: WIN if aut.max_support_priority(sup) % 2 == 0 else LOSE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_muller_tables())
+def test_muller_valuation_is_the_table(cond):
+    _check_valuation(cond, cond.support_value)
 
 
 # -- the two-valued support witness ------------------------------------------------
