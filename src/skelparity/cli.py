@@ -55,6 +55,19 @@ def parse_fraction(text: str) -> Fraction:
         raise InputError(f"not a fraction: {text!r}") from None
 
 
+def _fraction_text(q: Fraction, option: str) -> str:
+    """``q`` as text, or an :class:`InputError` naming the ``option`` that
+    made it too long: the interpreter writes out no integer of more than
+    ``sys.get_int_max_str_digits()`` digits."""
+    try:
+        return str(q)
+    except ValueError:
+        raise InputError(
+            f"{option} too large: the result has an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def parse_word(text: str) -> tuple:
     if text == "":
         return ()
@@ -319,9 +332,9 @@ def _cmd_ds_greedy(args):
     return rep.done(
         **{"lambda": [args.lam.numerator, args.lam.denominator]},
         k=args.k,
-        x=str(x),
+        x=_fraction_text(x, "--x"),
         digits=list(digits),
-        remainder=str(remainder),
+        remainder=_fraction_text(remainder, "--digits"),
     )
 
 
@@ -337,7 +350,7 @@ def _cmd_ds_gaps(args):
         exit_code=0 if ok else 1,
         **{"lambda": [args.lam.numerator, args.lam.denominator]},
         terms=args.terms,
-        gaps=[str(g) for g in seq["gaps"]],
+        gaps=[_fraction_text(g, "--terms") for g in seq["gaps"]],
         colors=seq["colors"],
         checks={
             "denominators_are_powers": seq["denominators_are_powers"],
@@ -403,14 +416,14 @@ def _add_cap(p):
     p.add_argument("--cap", type=int, default=DEFAULT_SUPPORT_CAP)
 
 
-def _add_seeded(p, samples_default=1000):
+def _add_seeded(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=samples_default)
+    p.add_argument("--samples", type=int, default=1000)
 
 
-def _add_lambda_k(p, k_required=True):
+def _add_lambda_k(p):
     p.add_argument("--lambda", dest="lam", type=parse_fraction, required=True)
-    p.add_argument("--k", type=int, required=k_required)
+    p.add_argument("--k", type=int, required=True)
 
 
 @functools.cache

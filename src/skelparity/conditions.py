@@ -121,7 +121,13 @@ def sees_all_colors_condition(alphabet: Iterable[Color], needed: Iterable[Color]
 @dataclass(frozen=True)
 class DiscountedSumCondition:
     """Words whose discounted sum with factor ``lam`` is >= 0; colors are
-    the integers in [-k, k]."""
+    the integers in [-k, k].
+
+    The one place that decides what a pair (lambda, k) allows: building
+    the condition is the only check of ``0 < lambda < 1`` and ``k >= 0``
+    behind every entry point that takes both, and :attr:`finite_index` the
+    only test of whether the gap automaton exists.
+    """
 
     lam: Fraction
     k: int
@@ -137,10 +143,15 @@ class DiscountedSumCondition:
         return tuple(range(-self.k, self.k + 1))
 
     @property
+    def finite_index(self) -> bool:
+        """Whether the right congruence has finitely many classes: lambda =
+        1/n (integer gaps), or k below :func:`ds_frontier` (three classes)."""
+        return self.lam.numerator == 1 or self.k < ds_frontier(self.lam)
+
+    @property
     def union_invariant(self) -> bool:
-        # Safe support-based reasoning is justified only for lambda = 1/n,
-        # where cycle values on the gap automaton depend on states alone.
-        return self.lam.numerator == 1
+        # on the gap automaton, cycle values depend on states alone
+        return self.finite_index
 
     @property
     def max_ds(self) -> Fraction:
@@ -260,9 +271,7 @@ def gap(word: Sequence[int], lam: Fraction, k: int) -> GapValue:
     The clamp applies to the empty word as well: with k = 0 every word sits
     at the inclusive top boundary already.
     """
-    if not (0 < lam < 1):
-        raise InputError("discount factor must satisfy 0 < lambda < 1")
-    g = _clamp_gap(Fraction(0), Fraction(k) / (1 - lam))
+    g = _clamp_gap(Fraction(0), DiscountedSumCondition(lam, k).max_ds)
     for c in word:
         g = gap_step(g, c, lam, k)
     return g
@@ -277,12 +286,19 @@ def ds_frontier(lam: Fraction) -> int:
     return -(-(q - p) // p)
 
 
-def _gap_bfs(lam: Fraction, k: int) -> tuple[Skeleton, dict[State, GapValue]]:
+def _gap_bfs(cond: DiscountedSumCondition) -> tuple[Skeleton, dict[State, GapValue]]:
     """Breadth-first exploration of the gaps reachable from the empty word
-    under :func:`gap_step`; states are named by their gap.  Terminates only
-    when finitely many gaps are reachable."""
-    if not (0 < lam < 1):
-        raise InputError("discount factor must satisfy 0 < lambda < 1")
+    under :func:`gap_step`; states are named by their gap.  The search ends
+    only when finitely many gaps are reachable, so it refuses a condition
+    without :attr:`~DiscountedSumCondition.finite_index` up front: this is
+    the one place that raises :class:`InfiniteIndexError`."""
+    lam, k = cond.lam, cond.k
+    if not cond.finite_index:
+        raise InfiniteIndexError(
+            "the right congruence of this discounted-sum condition has "
+            f"infinite index (lambda={lam} is not 1/n and k={k} >= ceil(1/lambda - 1)); "
+            "no finite-state automaton exists"
+        )
     alphabet = range(-k, k + 1)
     upd: dict[Transition, State] = {}
 
@@ -439,10 +455,11 @@ def support_automaton(
     the value; the bits stay few however large the priorities are.
     Otherwise the weight is the transition's own bit, so an OR is a support
     mask of ``D``: of the Muller skeleton, valued by its table or
-    predicate, or, for a discounted sum with lambda = 1/n, of the gap
-    automaton, where a cycle at a finite gap sums to exactly 0 and wins, a
-    cycle at top wins and a cycle at bot loses.  Other conditions have no
-    such automaton and raise :class:`PreconditionError`.
+    predicate, or, for a discounted sum with a finite gap automaton
+    (:attr:`DiscountedSumCondition.finite_index`), of that automaton, where
+    a cycle at a finite gap sums to exactly 0 and wins, a cycle at top wins
+    and a cycle at bot loses.  Other conditions have no such automaton and
+    raise :class:`PreconditionError`.
     """
     if isinstance(cond, DpaCondition):
         aut = cond.automaton
@@ -455,8 +472,8 @@ def support_automaton(
     if isinstance(cond, MullerCondition):
         sk = cond.skeleton
         value = lambda mask: cond.support_value(frozenset(support_transitions(sk, mask)))
-    elif isinstance(cond, DiscountedSumCondition) and cond.union_invariant:
-        sk, gaps = _gap_bfs(cond.lam, cond.k)
+    elif isinstance(cond, DiscountedSumCondition) and cond.finite_index:
+        sk, gaps = _gap_bfs(cond)
         leaving = out_masks(sk)
         bot = sum(leaving[s] for s, g in gaps.items() if g == GAP_BOT)
         value = lambda mask: LOSE if mask & bot else WIN
@@ -464,7 +481,7 @@ def support_automaton(
         raise PreconditionError(
             "no automaton values the cycle supports of this condition: cycle "
             "values depend on transition sets alone only for parity, Muller and "
-            "discounted-sum conditions with lambda = 1/n"
+            "discounted-sum conditions with a finite gap automaton"
         )
     return sk, [1 << i for i in range(len(sk.transitions))], value
 
@@ -672,14 +689,7 @@ def right_congruence_automaton(
         )
 
     if isinstance(cond, DiscountedSumCondition):
-        lam, k = cond.lam, cond.k
-        if lam.numerator != 1 and k >= ds_frontier(lam):
-            raise InfiniteIndexError(
-                "the right congruence of this discounted-sum condition has "
-                f"infinite index (lambda={lam} is not 1/n and k={k} >= ceil(1/lambda - 1)); "
-                "no finite-state automaton exists"
-            )
-        return _gap_bfs(lam, k)[0]
+        return _gap_bfs(cond)[0]
 
     raise PreconditionError(
         "right congruence automaton supported for automaton-backed and "

@@ -5,7 +5,9 @@ For the threshold condition "discounted sum >= 0" over integer colors in
 captured by its gap (discounted sum rescaled to the present).  The gap
 state space is finite exactly when k < 1/lambda - 1 (three classes) or
 lambda = 1/n (integer gaps); otherwise the class count is infinite, which
-this module also demonstrates constructively.
+this module also demonstrates constructively.  Every entry point taking
+(lambda, k) builds a :class:`DiscountedSumCondition`, which checks the
+pair and decides that rule (``finite_index``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .conditions import (
     WIN,
     LOSE,
 )
-from .errors import InfiniteIndexError, InputError
+from .errors import InputError
 from .skeletons import Skeleton, State
 
 
@@ -39,22 +41,18 @@ class DsClassification:
 def classify_ds(lam: Fraction, k: int) -> DsClassification:
     """Decide whether the gap space is finite, and how.
 
-    Three classes when k < 1/lambda - 1 (the first non-zero color settles
-    the game); finitely many integer gaps when lambda = 1/n; infinitely many
-    values otherwise.
+    Three classes when k < 1/lambda - 1: the first non-zero color settles
+    the game, so 0 is the only finite gap and the gap automaton has at most
+    three states.  Otherwise finitely many integer gaps when lambda = 1/n,
+    and so at least 0, -1/lambda, top and bot; infinitely many values for
+    every other pair (:attr:`DiscountedSumCondition.finite_index`).
     """
-    lam = Fraction(lam)
-    if not (0 < lam < 1):
-        raise InputError("discount factor must satisfy 0 < lambda < 1")
-    if k < 0:
-        raise InputError("k must be a natural number")
-    if k < ds_frontier(lam):
-        sk, _ = _gap_bfs(lam, k)
-        return DsClassification(lam, k, "three-class", states=len(sk.states))
-    if lam.numerator == 1:
-        sk, _ = _gap_bfs(lam, k)
-        return DsClassification(lam, k, "finite-gap", states=len(sk.states))
-    return DsClassification(lam, k, "infinite-index")
+    cond = DiscountedSumCondition(Fraction(lam), k)
+    if not cond.finite_index:
+        return DsClassification(cond.lam, k, "infinite-index")
+    states = len(_gap_bfs(cond)[0].states)
+    verdict = "three-class" if states <= 3 else "finite-gap"
+    return DsClassification(cond.lam, k, verdict, states=states)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,19 +74,13 @@ def gap_automaton(lam: Fraction, k: int) -> GapAutomaton:
 
     States are the reachable gaps from 0 (top/bot absorbing); an infinite
     word is winning exactly when its run never reaches bot.  Equals the
-    right-congruence automaton of the condition up to state relabeling.
+    right-congruence automaton of the condition up to state relabeling,
+    and like it raises :class:`InfiniteIndexError` for a pair without
+    finite index.
     """
-    lam = Fraction(lam)
-    if k < 0:
-        raise InputError("k must be a natural number")
-    if lam.numerator != 1 and k >= ds_frontier(lam):
-        raise InfiniteIndexError(
-            f"gap automaton does not exist: lambda={lam} is not 1/n and "
-            f"k={k} >= ceil(1/lambda - 1) = {ds_frontier(lam)}, "
-            "so the gap function takes infinitely many values"
-        )
-    sk, gaps = _gap_bfs(lam, k)
-    return GapAutomaton(skeleton=sk, lam=lam, k=k, gaps=gaps)
+    cond = DiscountedSumCondition(Fraction(lam), k)
+    sk, gaps = _gap_bfs(cond)
+    return GapAutomaton(skeleton=sk, lam=cond.lam, k=k, gaps=gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +98,8 @@ def greedy_expansion(
     exact remainder ``x - sum(digit_i * lam^i)``; its magnitude obeys the
     tail bound ``(k / (1 - lam)) * lam^n_digits``.
     """
-    x = Fraction(x)
-    lam = Fraction(lam)
-    if not (0 < lam < 1):
-        raise InputError("discount factor must satisfy 0 < lambda < 1")
+    x, cond = Fraction(x), DiscountedSumCondition(Fraction(lam), k)
+    lam = cond.lam
     if n_digits < 0:
         raise InputError("n_digits must be a natural number")
     if k < ds_frontier(lam):
@@ -117,7 +107,7 @@ def greedy_expansion(
             f"digit bound too small: need k >= ceil(1/lambda - 1) = "
             f"{ds_frontier(lam)}"
         )
-    bound = Fraction(k) / (1 - lam)
+    bound = cond.max_ds
     if not (-bound <= x <= bound):
         raise InputError(f"x must lie in [{-bound}, {bound}]")
     if x < 0:
@@ -196,24 +186,25 @@ class DsDemoReport:
         return self.consistent == self.samples and not self.failures
 
 
+_SIGN_CHECK_ROUNDS = 64
+
+
 def _interval_sign_check(
     prefix: Sequence[int],
     chunks: Sequence[Sequence[int]],
-    lam: Fraction,
-    k: int,
+    cond: DiscountedSumCondition,
     expect: str,
-    max_rounds: int = 64,
 ) -> str:
     """Confine the discounted sum of prefix . chunk1 chunk2 ... to an
     interval and compare against the expected side of 0.
 
     Returns "confirmed", "unrefuted" (non-strict side, interval still
-    straddles 0 after max_rounds) or "violated".
+    straddles 0 after ``_SIGN_CHECK_ROUNDS`` chunks) or "violated".
     """
-    bound = Fraction(k) / (1 - lam)
+    lam, bound = cond.lam, cond.max_ds
     word: list[int] = list(prefix)
     i = 0
-    for _ in range(max_rounds):
+    for _ in range(_SIGN_CHECK_ROUNDS):
         word += list(chunks[i % len(chunks)])
         i += 1
         partial = discounted_sum(word, lam)
@@ -244,13 +235,11 @@ def ds_cycle_consistency_demo(
     resolve; winning families may sit exactly on the threshold, in which
     case the check reports them unrefuted at the exploration depth.
     """
-    lam = Fraction(lam)
-    if not (0 < lam < 1):
-        raise InputError("discount factor must satisfy 0 < lambda < 1")
+    cond = DiscountedSumCondition(Fraction(lam), k)
     if samples < 0:
         raise InputError("samples must be a natural number")
-    alphabet = list(range(-k, k + 1))
-    judge = lasso_judge(DiscountedSumCondition(lam, k), alphabet)
+    alphabet = list(cond.alphabet)
+    judge = lasso_judge(cond, alphabet)
 
     def value(prefix, period):  # color c is index c + k of the alphabet
         return judge([c + k for c in prefix], [c + k for c in period])
@@ -276,7 +265,7 @@ def ds_cycle_consistency_demo(
             continue
         order = [rng.randrange(len(family)) for _ in range(16)]
         chunks = [family[j] for j in order]
-        outcome = _interval_sign_check(prefix, chunks, lam, k, target)
+        outcome = _interval_sign_check(prefix, chunks, cond, target)
         if outcome == "confirmed":
             consistent += 1
             strict += 1

@@ -215,7 +215,11 @@ def _zielonka(sub: Subdivision, alive: set) -> tuple[dict, dict]:
     its chosen successor, of the subdivision restricted to ``alive``: the
     recursive attractor decomposition.  Nodes outside ``alive`` are never
     visited, and nodes are compared only by ``sorted``, ``min`` and set
-    membership."""
+    membership.  Every node a player owns in its own region has an entry
+    in that player's strategy: by induction, the first branch fills in the
+    player's other nodes, and the second takes the strategies of both
+    subgames and of the escape attractor, which cover the opponent's
+    region."""
     succ, pri, owner, preds = sub.succ, sub.pri, sub.owner, sub.preds
 
     def attractor(alive: set, target: set, player: int):
@@ -272,16 +276,6 @@ def _zielonka(sub: Subdivision, alive: set) -> tuple[dict, dict]:
     return zielonka(alive)
 
 
-def _move(sub: Subdivision, regions: dict, strats: dict, player: int, v: int) -> int:
-    """The midpoint ``player`` moves to from its node ``v`` of its region:
-    the solver's choice or, inside an attractor layer never queried, the
-    least successor staying in the region, which preserves the win."""
-    chosen = strats[player].get(v)
-    if chosen is None:
-        chosen = min(w for w in sub.succ[v] if w in regions[player])
-    return chosen
-
-
 def solve_parity(g: ParityGame) -> Solution:
     """Exact regions and uniform positional strategies for both players.
 
@@ -300,8 +294,7 @@ def solve_parity(g: ParityGame) -> Solution:
     for player in (1, 2):
         for i in range(n):
             if sub.owner[i] == player and i in regions[player]:
-                chosen = _move(sub, regions, strats, player, i)
-                out_strategy[player][g.states[i]] = g.edges[chosen - n]
+                out_strategy[player][g.states[i]] = g.edges[strats[player][i] - n]
     return Solution(regions=out_regions, strategy=out_strategy)
 
 
@@ -390,16 +383,15 @@ def verify_strategy(
     if not offenders:
         return StrategyReport(passed=True, region_size=len(region))
 
-    start = min(offenders, key=lambda i: _gstate_key(game.states[i]))
-    walk = start
+    start = walk = offenders[0]
     seen: dict = {}
     colors: list[Color] = []
     while walk not in seen:
         seen[walk] = len(colors)
         if sub.owner[walk] == opponent and walk in regions[opponent]:
-            e = edges[_move(sub, regions, strats, opponent, walk) - n]
+            e = edges[strats[opponent][walk] - n]
         else:
-            e = min((edges[w - n] for w in sub.succ[walk] if w in alive), key=_gedge_key)
+            e = edges[min(w for w in sub.succ[walk] if w in alive) - n]
         colors.append(e[1])
         walk = sub.index[e[2]]
     cut = seen[walk]

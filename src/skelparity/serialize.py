@@ -199,6 +199,8 @@ def load_document(path: str):
             raise InputError(f"{path}: not valid JSON ({exc})") from None
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text ({exc})") from None
+        except ValueError as exc:  # an integer too long to convert from text
+            raise InputError(f"{path}: number too long to read ({exc})") from None
     loaders = {
         "skeleton": skeleton_from_dict,
         "parity-automaton": automaton_from_dict,

@@ -387,7 +387,7 @@ def test_cli_cap_exit_names_its_stage(files, tmp_path, argv, stage, contrast_mul
     [
         {"kind": "mean-payoff"},
         {"kind": "total-payoff"},
-        {"kind": "discounted-sum", "lambda": [2, 5], "k": 1},
+        {"kind": "discounted-sum", "lambda": [2, 5], "k": 2},
     ],
 )
 def test_cli_verify_refuses_conditions_without_automaton(tmp_path, condition):
@@ -546,12 +546,20 @@ def test_cli_malformed_documents_exit_2(tmp_path, command, doc):
         ("ds", "gap-automaton", "--lambda", "1/2", "--k", "1", "--out", "{dir}"),
         ("skel", "supports", "--skeleton", "{bytes}"),
         ("skel", "supports", "--skeleton", "{missing}"),
+        ("skel", "supports", "--skeleton", "{huge}"),
     ],
-    ids=["directory-input", "directory-out", "not-utf8", "missing-file"],
+    ids=["directory-input", "directory-out", "not-utf8", "missing-file", "oversized-integer"],
 )
 def test_cli_unreadable_paths_exit_2(tmp_path, capsys, argv):
     (tmp_path / "bytes.json").write_bytes(b"\xff\xfe")
-    paths = {"dir": tmp_path, "bytes": tmp_path / "bytes.json", "missing": tmp_path / "none.json"}
+    # json.load refuses an integer of more than 4,300 digits, and so does
+    # json.dumps: the color is written out by hand
+    (tmp_path / "huge.json").write_text(
+        json.dumps({**_TRIVIAL_A, "alphabet": ["C"], "upd": [["m0", "C", "m0"]]})
+        .replace('"C"', "9" * 5000)
+    )
+    paths = {"dir": tmp_path, "bytes": tmp_path / "bytes.json", "missing": tmp_path / "none.json",
+             "huge": tmp_path / "huge.json"}
     out, code = run_cli(*(a.format(**paths) for a in argv))
     assert code == 2
     report = json.loads(out)
@@ -687,6 +695,83 @@ def test_cli_ds_commands():
         "ds", "demo-cc", "--lambda", "1/2", "--k", "2", "--samples", "20"
     )
     assert code == 0 and json.loads(out)["consistent"] == 20
+
+
+@pytest.mark.parametrize("lam", ["0", "1", "3/2", "-1/2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ds", "classify", "--k", "1"),
+        ("ds", "gap-automaton", "--k", "1"),
+        ("ds", "greedy", "--k", "1", "--x", "0", "--digits", "2"),
+        ("ds", "demo-cc", "--k", "1", "--samples", "2"),
+    ],
+    ids=["classify", "gap-automaton", "greedy", "demo-cc"],
+)
+def test_cli_ds_lambda_out_of_range_exits_2(capsys, lam, argv):
+    # gap-automaton at lambda = 0 used to divide by zero, and at 3/2 or
+    # -1/2 to report infinitely many gap values
+    out, code = run_cli(*argv, f"--lambda={lam}")
+    assert code == 2
+    assert json.loads(out) == {
+        "format": 1, "error": "discount factor must satisfy 0 < lambda < 1"
+    }
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_infinite_index_has_one_text(tmp_path):
+    cond = tmp_path / "cond.json"
+    cond.write_text(canonical_json(condition_to_dict(DiscountedSumCondition(Fraction(2, 3), 1))))
+    rc, rc_code = run_cli("cond", "rc-automaton", "--condition", str(cond))
+    gap, gap_code = run_cli("ds", "gap-automaton", "--lambda", "2/3", "--k", "1")
+    assert rc_code == gap_code == 2
+    assert rc == gap
+    assert "infinite index" in json.loads(rc)["error"]
+
+
+def test_cli_three_class_discounted_sums_verify(tmp_path):
+    # below the frontier the gap automaton values cycle supports too
+    cond = tmp_path / "cond.json"
+    cond.write_text(canonical_json(condition_to_dict(DiscountedSumCondition(Fraction(2, 5), 1))))
+    sk = tmp_path / "sk.json"
+    sk.write_text(canonical_json(skeleton_to_dict(trivial_skeleton([-1, 0, 1]))))
+    aut = tmp_path / "aut.json"
+    out, code = run_cli("synthesize", "--condition", str(cond), "--skeleton", str(sk),
+                        "--allow-transient", "--samples", "200", "--out", str(aut))
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+    out, code = run_cli("verify", "--automaton", str(aut), "--condition", str(cond))
+    assert code == 0 and json.loads(out)["lassos_checked"] == 1000
+
+
+# lambda = (10**100 - 1) / 10**100: the i-th gap has the denominator
+# (10**100 - 1)**i, which has 100 * i digits
+_SLOW_DISCOUNT = f"{10**100 - 1}/{10**100}"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("ds", "gaps", "--lambda", _SLOW_DISCOUNT, "--terms", "{n}"), "--terms"),
+        (("ds", "greedy", "--lambda", "1/2", "--k", "1", "--x", "1/3", "--digits", "{n}"),
+         "--digits"),
+        (("ds", "greedy", "--lambda", "1/2", "--k", "1", "--x", "1e-{n}", "--digits", "1"),
+         "--x"),
+    ],
+    ids=["gaps", "greedy-digits", "greedy-x"],
+)
+def test_cli_ds_results_too_long_to_write_exit_2(capsys, argv, option):
+    # the last count whose result the interpreter still writes out, and
+    # the first whose result it does not (4,300 digits at most)
+    last, first = {"--terms": (43, 44), "--digits": (14284, 14285), "--x": (4299, 4300)}[option]
+    out, code = run_cli(*(a.format(n=last) for a in argv))
+    assert code == 0
+    out, code = run_cli(*(a.format(n=first) for a in argv))
+    assert code == 2
+    assert json.loads(out) == {
+        "format": 1,
+        "error": f"{option} too large: the result has an integer of more than 4300 digits",
+    }
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_demo_mp():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from skelparity import DiscountedSumCondition, Lasso, lasso_value
 from skelparity.conditions import (
     ds_frontier,
+    gap,
     right_congruence_automaton,
 )
 from skelparity.discounting import (
@@ -52,6 +53,35 @@ def test_ds_frontier_is_ceil_of_inverse_minus_one(lam):
     for k in range(12):
         assert (k < ds_frontier(lam)) == (k < 1 / lam - 1)
         assert (k >= ds_frontier(lam)) == (k >= math.ceil(1 / lam - 1))
+
+
+def test_classification_follows_finite_index():
+    lambdas = ["1/2", "1/3", "1/4", "2/5", "2/3", "3/4", "5/7", "1/10", "2/7", "3/10"]
+    for lam, k in itertools.product(map(Fraction, lambdas), range(5)):
+        cond = DiscountedSumCondition(lam, k)
+        assert cond.finite_index == (lam.numerator == 1 or k < 1 / lam - 1), (lam, k)
+        got = classify_ds(lam, k)
+        assert (got.verdict == "infinite-index") == (not cond.finite_index), (lam, k)
+        if got.verdict != "infinite-index":
+            three = k < 1 / lam - 1
+            assert got.verdict == ("three-class" if three else "finite-gap"), (lam, k)
+            assert got.states == len(gap_automaton(lam, k).skeleton.states)
+
+
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)])
+def test_every_entry_point_checks_the_discount_range(lam):
+    calls = [
+        lambda: DiscountedSumCondition(lam, 1),
+        lambda: gap([1], lam, 1),
+        lambda: classify_ds(lam, 1),
+        lambda: gap_automaton(lam, 1),
+        lambda: greedy_expansion(Fraction(0), lam, 1, 2),
+        lambda: ds_cycle_consistency_demo(lam, 1, 2),
+        lambda: infinite_gap_sequence(lam, 2),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="0 < lambda < 1"):
+            call()
 
 
 def test_classification_boundaries():

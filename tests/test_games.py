@@ -194,6 +194,33 @@ def test_solver_strategies_win_for_their_player():
             assert not (res.regions[3 - player] & region)
 
 
+def test_solver_strategies_cover_their_regions():
+    # every node a player owns in its own region has a move in that
+    # player's strategy, into the region, on full games and with moves left
+    # out as the strategy check leaves them out: solve_parity and
+    # verify_strategy look the moves up with no fallback
+    from skelparity.games import _zielonka
+
+    covered = 0
+    for seed in range(300):
+        rng = random.Random(3000 + seed)
+        sub = _random_game(rng).subdivision
+        full = set(range(len(sub.succ)))
+        restricted = set(full)
+        for v in range(len(sub.index)):
+            restricted -= set(rng.sample(sub.succ[v], rng.randrange(len(sub.succ[v]))))
+        for alive in (full, restricted):
+            regions, strats = _zielonka(sub, alive)
+            assert regions[1] | regions[2] == alive
+            for player in (1, 2):
+                for v in regions[player]:
+                    if sub.owner[v] == player:
+                        assert strats[player][v] in regions[player]
+                        assert strats[player][v] in sub.succ[v]
+                        covered += 1
+    assert covered > 3000
+
+
 def test_brute_force_caps():
     states = [f"s{i}" for i in range(13)]
     g = ParityGame.make(

@@ -119,16 +119,28 @@ def test_muller_support_values_match_lassos(cond, m):
     _check_against_lassos(cond, m, max_prefix=3, max_period=6)
 
 
+# below the frontier k < 1/lambda - 1, where the gap automaton has the
+# three states top, 0 and bot (top alone when k = 0)
+_THREE_CLASS = st.sampled_from(
+    [(Fraction(2, 5), 0), (Fraction(2, 5), 1), (Fraction(2, 3), 0), (Fraction(3, 4), 0),
+     (Fraction(5, 7), 0), (Fraction(2, 7), 1), (Fraction(3, 10), 1)]
+)
+
+
 @st.composite
 def _ds_pairs(draw):
-    lam = Fraction(1, draw(st.sampled_from([2, 3])))
-    k = draw(st.integers(1, 2))
+    """A discounted sum with a finite gap automaton, lambda = 1/2 or 1/3
+    with k = 1 or 2 or a three-class pair, and a skeleton over its colors
+    with 1 or 2 states."""
+    integral = st.tuples(st.sampled_from([Fraction(1, 2), Fraction(1, 3)]), st.integers(1, 2))
+    lam, k = draw(st.one_of(integral, _THREE_CLASS))
     return DiscountedSumCondition(lam, k), draw(_skeletons(tuple(range(-k, k + 1)), 2))
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=24, deadline=None)
 @given(_ds_pairs())
 @example((DiscountedSumCondition(Fraction(1, 2), 1), trivial_skeleton([-1, 0, 1])))
+@example((DiscountedSumCondition(Fraction(2, 5), 1), trivial_skeleton([-1, 0, 1])))
 def test_ds_support_values_match_lassos(pair):
     cond, m = pair
     if cond.k == 1:

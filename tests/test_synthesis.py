@@ -588,6 +588,27 @@ def test_synthesize_ds_half_two(ds_half_two):
         assert (p % 2 == 1) == into_bot
 
 
+# discounted sums below the frontier, k < 1/lambda - 1: the gap automaton
+# has the states top, 0 and bot, or top alone when k = 0
+THREE_CLASS = [("2/5", 0), ("2/5", 1), ("2/3", 0), ("3/4", 0), ("5/7", 0), ("2/7", 1), ("3/10", 1)]
+
+
+@pytest.mark.parametrize("lam, k", THREE_CLASS)
+def test_synthesize_and_verify_three_class_discounted_sums(lam, k):
+    cond = DiscountedSumCondition(Fraction(lam), k)
+    alphabet = list(range(-k, k + 1))
+    for seed in range(6):
+        rng = random.Random(f"{lam}:{k}:{seed}")
+        states = [f"m{i}" for i in range(rng.randint(1, 2))]
+        upd = {(s, c): rng.choice(states) for s in states for c in alphabet}
+        upd["m0", alphabet[-1]] = states[-1]  # every state is reachable
+        memory = Skeleton.make(states, "m0", alphabet, upd)
+        result = synthesize(cond, memory, allow_transient=True)
+        assert result.verify.passed, (lam, k, seed)
+        again = verify_synthesis(result.automaton, cond, samples=2000, seed=seed + 1)
+        assert again.passed and again.lassos_checked == 2000, (lam, k, seed)
+
+
 def test_synthesize_contrast_muller(contrast_muller, contrast_skeleton):
     result = synthesize(contrast_muller, contrast_skeleton)
     assert result.verify.passed
