@@ -46,9 +46,20 @@ from .skeletons import (
 )
 
 _INT_RE = re.compile(r"-?\d+")
+_EXPONENT_RE = re.compile(r"\A\s*[-+]?[\d_.]+[eE][-+]?([\d_]+)\s*\Z")
 
 
-def parse_fraction(text: str) -> Fraction:
+def parse_fraction(text: str, option: str = "--lambda") -> Fraction:
+    """``text`` as a fraction, or an :class:`InputError`.  A text whose
+    exponent is beyond ``sys.get_int_max_str_digits()`` is refused, naming
+    the ``option``, before ``Fraction`` spends seconds building an integer
+    too long to write."""
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT_RE.match(text)
+    if exponent and limit:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or "0") > limit:
+            raise InputError(f"{option} too large: its exponent is beyond {limit}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -68,13 +79,28 @@ def _fraction_text(q: Fraction, option: str) -> str:
         ) from None
 
 
+def _lambda_echo(lam: Fraction) -> dict:
+    """The report's ``lambda`` field, taken before any work is done: an
+    :class:`InputError` naming ``--lambda`` if its numerator or denominator
+    is too long to write."""
+    _fraction_text(lam, "--lambda")
+    return {"lambda": [lam.numerator, lam.denominator]}
+
+
 def parse_word(text: str) -> tuple:
+    """Comma-separated letters; those written as integers become ints, or
+    an :class:`InputError` if one has too many digits to read."""
     if text == "":
         return ()
     out = []
-    for token in text.split(","):
-        token = token.strip()
-        out.append(int(token) if _INT_RE.fullmatch(token) else token)
+    try:
+        for token in text.split(","):
+            token = token.strip()
+            out.append(int(token) if _INT_RE.fullmatch(token) else token)
+    except ValueError:
+        raise InputError(
+            f"a letter of the word has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     return tuple(out)
 
 
@@ -297,9 +323,10 @@ def _cmd_game_lift(args):
 
 def _cmd_ds_classify(args):
     rep = _Reporter("ds classify")
+    echo = _lambda_echo(args.lam)
     cls = discounting.classify_ds(args.lam, args.k)
     return rep.done(
-        **{"lambda": [args.lam.numerator, args.lam.denominator]},
+        **echo,
         k=args.k,
         verdict=cls.verdict,
         states=cls.states,
@@ -308,6 +335,7 @@ def _cmd_ds_classify(args):
 
 def _cmd_ds_gap_automaton(args):
     rep = _Reporter("ds gap-automaton")
+    echo = _lambda_echo(args.lam)
     ga = discounting.gap_automaton(args.lam, args.k)
     doc = skeleton_to_dict(ga.skeleton)
     if args.out:
@@ -315,7 +343,7 @@ def _cmd_ds_gap_automaton(args):
     if args.dot:
         _write(args.dot, skeleton_to_dot(ga.skeleton))
     return rep.done(
-        **{"lambda": [args.lam.numerator, args.lam.denominator]},
+        **echo,
         k=args.k,
         automaton=doc,
         states=len(ga.skeleton.states),
@@ -327,10 +355,11 @@ def _cmd_ds_gap_automaton(args):
 
 def _cmd_ds_greedy(args):
     rep = _Reporter("ds greedy")
-    x = parse_fraction(args.x)
+    echo = _lambda_echo(args.lam)
+    x = parse_fraction(args.x, "--x")
     digits, remainder = discounting.greedy_expansion(x, args.lam, args.k, args.digits)
     return rep.done(
-        **{"lambda": [args.lam.numerator, args.lam.denominator]},
+        **echo,
         k=args.k,
         x=_fraction_text(x, "--x"),
         digits=list(digits),
@@ -340,6 +369,7 @@ def _cmd_ds_greedy(args):
 
 def _cmd_ds_gaps(args):
     rep = _Reporter("ds gaps")
+    echo = _lambda_echo(args.lam)
     seq = discounting.infinite_gap_sequence(args.lam, args.terms)
     ok = (
         seq["denominators_are_powers"]
@@ -348,7 +378,7 @@ def _cmd_ds_gaps(args):
     )
     return rep.done(
         exit_code=0 if ok else 1,
-        **{"lambda": [args.lam.numerator, args.lam.denominator]},
+        **echo,
         terms=args.terms,
         gaps=[_fraction_text(g, "--terms") for g in seq["gaps"]],
         colors=seq["colors"],
@@ -362,13 +392,14 @@ def _cmd_ds_gaps(args):
 
 def _cmd_ds_demo_cc(args):
     rep = _Reporter("ds demo-cc")
+    echo = _lambda_echo(args.lam)
     result = discounting.ds_cycle_consistency_demo(
         args.lam, args.k, args.samples, seed=args.seed
     )
     code = 0 if result.all_consistent else 1
     return rep.done(
         exit_code=code,
-        **{"lambda": [args.lam.numerator, args.lam.denominator]},
+        **echo,
         k=args.k,
         seed=args.seed,
         samples=result.samples,

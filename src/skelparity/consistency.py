@@ -269,9 +269,10 @@ def _first_open_state(index: SupportIndex, leaving: list, win: int):
     opposite-value supports inside it once, as ``~not_inside(u)``; those
     through ``q`` have union ``u`` iff they hit ``col[t]`` for every
     transition ``t`` of ``u``.  If ``u`` fails at some state, all of them
-    hit every ``col[t]`` too, and that one test rules out most ``u`` before
-    any state is tested.  Only states below the least failing one found so
-    far are tested.
+    hit every ``col[t]`` too, and that one test, which stops at the first
+    ``col[t]`` they miss, rules out most ``u`` before any state is tested;
+    the list of the ``col[t]`` is built only for the ``u`` that pass it.
+    Only states below the least failing one found so far are tested.
     """
     col = index.col
     lose = index.everyone ^ win
@@ -280,9 +281,9 @@ def _first_open_state(index: SupportIndex, leaving: list, win: int):
         inside = (lose if win >> u & 1 else win) & ~index.not_inside(u)
         if not inside:
             continue
-        cols = [col[t] for t in bit_indices(g)]
-        if not all(map(inside.__and__, cols)):
+        if not all(map(inside.__and__, map(col.__getitem__, bit_indices(g)))):
             continue
+        cols = [col[t] for t in bit_indices(g)]
         for q in range(first):
             if g & leaving[q] and all(map((inside & index.holding(leaving[q])).__and__, cols)):
                 first = q

@@ -443,13 +443,18 @@ def enumerate_cycle_supports(m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP) -> lis
     Only ``pool`` transitions are offered for inclusion (any other lies on
     no cycle through the anchor, and excluding it leaves ``comp`` as it
     is), so an include keeps the invariant with no test.  Excluding a
-    ``pool`` transition recomputes ``comp`` by one forward and one backward
-    bitset reach from the anchor, and the branch lives iff the endpoints of
-    the included transitions stay in it.  So every branch ends in a
-    support, at the cost of one pair of reaches per exclude inside
-    ``comp``, plus one pair per transition ``j``, which starts supports iff
-    both its endpoints lie in the anchor's component over the transitions
-    ``j, j+1, ...``.
+    ``pool`` transition ``u -> v`` leaves ``comp`` whole iff ``u == v`` or
+    ``u`` still reaches ``v`` inside ``pool``, which one forward reach from
+    ``u`` settles, stopping as soon as it meets ``v``.  Otherwise ``u`` and
+    ``v`` now lie in different components, so the branch dies at once if
+    both are endpoints of included transitions; if not, ``comp`` is
+    recomputed by one forward and one backward bitset reach from the
+    anchor, and the branch lives iff the endpoints of the included
+    transitions stay in it.  So every branch ends in a support, at the
+    cost of at most one stopping reach and one pair of reaches per exclude
+    inside ``comp``, plus one pair per transition ``j``, which starts
+    supports iff both its endpoints lie in the anchor's component over the
+    transitions ``j, j+1, ...``.
 
     Include-first order emits equal-size masks by ascending bit indices, so
     a stable sort by size gives the canonical order.  Raises
@@ -459,6 +464,7 @@ def enumerate_cycle_supports(m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP) -> lis
         raise InputError("cap must be positive")
     index = {s: i for i, s in enumerate(m.states)}
     src: list[int] = []
+    dst: list[int] = []
     ends: list[int] = []
     out_arcs: list[list[tuple[int, int]]] = [[] for _ in m.states]
     in_arcs: list[list[tuple[int, int]]] = [[] for _ in m.states]
@@ -467,6 +473,7 @@ def enumerate_cycle_supports(m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP) -> lis
     for i, (s, _, t) in enumerate(m.transitions):
         a, b = index[s], index[t]
         src.append(1 << a)
+        dst.append(1 << b)
         ends.append(1 << a | 1 << b)
         out_arcs[a].append((1 << i, 1 << b))
         in_arcs[b].append((1 << i, 1 << a))
@@ -474,9 +481,11 @@ def enumerate_cycle_supports(m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP) -> lis
         in_edges[b] |= 1 << i
     leaving, entering = mask_map(out_edges), mask_map(in_edges)
 
-    def reach(start: int, pool: int, arcs: list[list[tuple[int, int]]]) -> int:
+    def reach(start: int, pool: int, arcs: list[list[tuple[int, int]]], stop: int = 0) -> int:
+        """The states ``start`` reaches over ``pool``; once they hold
+        ``stop``, only some of them, ``stop`` among them."""
         seen = todo = start
-        while todo:
+        while todo and not seen & stop:
             low = todo & -todo
             todo ^= low
             for edge, w in arcs[low.bit_length() - 1]:
@@ -513,12 +522,15 @@ def enumerate_cycle_supports(m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP) -> lis
                 continue
             low = rest & -rest
             rest ^= low
-            comp, kept = component(anchor, pool ^ low)
-            if not touched & ~comp:
-                stack.append((included, rest & kept, kept, touched))
-            stack.append(
-                (included | low, rest, pool, touched | ends[low.bit_length() - 1])
-            )
+            i = low.bit_length() - 1
+            u, v, kept = src[i], dst[i], pool ^ low
+            if u == v or reach(u, kept, out_arcs, v) & v:
+                stack.append((included, rest, kept, touched))
+            elif touched & ends[i] != ends[i]:
+                comp, kept = component(anchor, kept)
+                if not touched & ~comp:
+                    stack.append((included, rest & kept, kept, touched))
+            stack.append((included | low, rest, pool, touched | ends[i]))
     found.sort(key=int.bit_count)
     return found
 

@@ -96,6 +96,13 @@ def test_parse_fraction():
     assert parse_fraction("1/2") == Fraction(1, 2)
     with pytest.raises(InputError):
         parse_fraction("x")
+    # exponents beyond the digit limit are refused before Fraction spends
+    # seconds on them; the limit itself is read
+    for text in ("1e-10000000", "2.5E+4301", "1e-" + "9" * 5000, "1e-4_301"):
+        with pytest.raises(InputError, match="--x too large: its exponent is beyond 4300"):
+            parse_fraction(text, "--x")
+    assert parse_fraction("1e-4300", "--x") == Fraction(1, 10**4300)
+    assert parse_fraction("-0.5e+00001") == -5
 
 
 # -- round trips -----------------------------------------------------------------
@@ -319,6 +326,18 @@ def test_cli_unknown_color_is_usage_error(files):
     )
     assert code == 2
     assert "error" in json.loads(out)
+
+
+def test_cli_word_letter_too_long_to_read_exits_2(files, capsys):
+    # the interpreter reads no integer of more than 4,300 digits
+    out, code = run_cli(
+        "skel", "run", "--skeleton", files["switch.json"], "--word", "a," + "7" * 5000
+    )
+    assert code == 2
+    assert json.loads(out) == {
+        "format": 1, "error": "a letter of the word has more than 4300 digits"
+    }
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_run_and_supports(files):
@@ -771,6 +790,40 @@ def test_cli_ds_results_too_long_to_write_exit_2(capsys, argv, option):
         "format": 1,
         "error": f"{option} too large: the result has an integer of more than 4300 digits",
     }
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ds", "classify", "--k", "0"),
+        ("ds", "gap-automaton", "--k", "0"),
+        ("ds", "greedy", "--k", "1", "--x", "1/3", "--digits", "1"),
+        ("ds", "gaps", "--terms", "1"),
+        ("ds", "demo-cc", "--k", "0", "--samples", "1"),
+    ],
+    ids=["classify", "gap-automaton", "greedy", "gaps", "demo-cc"],
+)
+def test_cli_ds_lambda_too_long_to_write_exits_2(capsys, argv):
+    # 1e-4300 is read, but its denominator has 4,301 digits, one more than
+    # the report could echo; 1e-5000 is refused while it is parsed
+    out, code = run_cli(*argv, "--lambda", "1e-4300")
+    assert code == 2
+    assert json.loads(out) == {
+        "format": 1,
+        "error": "--lambda too large: the result has an integer of more than 4300 digits",
+    }
+    out, code = run_cli(*argv, "--lambda", "1e-5000")
+    assert code == 2 and out == ""
+    assert "argument --lambda" in capsys.readouterr().err
+
+
+def test_cli_ds_x_exponent_beyond_the_digit_limit_exits_2(capsys):
+    out, code = run_cli(
+        "ds", "greedy", "--lambda", "1/2", "--k", "1", "--x", "1e-10000000", "--digits", "1"
+    )
+    assert code == 2
+    assert json.loads(out)["error"] == "--x too large: its exponent is beyond 4300"
     assert "Traceback" not in capsys.readouterr().err
 
 

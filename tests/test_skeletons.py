@@ -325,6 +325,14 @@ def _gadgets(k: int) -> Skeleton:
     return Skeleton.make(states, "q0", "ab", upd)
 
 
+def _ab(targets: str) -> Skeleton:
+    """States p, q, r, ... over {a, b}: the i-th state steps by ``a`` to
+    ``targets[2 * i]`` and by ``b`` to ``targets[2 * i + 1]``."""
+    states = "pqrs"[: len(targets) // 2]
+    upd = {(s, c): targets[2 * i + j] for i, s in enumerate(states) for j, c in enumerate("ab")}
+    return Skeleton.make(list(states), "p", "ab", upd)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 3).flatmap(lambda k: skeletons(alphabet=ABC[:k], max_states=5)))
 @example(build_switch_skeleton())
@@ -332,6 +340,18 @@ def _gadgets(k: int) -> Skeleton:
 @example(gap_automaton(Fraction(1, 2), 2).skeleton)
 @example(_chain(9))  # 9 states: the enumerator's state maps read two half tables
 @example(_gadgets(6))  # 18 states: they read one table per byte
+# the three outcomes of an exclude: p -a-> q and p -b-> q are parallel, so
+# excluding one leaves q reached by the other
+@example(_ab("qqpp"))
+# with p -a-> q included, excluding the only way back q -a-> p splits two
+# endpoints of included transitions, and the branch dies with no reach
+@example(_ab("qppq"))
+# with the loop p -a-> p included, excluding p -b-> q splits off q, which
+# no included transition touches: the component is recomputed as {p}
+@example(_ab("pqpp"))
+# with p -a-> p and p -b-> r included, excluding q -a-> p splits off q,
+# whose target p is touched but not q: the component is recomputed as {p, r}
+@example(_ab("prpqqp"))
 def test_supports_match_reference_enumerator_in_order(sk):
     assert enumerate_cycle_supports(sk) == reference_cycle_supports(sk)
 
