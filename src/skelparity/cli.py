@@ -168,7 +168,7 @@ def _cmd_cond_residuals(args):
     rep = _Reporter("cond residuals")
     cond = rep.load(args.condition, Condition)
     w1, w2 = parse_word(args.w1), parse_word(args.w2)
-    verdict = residual_compare(cond, w1, w2)
+    verdict = residual_compare(cond, w1, w2, cap=args.cap)
     return rep.done(w1=list(w1), w2=list(w2), relation=verdict)
 
 

@@ -8,7 +8,9 @@ total-payoff threshold conditions.
 
 Ultimately periodic words (finite prefix + non-empty period) are the finite
 currency for evaluating conditions; all arithmetic is exact, rational or
-integer, never floating point.
+integer, never floating point.  The residuals of parity and Muller
+conditions are compared through one relation per condition, read off the
+square of its automaton (:func:`residual_relation`).
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ from .skeletons import (
     State,
     Transition,
     _scc_ids,
+    arc_cycle_supports,
     bfs,
     bfs_words,
-    enumerate_cycle_supports,
-    lift,
+    bit_indices,
     mask_map,
     out_masks,
-    pair_words,
     support_transitions,
     trivial_skeleton,
 )
@@ -135,6 +136,8 @@ class DiscountedSumCondition:
     def __post_init__(self):
         if not (0 < self.lam < 1):
             raise InputError("discount factor must satisfy 0 < lambda < 1")
+        if not isinstance(self.k, int) or isinstance(self.k, bool):
+            raise TypeError(f"k must be an integer, got {self.k!r}")
         if self.k < 0:
             raise InputError("k must be a natural number")
 
@@ -491,42 +494,63 @@ def support_automaton(
 # ---------------------------------------------------------------------------
 
 
-def _parity_win_lose_pairs(aut: ParityAutomaton) -> frozenset[tuple[State, State]]:
-    """All state pairs (q1, q2) such that some word wins from q1 and loses from q2.
+def residual_relation(
+    cond: DpaCondition | MullerCondition, cap: int = DEFAULT_SUPPORT_CAP
+) -> tuple[Skeleton, frozenset[tuple[State, State]]]:
+    """The condition's automaton ``D`` (:func:`support_automaton`) and the
+    pairs (q1, q2) of its states such that some word wins from q1 and loses
+    from q2: the residual relation that :func:`compare_states`,
+    :func:`residual_compare` and :func:`right_congruence_automaton` read.
 
-    Such a word exists iff (q1, q2) reaches, in the square Q x Q, a strongly
-    connected component of the square restricted to left priority <= p1 and
-    right priority <= p2 that has an internal left-p1 edge and an internal
-    right-p2 edge, for some even p1 and odd p2: a closed walk covering that
-    component sees left maximum p1 and right maximum p2, and conversely the
-    transitions a pair run repeats form such a walk.  Costs one SCC pass per
-    (p1, p2) and one backward pass, all over the square.
+    Such a word exists iff (q1, q2) reaches, in the square ``D x D`` whose
+    edges carry the weights of both sides, a cycle support whose left OR
+    wins and whose right OR loses.  For parity the weights are rank bits:
+    for a winning rank bit ``x1`` and a losing one ``x2``, a component of
+    the square cut to left weight <= x1 and right weight <= x2 with inner
+    edges of left weight x1 and of right weight x2 holds such a support,
+    and ``cap`` is ignored.  For Muller the supports of the square off its
+    diagonal, where both sides agree, are enumerated once within ``cap``;
+    a support's mirror marks the converse pairs.  One state has no pair
+    off the diagonal, so its relation is empty.
     """
-    sk = aut.skeleton
+    sk, weights, value = support_automaton(cond)
     states = sk.states
     n = len(states)
+    if n == 1:
+        return sk, frozenset()
     number = {s: i for i, s in enumerate(states)}
-    moves = [
-        [(number[sk.step(s, c)], aut.priority(s, c)) for c in sk.alphabet]
-        for s in states
-    ]
-    # square edges (u, v, left priority, right priority); node a*n + b is (a, b)
+    moves: list[list[tuple[int, int]]] = [[] for _ in states]
+    for (s, _, t), w in zip(sk.transitions, weights):
+        moves[number[s]].append((number[t], w))
+    # square edges (u, v, left weight, right weight); node a*n + b is (a, b)
     edges = [
-        (a * n + b, ta * n + tb, pa, pb)
+        (a * n + b, ta * n + tb, wa, wb)
         for a in range(n)
         for b in range(n)
-        for (ta, pa), (tb, pb) in zip(moves[a], moves[b])
+        for (ta, wa), (tb, wb) in zip(moves[a], moves[b])
     ]
-    priorities = sorted({p for _, _, p in aut.priorities})
-    good: set[int] = set()
-    for p1 in (p for p in priorities if p % 2 == 0):
-        for p2 in (p for p in priorities if p % 2 == 1):
-            kept = [e for e in edges if e[2] <= p1 and e[3] <= p2]
-            comp = _scc_ids(range(n * n), [(u, v) for u, v, _, _ in kept])
-            inner = [(comp[u], x, y) for u, v, x, y in kept if comp[u] == comp[v]]
-            tops_left = {k for k, x, _ in inner if x == p1}
-            hits = {k for k, _, y in inner if y == p2 and k in tops_left}
-            good.update(u for u in range(n * n) if comp[u] in hits)
+    good: set[int] = set()  # pairs on a support that wins left and loses right
+    if isinstance(cond, DpaCondition):
+        ranks = [1 << r for r in range(max(weights).bit_length())]
+        for x1 in (x for x in ranks if value(x) == WIN):
+            for x2 in (x for x in ranks if value(x) == LOSE):
+                kept = [e for e in edges if e[2] <= x1 and e[3] <= x2]
+                comp = _scc_ids(range(n * n), [(u, v) for u, v, _, _ in kept])
+                inner = [(comp[u], x, y) for u, v, x, y in kept if comp[u] == comp[v]]
+                tops_left = {k for k, x, _ in inner if x == x1}
+                hits = {k for k, _, y in inner if y == x2 and k in tops_left}
+                good.update(u for u in range(n * n) if comp[u] in hits)
+    else:
+        value = functools.cache(value)
+        # the diagonal pairs are the nodes a * (n + 1)
+        off = [e for e in edges if e[0] % (n + 1) and e[1] % (n + 1)]
+        with cap_stage("right-congruence"):
+            supports = arc_cycle_supports(n * n, [e[:2] for e in off], cap)
+        left, right = (mask_map([e[i] for e in off]) for i in (2, 3))
+        nodes = mask_map([1 << e[0] for e in off])
+        for mask in supports:
+            if value(left(mask)) == WIN and value(right(mask)) == LOSE:
+                good.update(bit_indices(nodes(mask)))
     preds: list[list[int]] = [[] for _ in range(n * n)]
     for u, v, _, _ in edges:
         preds[v].append(u)
@@ -536,38 +560,7 @@ def _parity_win_lose_pairs(aut: ParityAutomaton) -> frozenset[tuple[State, State
             if u not in good:
                 good.add(u)
                 stack.append(u)
-    return frozenset((states[u // n], states[u % n]) for u in good)
-
-
-def _residual_flags(
-    cond: MullerCondition, q1: State, q2: State, cap: int
-) -> tuple[bool, bool]:
-    """(some continuation wins after q1 and loses after q2, the converse).
-
-    Classifies every cycle support of the pair product from (q1, q2), so the
-    cost is exponential and ``cap`` bounds it.  Each side of a support is
-    valued by projecting it onto the weights of :func:`support_automaton`
-    with one :func:`mask_map` per side, and each projection is valued once.
-    Parity conditions use :func:`_parity_win_lose_pairs` instead.
-    """
-    sk, weights, value = support_automaton(cond)
-    value = functools.cache(value)
-    weight = {(s, c): x for (s, c, _), x in zip(sk.transitions, weights)}
-    pair, sides = lift(sk, sk, pair_words(sk, sk, (q1, q2)))
-    left, right = (
-        mask_map([weight[sides[s][side], c] for s, c, _ in pair.transitions])
-        for side in (0, 1)
-    )
-    with cap_stage("right-congruence"):
-        supports = enumerate_cycle_supports(pair, cap=cap)
-    flips = set()  # the q1-side values of the supports whose sides differ
-    for mask in supports:
-        v1 = value(left(mask))
-        if v1 != value(right(mask)):
-            flips.add(v1)
-            if len(flips) == 2:
-                break
-    return WIN in flips, LOSE in flips
+    return sk, frozenset((states[u // n], states[u % n]) for u in good)
 
 
 def compare_states(
@@ -576,20 +569,17 @@ def compare_states(
     q2: State,
     cap: int = DEFAULT_SUPPORT_CAP,
 ) -> str:
-    """Exact comparison of the residual languages of two automaton states.
+    """Exact comparison of the residual languages of two automaton states,
+    read off :func:`residual_relation`.
 
     ``cap`` bounds the support enumeration of Muller conditions; parity
     conditions are decided in polynomial time and ignore it.
     """
-    if isinstance(cond, DpaCondition):
-        sk = cond.automaton.skeleton
-        for q in (q1, q2):
-            if q not in sk.states:
-                raise InputError(f"unknown state {q!r}")
-        win_lose = _parity_win_lose_pairs(cond.automaton)
-        win1_lose2, lose1_win2 = (q1, q2) in win_lose, (q2, q1) in win_lose
-    else:
-        win1_lose2, lose1_win2 = _residual_flags(cond, q1, q2, cap)
+    sk, win_lose = residual_relation(cond, cap)
+    for q in (q1, q2):
+        if q not in sk.states:
+            raise InputError(f"unknown state {q!r}")
+    win1_lose2, lose1_win2 = (q1, q2) in win_lose, (q2, q1) in win_lose
     if win1_lose2 and lose1_win2:
         return "incomparable"
     if win1_lose2:
@@ -599,19 +589,22 @@ def compare_states(
     return "equal"
 
 
-def residual_compare(cond: Condition, w1: Sequence[Color], w2: Sequence[Color]) -> str:
+def residual_compare(
+    cond: Condition, w1: Sequence[Color], w2: Sequence[Color], cap: int = DEFAULT_SUPPORT_CAP
+) -> str:
     """Compare the winning continuations of two finite words.
 
     ``less`` means w1's continuations are a strict subset of w2's.  Decided
-    exactly, in polynomial time, from the square of the parity automaton
-    (:func:`compare_states`); no cycle supports are enumerated.
+    exactly by :func:`compare_states` on the states the words lead the
+    parity or Muller automaton to; ``cap`` bounds the support enumeration
+    of Muller conditions.
     """
-    if not isinstance(cond, DpaCondition):
-        raise PreconditionError("residual comparison requires an automaton-backed condition")
+    if not isinstance(cond, (DpaCondition, MullerCondition)):
+        raise PreconditionError("residual comparison requires a parity or Muller condition")
     _check_word(cond, w1)
     _check_word(cond, w2)
-    sk = cond.automaton.skeleton
-    return compare_states(cond, sk.run_end(w1), sk.run_end(w2))
+    sk = support_automaton(cond)[0]
+    return compare_states(cond, sk.run_end(w1), sk.run_end(w2), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -671,21 +664,15 @@ def right_congruence_automaton(
 
     States are labeled by the class they denote: a shortest representative
     word for automaton-backed conditions, the gap value for discounted sums.
-    A parity condition is quotiented by the residual relation of all state
-    pairs, computed once; ``cap`` bounds the support enumeration of Muller
-    conditions only.  A discounted-sum condition's classes are its reachable
-    gaps, explored as for the gap automaton.
+    A parity or Muller condition is quotiented by :func:`residual_relation`,
+    computed once; ``cap`` bounds its support enumeration, which only
+    Muller conditions need.  A discounted-sum condition's classes are its
+    reachable gaps, explored as for the gap automaton.
     """
-    if isinstance(cond, DpaCondition):
-        win_lose = _parity_win_lose_pairs(cond.automaton)
+    if isinstance(cond, (DpaCondition, MullerCondition)):
+        sk, win_lose = residual_relation(cond, cap)
         return _quotient_by_equivalence(
-            cond.automaton.skeleton,
-            lambda a, b: (a, b) not in win_lose and (b, a) not in win_lose,
-        )
-
-    if isinstance(cond, MullerCondition):
-        return _quotient_by_equivalence(
-            cond.skeleton, lambda a, b: compare_states(cond, a, b, cap) == "equal"
+            sk, lambda a, b: (a, b) not in win_lose and (b, a) not in win_lose
         )
 
     if isinstance(cond, DiscountedSumCondition):

@@ -122,6 +122,9 @@ def fraction_to_pair(q: Fraction) -> list:
 def fraction_from_pair(pair) -> Fraction:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise InputError(f"fractions are encoded as [numerator, denominator], got {pair!r}")
+    for part in pair:
+        if not isinstance(part, int) or isinstance(part, bool):
+            raise TypeError(f"fraction parts must be integers, got {part!r}")
     return Fraction(pair[0], pair[1])
 
 

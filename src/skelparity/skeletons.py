@@ -278,15 +278,11 @@ def bfs_words(
     return words
 
 
-def pair_words(
-    m1: Skeleton, m2: Skeleton, start: tuple[State, State] | None = None
-) -> dict[tuple[State, State], tuple[Color, ...]]:
-    """The state pairs that one word leads ``m1`` and ``m2`` to from
-    ``start`` (by default the pair of initial states), with the words of
-    :func:`bfs_words` over ``m1``'s alphabet."""
-    return bfs_words(
-        (m1.init, m2.init) if start is None else start, m1.alphabet, _pair_step(m1, m2)
-    )
+def pair_words(m1: Skeleton, m2: Skeleton) -> dict[tuple[State, State], tuple[Color, ...]]:
+    """The state pairs that one word leads ``m1`` and ``m2`` to from their
+    initial states, with the words of :func:`bfs_words` over ``m1``'s
+    alphabet."""
+    return bfs_words((m1.init, m2.init), m1.alphabet, _pair_step(m1, m2))
 
 
 def _pair_step(m1: Skeleton, m2: Skeleton) -> Callable:
@@ -431,7 +427,20 @@ def _scc_ids(vertices: Iterable[State], arcs: Iterable[tuple[State, State]]) -> 
 
 def enumerate_cycle_supports(m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP) -> list[int]:
     """All transition subsets inducing a strongly connected graph, as
-    masks in canonical order.
+    masks in canonical order: :func:`arc_cycle_supports` of ``m``'s
+    transitions over its numbered states."""
+    index = {s: i for i, s in enumerate(m.states)}
+    arcs = [(index[s], index[t]) for s, _, t in m.transitions]
+    return arc_cycle_supports(len(m.states), arcs, cap)
+
+
+def arc_cycle_supports(
+    n: int, arcs: Sequence[tuple[int, int]], cap: int = DEFAULT_SUPPORT_CAP
+) -> list[int]:
+    """The cycle supports of the graph on states ``0 .. n-1`` whose
+    transition ``i`` runs from ``arcs[i][0]`` to ``arcs[i][1]``, as masks
+    over the transitions in canonical order.  The graph need not be
+    reachable from one state.
 
     Depth-first over include/exclude decisions on the transitions in bit
     order, include first, on int bitmasks (states are numbered, so a state
@@ -462,16 +471,14 @@ def enumerate_cycle_supports(m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP) -> lis
     """
     if cap <= 0:
         raise InputError("cap must be positive")
-    index = {s: i for i, s in enumerate(m.states)}
     src: list[int] = []
     dst: list[int] = []
     ends: list[int] = []
-    out_arcs: list[list[tuple[int, int]]] = [[] for _ in m.states]
-    in_arcs: list[list[tuple[int, int]]] = [[] for _ in m.states]
-    out_edges = [0] * len(m.states)
-    in_edges = [0] * len(m.states)
-    for i, (s, _, t) in enumerate(m.transitions):
-        a, b = index[s], index[t]
+    out_arcs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    out_edges = [0] * n
+    in_edges = [0] * n
+    for i, (a, b) in enumerate(arcs):
         src.append(1 << a)
         dst.append(1 << b)
         ends.append(1 << a | 1 << b)
@@ -501,7 +508,7 @@ def enumerate_cycle_supports(m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP) -> lis
         return comp, pool & leaving(comp) & entering(comp)
 
     found: list[int] = []
-    everything = (1 << len(m.transitions)) - 1
+    everything = (1 << len(arcs)) - 1
     for j, first in enumerate(ends):
         bit = 1 << j
         anchor = src[j]

@@ -2,18 +2,20 @@
 for the bitmask enumerator :func:`skelparity.enumerate_cycle_supports`.
 
 It walks the same include-first decision tree over the transitions in bit
-order, but prunes each branch with a full Tarjan pass over the transitions
-still available, so it returns the same list in the same order, at a cost
-of one SCC decomposition per node.  Meant for instances with at most a few
-thousand supports.
+order, but prunes each branch with a full networkx SCC pass over the
+transitions still available, so it returns the same list in the same
+order, at a cost of one SCC decomposition per node.  Meant for instances
+with at most a few thousand supports.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import networkx as nx
+
 from skelparity.errors import CapExceeded, InputError
-from skelparity.skeletons import DEFAULT_SUPPORT_CAP, Skeleton, Transition, _scc_ids
+from skelparity.skeletons import DEFAULT_SUPPORT_CAP, Skeleton, Transition
 
 
 def _completion_exists(
@@ -24,10 +26,10 @@ def _completion_exists(
     """Can ``included`` be extended inside ``included + remaining`` to a support?"""
     arcs = [(s, m.step(s, c)) for s, c in included]
     arcs += [(s, m.step(s, c)) for s, c in remaining]
-    vertices = {u for u, _ in arcs} | {v for _, v in arcs}
-    if not vertices:
+    if not arcs:
         return False
-    comp = _scc_ids(vertices, arcs)
+    sccs = nx.strongly_connected_components(nx.DiGraph(arcs))
+    comp = {v: k for k, scc in enumerate(sccs) for v in scc}
     if included:
         ids = set()
         for s, c in included:

@@ -23,7 +23,13 @@ from skelparity import (
     trivial_skeleton,
 )
 from skelparity.cli import main, parse_fraction, parse_word
-from skelparity.conditions import Condition, MeanPayoffCondition, TotalPayoffCondition
+from skelparity.conditions import (
+    Condition,
+    MeanPayoffCondition,
+    TotalPayoffCondition,
+    compare_states,
+    residual_compare,
+)
 from skelparity.errors import InputError, InternalConsistencyError
 from skelparity.games import Arena
 from skelparity.serialize import (
@@ -376,6 +382,8 @@ def test_cli_supports_cap_exit_code(files, tmp_path):
           "--skeleton", "ab.json"), "lifted-supports"),
         (("verify", "--automaton", "contrast.json", "--condition", "contrast_cond.json"),
          "cycle-supports"),
+        (("cond", "residuals", "--condition", "contrast_muller.json", "--w1", "a",
+          "--w2", "b"), "right-congruence"),
     ],
 )
 def test_cli_cap_exit_names_its_stage(files, tmp_path, argv, stage, contrast_muller):
@@ -489,6 +497,20 @@ def test_cli_residuals(files):
     assert json.loads(out)["relation"] in {"equal", "less", "greater", "incomparable"}
 
 
+@pytest.mark.parametrize("w1, w2", [("", "a"), ("a", "b"), ("a,b", "b,b"), ("c", "a,a")])
+def test_cli_muller_residuals_match_compare_states(contrast_automaton, w1, w2):
+    path = str(GOLDEN / "inputs" / "contrast_muller.json")
+    out, code = run_cli("cond", "residuals", "--condition", path, "--w1", w1, "--w2", w2)
+    assert code == 0
+    cond = load_typed(path, Condition)
+    ends = (cond.skeleton.run_end(parse_word(w)) for w in (w1, w2))
+    relation = json.loads(out)["relation"]
+    assert relation == compare_states(cond, *ends)
+    # the same language as a parity automaton, decided without supports
+    dpa = DpaCondition(contrast_automaton)
+    assert relation == residual_compare(dpa, parse_word(w1), parse_word(w2))
+
+
 def test_cli_rc_automaton(files):
     out, code = run_cli("cond", "rc-automaton", "--condition", files["ds.json"])
     assert code == 0
@@ -542,9 +564,13 @@ _CONDITION = {"format": 1, "type": "condition"}
         ("skel", {k: v for k, v in _TRIVIAL_A.items() if k != "upd"}),
         ("skel", {**_TRIVIAL_A, "states": [["m0"]], "init": ["m0"],
                   "upd": [[["m0"], "a", ["m0"]]]}),
+        # booleans are refused as colors and priorities, and so as numbers here
+        ("cond", {**_CONDITION, "kind": "discounted-sum", "lambda": [1, 2], "k": 1.5}),
+        ("cond", {**_CONDITION, "kind": "discounted-sum", "lambda": [1, 2], "k": True}),
+        ("cond", {**_CONDITION, "kind": "discounted-sum", "lambda": [True, 2], "k": 1}),
     ],
     ids=["muller-row", "no-skeleton", "zero-denominator", "string-k", "no-upd",
-         "list-state"],
+         "list-state", "float-k", "bool-k", "bool-numerator"],
 )
 def test_cli_malformed_documents_exit_2(tmp_path, command, doc):
     path = tmp_path / "doc.json"

@@ -35,6 +35,7 @@ from skelparity.errors import InfiniteIndexError, InputError, PreconditionError
 from skelparity.skeletons import enumerate_cycle_supports, support_transitions
 
 import lasso_oracle
+import muller_residual_oracle
 import parity_oracle
 from gap_oracle import discounted_lasso_sum, gap_direct
 
@@ -361,6 +362,54 @@ def test_parity_residuals_match_support_enumeration(tables):
             assert compare_states(cond, q2, q1) == _CONVERSE[want]
             if len(states) <= 2:
                 assert compare_states(muller, q1, q2) == want
+
+
+def _muller_table(n: int, alphabet: str, targets, wins: int) -> MullerCondition:
+    """Muller condition on the skeleton with q_i --alphabet[j]--> q_targets[i *
+    len(alphabet) + j], cut down to the states reachable from q0, whose k-th
+    cycle support wins iff bit k of ``wins`` is set."""
+    letters = len(alphabet)
+    reach, todo = {0}, [0]
+    while todo:
+        i = todo.pop()
+        for t in targets[i * letters : (i + 1) * letters]:
+            if t not in reach:
+                reach.add(t)
+                todo.append(t)
+    upd = {
+        (f"q{i}", c): f"q{targets[i * letters + j]}" for i in reach for j, c in enumerate(alphabet)
+    }
+    sk = Skeleton.make([f"q{i}" for i in reach], "q0", alphabet, upd)
+    supports = enumerate_cycle_supports(sk)
+    table = frozenset(
+        frozenset(support_transitions(sk, g)) for k, g in enumerate(supports) if wins >> k & 1
+    )
+    return MullerCondition(sk, table)
+
+
+@st.composite
+def _small_muller_tables(draw):
+    """(states, alphabet, targets, wins) of :func:`_muller_table`: 1 to 3
+    states over 1 to 3 letters, and any table."""
+    n, letters = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    targets = draw(st.lists(st.integers(0, n - 1), min_size=n * letters, max_size=n * letters))
+    return n, "abc"[:letters], targets, draw(st.integers(0, (1 << 200) - 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(table=_small_muller_tables())
+# one state: the only pair is (q0, q0), and the relation is empty
+@example(table=(1, "ab", [0, 0], 0b101))
+# three states, three letters, 106 supports: the ordered pairs of distinct
+# states are less, greater and incomparable, and the rc has three states
+@example(table=(3, "abc", [0, 1, 0, 2, 1, 0, 0, 1, 1], 0x1256A95FC7724FB51630A65C761))
+def test_muller_residuals_match_per_pair_enumeration(table):
+    cond = _muller_table(*table)
+    states = cond.skeleton.states
+    for q1 in states:
+        for q2 in states:
+            assert compare_states(cond, q1, q2) == muller_residual_oracle.relation(cond, q1, q2)
+    assert right_congruence_automaton(cond) == muller_residual_oracle.rc_automaton(cond)
 
 
 def test_rc_of_fifty_state_dpa_within_a_second():
