@@ -217,8 +217,6 @@ def _cmd_synthesize(args):
     doc = automaton_to_dict(result.automaton)
     if args.out:
         _write(args.out, canonical_json(doc))
-    if args.dot:
-        _write(args.dot, automaton_to_dot(result.automaton))
     table = result.table
     return rep.done(
         verdict="pass",
@@ -340,8 +338,6 @@ def _cmd_ds_gap_automaton(args):
     doc = skeleton_to_dict(ga.skeleton)
     if args.out:
         _write(args.out, canonical_json(doc))
-    if args.dot:
-        _write(args.dot, skeleton_to_dot(ga.skeleton))
     return rep.done(
         **echo,
         k=args.k,
@@ -507,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", required=True)
     p.add_argument("--skeleton", required=True)
     p.add_argument("--out")
-    p.add_argument("--dot")
     p.add_argument("--allow-transient", action="store_true")
     _add_cap(p)
     _add_seeded(p)
@@ -544,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = ds.add_parser("gap-automaton")
     _add_lambda_k(p)
     p.add_argument("--out")
-    p.add_argument("--dot")
     p.set_defaults(handler=_cmd_ds_gap_automaton)
     p = ds.add_parser("greedy")
     _add_lambda_k(p)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import InfiniteIndexError, InputError, PreconditionError, cap_stage
+from .errors import CapExceeded, InfiniteIndexError, InputError, PreconditionError, cap_stage
 from .skeletons import (
     DEFAULT_SUPPORT_CAP,
     Color,
@@ -74,10 +74,6 @@ class DpaCondition:
     def alphabet(self):
         return self.automaton.skeleton.alphabet
 
-    @property
-    def union_invariant(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True, eq=False)
 class MullerCondition:
@@ -98,10 +94,6 @@ class MullerCondition:
     @property
     def alphabet(self):
         return self.skeleton.alphabet
-
-    @property
-    def union_invariant(self) -> bool:
-        return True
 
     def support_value(self, support: frozenset[Transition]) -> str:
         if self.predicate is not None:
@@ -152,11 +144,6 @@ class DiscountedSumCondition:
         return self.lam.numerator == 1 or self.k < ds_frontier(self.lam)
 
     @property
-    def union_invariant(self) -> bool:
-        # on the gap automaton, cycle values depend on states alone
-        return self.finite_index
-
-    @property
     def max_ds(self) -> Fraction:
         return Fraction(self.k) / (1 - self.lam)
 
@@ -169,10 +156,6 @@ class MeanPayoffCondition:
     def alphabet(self):
         return None
 
-    @property
-    def union_invariant(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class TotalPayoffCondition:
@@ -181,10 +164,6 @@ class TotalPayoffCondition:
     @property
     def alphabet(self):
         return None
-
-    @property
-    def union_invariant(self) -> bool:
-        return False
 
 
 Condition = (
@@ -289,12 +268,13 @@ def ds_frontier(lam: Fraction) -> int:
     return -(-(q - p) // p)
 
 
-def _gap_bfs(cond: DiscountedSumCondition) -> tuple[Skeleton, dict[State, GapValue]]:
+def _gap_bfs(cond: DiscountedSumCondition, cap: int) -> tuple[Skeleton, dict[State, GapValue]]:
     """Breadth-first exploration of the gaps reachable from the empty word
     under :func:`gap_step`; states are named by their gap.  The search ends
     only when finitely many gaps are reachable, so it refuses a condition
     without :attr:`~DiscountedSumCondition.finite_index` up front: this is
-    the one place that raises :class:`InfiniteIndexError`."""
+    the one place that raises :class:`InfiniteIndexError`.  Finding more
+    than ``cap`` gaps raises :class:`CapExceeded` (stage ``gap-automaton``)."""
     lam, k = cond.lam, cond.k
     if not cond.finite_index:
         raise InfiniteIndexError(
@@ -311,7 +291,12 @@ def _gap_bfs(cond: DiscountedSumCondition) -> tuple[Skeleton, dict[State, GapVal
         upd[(g.name, c)] = g2.name
         return g2
 
-    names = {g.name: g for g, _, _ in bfs(gap((), lam, k), alphabet, step)}
+    names: dict[State, GapValue] = {}
+    with cap_stage("gap-automaton"):
+        for g, _, _ in bfs(gap((), lam, k), alphabet, step):
+            names[g.name] = g
+            if len(names) > cap:
+                raise CapExceeded(f"gap search exceeded cap {cap}", cap)
     sk = Skeleton.make(names, next(iter(names)), alphabet, upd)
     return sk, names
 
@@ -476,7 +461,7 @@ def support_automaton(
         sk = cond.skeleton
         value = lambda mask: cond.support_value(frozenset(support_transitions(sk, mask)))
     elif isinstance(cond, DiscountedSumCondition) and cond.finite_index:
-        sk, gaps = _gap_bfs(cond)
+        sk, gaps = _gap_bfs(cond, DEFAULT_SUPPORT_CAP)
         leaving = out_masks(sk)
         bot = sum(leaving[s] for s, g in gaps.items() if g == GAP_BOT)
         value = lambda mask: LOSE if mask & bot else WIN
@@ -664,22 +649,15 @@ def right_congruence_automaton(
 
     States are labeled by the class they denote: a shortest representative
     word for automaton-backed conditions, the gap value for discounted sums.
-    A parity or Muller condition is quotiented by :func:`residual_relation`,
-    computed once; ``cap`` bounds its support enumeration, which only
-    Muller conditions need.  A discounted-sum condition's classes are its
-    reachable gaps, explored as for the gap automaton.
+    A discounted sum's classes are its reachable gaps, at most ``cap``
+    (:func:`_gap_bfs`, which refuses infinite index).  Any other condition
+    is quotiented by :func:`residual_relation`, computed once, which
+    refuses mean and total payoff; ``cap`` bounds its Muller enumeration.
     """
-    if isinstance(cond, (DpaCondition, MullerCondition)):
-        sk, win_lose = residual_relation(cond, cap)
-        return _quotient_by_equivalence(
-            sk, lambda a, b: (a, b) not in win_lose and (b, a) not in win_lose
-        )
-
     if isinstance(cond, DiscountedSumCondition):
-        return _gap_bfs(cond)[0]
-
-    raise PreconditionError(
-        "right congruence automaton supported for automaton-backed and "
-        "discounted-sum conditions only"
+        return _gap_bfs(cond, cap)[0]
+    sk, win_lose = residual_relation(cond, cap)
+    return _quotient_by_equivalence(
+        sk, lambda a, b: (a, b) not in win_lose and (b, a) not in win_lose
     )
 

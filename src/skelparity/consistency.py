@@ -133,17 +133,17 @@ class SupportAnalysis:
             raise InputError(
                 f"color {min(extra, key=color_key)!r} not in the condition's alphabet"
             )
-        words = pair_words(sk, aut)
+        pairs = [p for p, _, _ in bfs((sk.init, aut.init), sk.alphabet, _pair_step(sk, aut))]
         d_weight = {(s, c): x for (s, c, _), x in zip(aut.transitions, weights)}
-        d_of = dict(words.keys())
-        if len(d_of) == len(words):
+        d_of = dict(pairs)
+        if len(d_of) == len(pairs):
             with cap_stage("cycle-supports"):
                 self.supports = enumerate_cycle_supports(sk, cap=cap)
             to_d = mask_map([d_weight[d_of[s], c] for s, c, _ in sk.transitions])
             self.value_sets = [frozenset((value(to_d(g)),)) for g in self.supports]
             self._lift = None
         else:
-            lifted_sk, pair_of = lift(sk, aut, words)
+            lifted_sk, pair_of = lift(sk, aut, pairs)
             with cap_stage("lifted-supports"):
                 lifted = enumerate_cycle_supports(lifted_sk, cap=cap)
             a_bit = {(s, c): 1 << i for i, (s, c, _) in enumerate(sk.transitions)}
@@ -155,7 +155,7 @@ class SupportAnalysis:
                 first.setdefault(to_a(h), {}).setdefault(value(to_d(h)), j)
             self.supports = sorted(first, key=lambda g: (g.bit_count(), tuple(bit_indices(g))))
             self.value_sets = [frozenset(first[g]) for g in self.supports]
-            self._lift = (lifted_sk, lifted, first, pair_of, words)
+            self._lift = (lifted_sk, lifted, first, pair_of, aut)
 
     @functools.cached_property
     def index(self) -> SupportIndex:
@@ -170,13 +170,15 @@ class SupportAnalysis:
         """For a support of several values, one lasso per value whose run
         on the skeleton repeats exactly that support: a shortest prefix to
         the least state of the first lifted support of that value, then a
-        closed walk covering it."""
-        lifted_sk, lifted, first, pair_of, words = self._lift
+        closed walk covering it.  The prefixes come from :func:`pair_words`,
+        built here, as only a support of two values needs them."""
+        lifted_sk, lifted, first, pair_of, aut = self._lift
+        words = pair_words(self.skeleton, aut)
         out = {}
         for v, j in first[self.supports[i]].items():
             h = lifted[j]
             anchor = lifted_sk.transitions[(h & -h).bit_length() - 1][0]
-            out[v] = Lasso.make(words[pair_of[anchor]], closed_walk(lifted_sk, h, anchor=anchor))
+            out[v] = Lasso.make(words[pair_of[anchor]], closed_walk(lifted_sk, h, anchor))
         return out
 
     def cycle_consistency(self) -> ConsistencyReport:
@@ -241,16 +243,12 @@ def check_cycle_consistency(
     Works on the product with the right-congruence automaton; the values
     of its supports are read off the condition's own automaton by
     :class:`SupportAnalysis`.  A support of two values fails first, with a
-    winning and a losing lasso as the witness.  For union-invariant
-    conditions, closure under pairwise unions is equivalent to consistency
-    of arbitrary infinite concatenations.
+    winning and a losing lasso as the witness.  Cycle values depend on
+    transition sets alone, so closure under pairwise unions is equivalent
+    to consistency of arbitrary infinite concatenations.  The gap search
+    and :func:`support_automaton` decide which conditions are accepted:
+    they refuse infinite-index discounted sums and mean and total payoff.
     """
-    if not cond.union_invariant:
-        raise InputError(
-            "cycle-consistency check unsupported for conditions whose cycle "
-            "values are not determined by transition sets; use the dedicated "
-            "demonstrations instead"
-        )
     rc = right_congruence_automaton(cond, cap=cap)
     return SupportAnalysis(cond, product(m, rc), cap=cap).cycle_consistency()
 

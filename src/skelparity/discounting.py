@@ -27,7 +27,7 @@ from .conditions import (
     LOSE,
 )
 from .errors import InputError
-from .skeletons import Skeleton, State
+from .skeletons import DEFAULT_SUPPORT_CAP, Skeleton, State
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,12 @@ def classify_ds(lam: Fraction, k: int) -> DsClassification:
     three states.  Otherwise finitely many integer gaps when lambda = 1/n,
     and so at least 0, -1/lambda, top and bot; infinitely many values for
     every other pair (:attr:`DiscountedSumCondition.finite_index`).
+    Counting more than ``DEFAULT_SUPPORT_CAP`` gaps raises :class:`CapExceeded`.
     """
     cond = DiscountedSumCondition(Fraction(lam), k)
     if not cond.finite_index:
         return DsClassification(cond.lam, k, "infinite-index")
-    states = len(_gap_bfs(cond)[0].states)
+    states = len(_gap_bfs(cond, DEFAULT_SUPPORT_CAP)[0].states)
     verdict = "three-class" if states <= 3 else "finite-gap"
     return DsClassification(cond.lam, k, verdict, states=states)
 
@@ -76,10 +77,11 @@ def gap_automaton(lam: Fraction, k: int) -> GapAutomaton:
     word is winning exactly when its run never reaches bot.  Equals the
     right-congruence automaton of the condition up to state relabeling,
     and like it raises :class:`InfiniteIndexError` for a pair without
-    finite index.
+    finite index and :class:`CapExceeded` beyond ``DEFAULT_SUPPORT_CAP``
+    gaps.
     """
     cond = DiscountedSumCondition(Fraction(lam), k)
-    sk, gaps = _gap_bfs(cond)
+    sk, gaps = _gap_bfs(cond, DEFAULT_SUPPORT_CAP)
     return GapAutomaton(skeleton=sk, lam=cond.lam, k=k, gaps=gaps)
 
 

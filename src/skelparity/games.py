@@ -545,13 +545,13 @@ def lift_experiment(
     n_arenas: int,
     max_states: int,
     seed: int = 0,
-    samples: int = 200,
 ) -> LiftReport:
     """Synthesize once, then watch projected strategies win random games.
 
     For each random two-player arena, the product game with the synthesized
     automaton is solved, both players' positional strategies are projected
     onto the memory skeleton, and each projection is verified optimal.
+    The synthesis checks its automaton on 200 lassos drawn from ``seed``.
     """
     if max_states < 1:
         raise InputError("max_states must be >= 1")
@@ -559,7 +559,7 @@ def lift_experiment(
         raise InputError("n_arenas must be >= 0")
     from .synthesis import synthesize
 
-    result = synthesize(cond, m, samples=samples, seed=seed, allow_transient=True)
+    result = synthesize(cond, m, samples=200, seed=seed, allow_transient=True)
     aut = result.automaton
     alphabet = aut.skeleton.alphabet
     failures = []

@@ -235,9 +235,9 @@ class Skeleton:
         return self.canonical_form() == other.canonical_form()
 
 
-def trivial_skeleton(alphabet: Iterable[Color], state: State = "m0") -> Skeleton:
+def trivial_skeleton(alphabet: Iterable[Color]) -> Skeleton:
     alpha = tuple(sorted(set(alphabet), key=color_key))
-    return Skeleton.make([state], state, alpha, {(state, c): state for c in alpha})
+    return Skeleton.make(["m0"], "m0", alpha, {("m0", c): "m0" for c in alpha})
 
 
 def bfs(
@@ -542,18 +542,15 @@ def arc_cycle_supports(
     return found
 
 
-def closed_walk(m: Skeleton, support: int, anchor: State | None = None) -> list[Color]:
+def closed_walk(m: Skeleton, support: int, anchor: State) -> list[Color]:
     """Colors of a deterministic closed walk from ``anchor`` covering the support.
 
     The walk traverses every transition of the support at least once and
-    returns to the anchor (by default the canonically least state of the
-    support).  Strong connectivity guarantees existence.
+    returns to the anchor.  Strong connectivity guarantees existence.
     """
     trans = support_transitions(m, support)
     if not trans:
         raise InputError("empty support has no covering walk")
-    if anchor is None:
-        anchor = trans[0][0]
     out_edges: dict[State, list[Transition]] = {}
     for t in trans:
         out_edges.setdefault(t[0], []).append(t)

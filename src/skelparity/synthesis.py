@@ -110,11 +110,6 @@ class CycleClassTable:
 def _checked_analysis(m: Skeleton, cond: Condition, cap: int) -> SupportAnalysis:
     """The support analysis of ``m``, once the preconditions that
     :func:`classify_supports` names hold."""
-    if not cond.union_invariant:
-        raise PreconditionError(
-            "support classification is only meaningful for conditions whose "
-            "cycle values depend on the transition set alone"
-        )
     pi = check_prefix_independence(cond, m, cap=cap)
     if not pi.passed:
         raise PreconditionError(
@@ -465,8 +460,8 @@ def verify_synthesis(
     outside the condition's alphabet, so the words need no color check.
     The first discrepancy of each kind is reported.  A negative
     ``samples`` raises :class:`InputError`; conditions without such an
-    automaton (mean payoff, total payoff, discounted sums with lambda other
-    than 1/n) raise :class:`PreconditionError`.
+    automaton (mean payoff, total payoff, discounted sums of infinite
+    index) raise :class:`PreconditionError`.
     """
     if samples < 0:
         raise InputError("samples must be a natural number")
@@ -560,11 +555,6 @@ def synthesize(
     condition on top of (right-congruence automaton x given skeleton)."""
     if samples < 0:
         raise InputError("samples must be a natural number")
-    if not cond.union_invariant:
-        raise PreconditionError(
-            "synthesis requires a condition whose cycle values depend on "
-            "transition sets alone"
-        )
     rc = right_congruence_automaton(cond, cap=cap)
     base = product(rc, m)
     analysis = SupportAnalysis(cond, base, cap=cap)

@@ -409,6 +409,10 @@ def test_cli_cap_exit_names_its_stage(files, tmp_path, argv, stage, contrast_mul
     }
 
 
+NO_SUPPORT_AUTOMATON = "no automaton values the cycle supports"
+INFINITE_INDEX = "the right congruence of this discounted-sum condition has infinite index"
+
+
 @pytest.mark.parametrize(
     "condition",
     [
@@ -416,19 +420,64 @@ def test_cli_cap_exit_names_its_stage(files, tmp_path, argv, stage, contrast_mul
         {"kind": "total-payoff"},
         {"kind": "discounted-sum", "lambda": [2, 5], "k": 2},
     ],
+    ids=["mean-payoff", "total-payoff", "ds-2-5-k2"],
 )
-def test_cli_verify_refuses_conditions_without_automaton(tmp_path, condition):
-    # no automaton values their cycle supports, so a support check means nothing
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "cycle-consistency", "--condition", "cond.json", "--skeleton", "loops.json"),
+        ("check", "prefix-independence", "--condition", "cond.json", "--skeleton", "loops.json"),
+        ("synthesize", "--condition", "cond.json", "--skeleton", "loops.json"),
+        ("game", "lift-experiment", "--condition", "cond.json", "--skeleton", "loops.json"),
+        ("cond", "rc-automaton", "--condition", "cond.json"),
+        ("verify", "--automaton", "aut.json", "--condition", "cond.json"),
+    ],
+    ids=["cycle-consistency", "prefix-independence", "synthesize", "lift-experiment",
+         "rc-automaton", "verify"],
+)
+def test_cli_refuses_conditions_without_automaton(tmp_path, capsys, argv, condition):
+    # no automaton values their cycle supports: the gap search refuses a
+    # discounted sum of infinite index wherever the congruence automaton is
+    # built, and support_automaton every other such condition
     loops = trivial_skeleton([-1, 0, 1])
-    aut = tmp_path / "aut.json"
-    aut.write_text(canonical_json(automaton_to_dict(
-        ParityAutomaton.make(loops, {("m0", -1): 1, ("m0", 0): 0, ("m0", 1): 0})
-    )))
-    cond = tmp_path / "cond.json"
-    cond.write_text(canonical_json({"format": 1, "type": "condition", **condition}))
-    out, code = run_cli("verify", "--automaton", str(aut), "--condition", str(cond))
+    docs = {
+        "loops.json": skeleton_to_dict(loops),
+        "aut.json": automaton_to_dict(
+            ParityAutomaton.make(loops, {("m0", -1): 1, ("m0", 0): 0, ("m0", 1): 0})
+        ),
+        "cond.json": {"format": 1, "type": "condition", **condition},
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(canonical_json(doc), encoding="utf-8")
+    out, code = run_cli(*(str(tmp_path / a) if a in docs else a for a in argv))
     assert code == 2
-    assert "no automaton values the cycle supports" in json.loads(out)["error"]
+    infinite = condition["kind"] == "discounted-sum" and argv[0] != "verify"
+    assert (INFINITE_INDEX if infinite else NO_SUPPORT_AUTOMATON) in json.loads(out)["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (("cond", "rc-automaton", "--condition", "huge_k.json", "--cap", "1000"), 1000),
+        (("ds", "gap-automaton", "--lambda", "1/2", "--k", str(10**22)), 100_000),
+    ],
+    ids=["rc-automaton", "gap-automaton"],
+)
+def test_cli_gap_search_exit_names_its_stage(tmp_path, argv, cap):
+    # lambda = 1/2 has finite index for every k, but k = 10**22 gives about
+    # 4 * 10**22 gaps: the search stops at its cap instead of running on
+    doc = {"format": 1, "type": "condition", "kind": "discounted-sum", "lambda": [1, 2],
+           "k": 10**22}
+    (tmp_path / "huge_k.json").write_text(canonical_json(doc), encoding="utf-8")
+    out, code = run_cli(*(str(tmp_path / a) if a == "huge_k.json" else a for a in argv))
+    assert code == 3
+    assert json.loads(out) == {
+        "format": 1,
+        "error": f"gap search exceeded cap {cap}",
+        "cap": cap,
+        "stage": "gap-automaton",
+    }
 
 
 @pytest.mark.parametrize("command", ["verify", "synthesize"])

@@ -105,7 +105,7 @@ _LASSO_CONDITIONS = [
 
 
 @pytest.mark.parametrize("name,make", _LASSO_CONDITIONS)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_lasso_value_rotation_and_repetition(name, make, data):
     cond_obj = make()
@@ -141,7 +141,7 @@ def _ds_lassos(draw):
     return lam, k, prefix, period
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(_ds_lassos())
 @example((HALF, 2, (), (1, -2)))  # these two sum to exactly 0
 @example((Fraction(2, 3), 3, (), (2, -3)))
@@ -177,7 +177,7 @@ def _automaton_lassos(draw):
     return ParityAutomaton.make(sk, pri), weight, Lasso(prefix, period)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(_automaton_lassos())
 def test_dpa_and_muller_judges_value_the_entered_cycle(case):
     aut, weight, lasso = case
@@ -189,7 +189,7 @@ def test_dpa_and_muller_judges_value_the_entered_cycle(case):
         assert _judge_colors(cond, cond.alphabet, lasso.prefix, lasso.period) == want
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(_automaton_lassos(), st.data())
 def test_judges_over_any_alphabet_agree_with_reference(case, data):
     # every kind of judge, compiled over a drawn order of a drawn subset of
@@ -238,13 +238,13 @@ def test_gap_clamps_absorb():
     assert gap([-2, -2, 2, 2], HALF, 2) == GAP_BOT
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(st.integers(-2, 2), max_size=10))
 def test_gap_incremental_equals_direct_formula(word):
     assert gap(word, HALF, 2) == gap_direct(word, HALF, 2)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.lists(st.integers(-2, 2), max_size=5),
     st.lists(st.integers(-2, 2), min_size=1, max_size=5),
@@ -342,7 +342,7 @@ def _small_dpa_tables(draw):
     return targets, priorities
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(tables=_small_dpa_tables())
 # some pair products of this DPA have over 100k cycle supports
 @example(tables=([2, 2, 0, 3, 1, 1, 3, 0], [2, 0, 0, 0, 0, 2, 3, 2]))

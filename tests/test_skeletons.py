@@ -87,7 +87,7 @@ def test_run_rejects_unknown_color(switch_skeleton):
         switch_skeleton.run(["a", "z"])
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(skeletons(), st.lists(st.sampled_from(["a", "b"]), max_size=6), st.lists(st.sampled_from(["a", "b"]), max_size=6))
 def test_run_prefix_compositionality(sk, u, v):
     full = sk.run(u + v)
@@ -137,7 +137,7 @@ def test_product_rejects_colliding_pair_names():
         product(*build_colliding_pair())
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(skeletons(max_states=3), skeletons(max_states=3), skeletons(max_states=2))
 def test_product_associative_up_to_isomorphism(m1, m2, m3):
     assert product(product(m1, m2), m3).isomorphic(product(m1, product(m2, m3)))
@@ -157,7 +157,7 @@ def _least_shortest_words(sk: Skeleton) -> dict:
     return words
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(1, 3).flatmap(lambda k: skeletons(alphabet=ABC[:k], max_states=5)))
 @example(build_switch_skeleton())
 def test_bfs_words_are_least_shortest_words_in_discovery_order(sk):
@@ -184,7 +184,7 @@ def test_long_chain_reachability_holds_no_words():
     assert peak < 30_000_000
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     st.integers(1, 3).flatmap(
         lambda k: st.tuples(
@@ -287,7 +287,7 @@ def test_supports_cap_is_enforced(switch_skeleton):
         enumerate_cycle_supports(switch_skeleton, cap=5)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, derandomize=True)
 @given(skeletons(max_states=3))
 def test_supports_match_oracle_and_admit_covering_walks(sk):
     masks = enumerate_cycle_supports(sk)
@@ -356,7 +356,7 @@ def test_supports_match_reference_enumerator_in_order(sk):
     assert enumerate_cycle_supports(sk) == reference_cycle_supports(sk)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     st.sampled_from([(0, 0), (1, 8), (9, 16), (17, 40)])
     .flatmap(lambda r: st.integers(*r))
