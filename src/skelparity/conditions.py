@@ -134,8 +134,8 @@ class DiscountedSumCondition:
             raise InputError("k must be a natural number")
 
     @property
-    def alphabet(self):
-        return tuple(range(-self.k, self.k + 1))
+    def alphabet(self) -> range:
+        return range(-self.k, self.k + 1)
 
     @property
     def finite_index(self) -> bool:
@@ -182,9 +182,12 @@ def _check_word(cond: Condition, word: Sequence[Color]):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise InputError(f"color {c!r} is not an integer")
         return
-    allowed = set(alpha)
+    # a range, the discounted-sum colors, tests an int in constant time
+    # but would scan itself for anything else
+    ranged = isinstance(alpha, range)
+    allowed = alpha if ranged else set(alpha)
     for c in word:
-        if c not in allowed:
+        if ranged and not isinstance(c, int) or c not in allowed:
             raise InputError(f"color {c!r} not in the condition's alphabet")
 
 
@@ -306,35 +309,56 @@ def _gap_bfs(cond: DiscountedSumCondition, cap: int) -> tuple[Skeleton, dict[Sta
 # ---------------------------------------------------------------------------
 
 
-def _cycle_judge(
-    sk: Skeleton,
+def _cycle_walker(
+    parts: Sequence[tuple[Skeleton, Sequence[int]]],
     alphabet: Sequence[Color],
-    weights: Sequence[int],
-    value: Callable[[int], str],
-) -> Callable[[Sequence[int], Sequence[int]], str]:
-    """The judge that runs ``sk`` on a lasso of color indices into
-    ``alphabet`` and values the cycle it repeats by ``value`` of the OR of
-    ``weights`` over the transitions on that cycle, ``weights[i]`` being
-    that of ``sk.transitions[i]`` (:func:`support_automaton`).
+) -> Callable[[Sequence[int], Sequence[int]], int]:
+    """The walker that runs the product of the skeletons of ``parts`` on a
+    lasso of color indices into ``alphabet`` and returns the OR of the
+    weights over the transitions on the cycle it repeats.  Part ``(sk,
+    weights)`` gives ``sk.transitions[i]`` the weight ``weights[i]``
+    (:func:`support_automaton`), shifted left by the bit lengths of the
+    largest weights of the parts before it, so the parts' ORs occupy
+    disjoint bit fields of the result.  A cycle of the product is a whole
+    number of turns of each part's own cycle, so each field is exactly the
+    OR that a walk on that part alone would give.
 
-    State ``j`` is the row ``j * len(alphabet)`` of the flat tables, so
-    ``row + c`` is the cell of color index ``c``: ``nxt`` holds the row it
-    leads to and ``w`` its weight.  After the prefix the period is read
-    block by block, each block recording its weight, until a block starts
-    at a state that started an earlier one; the cycle is the blocks from
-    that one on.  The block starts are kept in a list, in block order: it
-    holds at most one entry per state, so scanning it is cheap.
+    Only the product states reachable from the initial states are built,
+    breadth first.  State ``j`` is the row ``j * len(alphabet)`` of the
+    flat tables, so ``row + c`` is the cell of color index ``c``: ``nxt``
+    holds the row it leads to and ``w`` its weight.  After the prefix the
+    period is read block by block, each block recording its weight, until
+    a block starts at a state that started an earlier one; the cycle is the
+    blocks from that one on.  The block starts are kept in a list, in block
+    order: it holds at most one entry per state, so scanning it is cheap.
     """
     n = len(alphabet)
-    row = {s: j * n for j, s in enumerate(sk.states)}
-    upd = sk._upd
-    weight = {(s, c): x for (s, c, _), x in zip(sk.transitions, weights)}
-    nxt = [row[upd[s, c]] for s in sk.states for c in alphabet]
-    w = [weight[s, c] for s in sk.states for c in alphabet]
-    init = row[sk.init]
+    steps = []
+    shift = 0
+    for sk, weights in parts:
+        upd = sk._upd
+        weight = {(s, c): x << shift for (s, c, _), x in zip(sk.transitions, weights)}
+        steps.append((upd, weight))
+        shift += max(weights).bit_length()
+    start = tuple(sk.init for sk, _ in parts)
+    row = {start: 0}
+    nxt: list[int] = []
+    w: list[int] = []
+    queue = [start]
+    for node in queue:  # the queue grows while it is read
+        for c in alphabet:
+            target = tuple(upd[s, c] for s, (upd, _) in zip(node, steps))
+            if target not in row:
+                row[target] = len(queue) * n
+                queue.append(target)
+            nxt.append(row[target])
+            mask = 0
+            for s, (_, weight) in zip(node, steps):
+                mask |= weight[s, c]
+            w.append(mask)
 
-    def judge(prefix, period):
-        s = init
+    def walk(prefix, period):
+        s = 0
         for c in prefix:
             s = nxt[s + c]
         starts: list[int] = []
@@ -350,9 +374,9 @@ def _cycle_judge(
         mask = 0
         for block in blocks[starts.index(s) :]:
             mask |= block
-        return value(mask)
+        return mask
 
-    return judge
+    return walk
 
 
 def lasso_judge(
@@ -363,9 +387,10 @@ def lasso_judge(
     condition and the alphabet over int tables.  The colors are not checked
     (:func:`lasso_value` checks them).
 
-    A parity or Muller judge runs the condition's skeleton on flat tables
-    (:func:`_cycle_judge`) with the weights and the value of
-    :func:`support_automaton`, asking the value once per OR of weights.
+    A parity or Muller judge runs the condition's automaton on flat tables,
+    as the one part of :func:`_cycle_walker`, with the weights and the
+    value of :func:`support_automaton`, asking the value once per OR of
+    weights.
     A discounted sum with lambda = a/b, a prefix of length ``p`` and a
     period of length ``q`` wins iff ``P (b^q - a^q) + a^p D >= 0``, where
     ``P`` and ``D`` are the sums ``c_0 b^(n-1) + c_1 a b^(n-2) + ... +
@@ -376,20 +401,21 @@ def lasso_judge(
     """
     if isinstance(cond, (DpaCondition, MullerCondition)):
         sk, weights, value = support_automaton(cond)
-        return _cycle_judge(sk, alphabet, weights, functools.cache(value))
-    colors = list(alphabet)
-    color = colors.__getitem__
+        walk = _cycle_walker([(sk, weights)], alphabet)
+        value = functools.cache(value)
+        return lambda prefix, period: value(walk(prefix, period))
+    color = alphabet.__getitem__
     if isinstance(cond, DiscountedSumCondition):
         a, b = cond.lam.numerator, cond.lam.denominator
 
         def ds(prefix, period):
             p_sum, a_p = 0, 1
             for c in prefix:
-                p_sum = p_sum * b + colors[c] * a_p
+                p_sum = p_sum * b + alphabet[c] * a_p
                 a_p *= a
             d_sum, a_q = 0, 1
             for c in period:
-                d_sum = d_sum * b + colors[c] * a_q
+                d_sum = d_sum * b + alphabet[c] * a_q
                 a_q *= a
             return WIN if p_sum * (b ** len(period) - a_q) + a_p * d_sum >= 0 else LOSE
 
@@ -423,13 +449,13 @@ def lasso_value(cond: Condition, lasso: Lasso) -> str:
     _check_word(cond, lasso.period)
     # payoff conditions take any integers: index the lasso's own colors
     alphabet = cond.alphabet or tuple(dict.fromkeys((*lasso.prefix, *lasso.period)))
-    index = {c: i for i, c in enumerate(alphabet)}
+    index = alphabet.index
     judge = lasso_judge(cond, alphabet)
-    return judge([index[c] for c in lasso.prefix], [index[c] for c in lasso.period])
+    return judge(list(map(index, lasso.prefix)), list(map(index, lasso.period)))
 
 
 def support_automaton(
-    cond: Condition,
+    cond: Condition, cap: int = DEFAULT_SUPPORT_CAP
 ) -> tuple[Skeleton, list[int], Callable[[int], str]]:
     """The condition's automaton ``D``, the weights of its transitions and
     the value of their ORs: the one valuation of transition sets.
@@ -446,8 +472,9 @@ def support_automaton(
     predicate, or, for a discounted sum with a finite gap automaton
     (:attr:`DiscountedSumCondition.finite_index`), of that automaton, where
     a cycle at a finite gap sums to exactly 0 and wins, a cycle at top wins
-    and a cycle at bot loses.  Other conditions have no such automaton and
-    raise :class:`PreconditionError`.
+    and a cycle at bot loses; the gap search finds at most ``cap`` gaps
+    (:func:`_gap_bfs`).  Other conditions have no such automaton and raise
+    :class:`PreconditionError`.
     """
     if isinstance(cond, DpaCondition):
         aut = cond.automaton
@@ -461,7 +488,7 @@ def support_automaton(
         sk = cond.skeleton
         value = lambda mask: cond.support_value(frozenset(support_transitions(sk, mask)))
     elif isinstance(cond, DiscountedSumCondition) and cond.finite_index:
-        sk, gaps = _gap_bfs(cond, DEFAULT_SUPPORT_CAP)
+        sk, gaps = _gap_bfs(cond, cap)
         leaving = out_masks(sk)
         bot = sum(leaving[s] for s, g in gaps.items() if g == GAP_BOT)
         value = lambda mask: LOSE if mask & bot else WIN

@@ -126,7 +126,7 @@ class SupportAnalysis:
 
     def __init__(self, cond: Condition, sk: Skeleton, cap: int = DEFAULT_SUPPORT_CAP):
         self.skeleton = sk
-        aut, weights, value_of = support_automaton(cond)
+        aut, weights, value_of = support_automaton(cond, cap)
         value = functools.cache(value_of)
         extra = set(sk.alphabet) - set(aut.alphabet)
         if extra:

@@ -240,8 +240,7 @@ def ds_cycle_consistency_demo(
     cond = DiscountedSumCondition(Fraction(lam), k)
     if samples < 0:
         raise InputError("samples must be a natural number")
-    alphabet = list(cond.alphabet)
-    judge = lasso_judge(cond, alphabet)
+    judge = lasso_judge(cond, cond.alphabet)
 
     def value(prefix, period):  # color c is index c + k of the alphabet
         return judge([c + k for c in prefix], [c + k for c in period])
@@ -252,14 +251,14 @@ def ds_cycle_consistency_demo(
     failures = []
     for i in range(samples):
         rng = random.Random(f"{seed}:{i}")
-        prefix = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
+        prefix = tuple(rng.randint(-k, k) for _ in range(rng.randint(0, 4)))
         target = rng.choice((WIN, LOSE))
         size = rng.randint(1, 3)
         family: list[tuple[int, ...]] = []
         attempts = 0
         while len(family) < size and attempts < 200:
             attempts += 1
-            cand = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+            cand = tuple(rng.randint(-k, k) for _ in range(rng.randint(1, 4)))
             if value(prefix, cand) == target:
                 family.append(cand)
         if not family:

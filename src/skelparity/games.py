@@ -6,9 +6,10 @@ integers in canonical order, and certified in tests against a brute-force
 enumeration of positional strategies.  Each game builds its subdivision
 once.  Strategies computed on a product game project to next-move tables
 keyed by (arena state, memory state); a product game is built and solved
-once per arena, and the strategy check reruns the solver on the product's
-subdivision with the player's other moves left out, instead of building and
-solving a second game.
+once per arena.  The strategy check leaves the player's other moves out of
+the product's subdivision instead of building a second game; a strategy
+that keeps its region closed and lets no cycle of the opponent's parity
+form there passes by SCC passes alone, and only the rest rerun the solver.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .conditions import Condition, Lasso
 from .errors import InputError
-from .skeletons import Color, ParityAutomaton, Skeleton, State, color_key
+from .skeletons import Color, ParityAutomaton, Skeleton, State, _scc_ids, color_key
 
 Edge = tuple  # (src, color, dst)
 GameEdge = tuple  # (src, color, dst, priority)
@@ -340,14 +341,19 @@ def verify_strategy(
     ``game`` is the product game and ``full`` its solution.  The game is
     restricted to the strategy's edges on the player's states inside the
     player's winning region; the opponent must then win nowhere inside that
-    region.  The solver reruns on ``game``'s subdivision with the midpoints
-    of the other edges of those states left out, which is the restricted
-    game's own subdivision in the same node order.  A failure yields a
-    witness lasso re-checkable against the condition: the opponent's
-    strategy from the first offending state, against the least kept edge
-    elsewhere.  A strategy with no move, or with a move the arena lacks, at
-    a player's state in the region fails with the witness ``undefined_at``,
-    or ``illegal_move_at`` and the ``move``, instead.
+    region.  The restricted game is ``game``'s subdivision with the
+    midpoints of the other edges of those states left out, which is its
+    own subdivision in the same node order.  When the kept edges never
+    leave the region, the region is a one-player game for the opponent,
+    and a pass is decided by SCC passes alone
+    (:func:`_opponent_wins_nowhere`).  Otherwise, and whenever the opponent
+    may win somewhere, the solver reruns on the restricted game and decides.
+    So every failure and every witness comes from the solver: a witness
+    lasso re-checkable against the condition, the opponent's strategy from
+    the first offending state, against the least kept edge elsewhere.  A
+    strategy with no move, or with a move the arena lacks, at a player's
+    state in the region fails with the witness ``undefined_at``, or
+    ``illegal_move_at`` and the ``move``, instead.
     """
     if player not in (1, 2):
         raise InputError("player must be 1 or 2")
@@ -358,8 +364,12 @@ def verify_strategy(
     edges = game.edges
 
     alive = set(range(len(sub.succ)))
+    inside = set()  # the state nodes of the region
     for i, v in enumerate(game.states):
-        if sub.owner[i] != player or v not in region:
+        if v not in region:
+            continue
+        inside.add(i)
+        if sub.owner[i] != player:
             continue
         s, m = v
         chosen = strat.nxt.get(v)
@@ -378,6 +388,8 @@ def verify_strategy(
                 witness={"illegal_move_at": [s, m], "move": list(chosen)},
             )
         alive.difference_update(dropped)
+    if _opponent_wins_nowhere(sub, alive, inside, opponent):
+        return StrategyReport(passed=True, region_size=len(region))
     regions, strats = _zielonka(sub, alive)
     offenders = [i for i in range(n) if i in regions[opponent] and game.states[i] in region]
     if not offenders:
@@ -398,6 +410,36 @@ def verify_strategy(
     s, m = game.states[start]
     witness = {"state": [s, m], "prefix": colors[:cut], "period": colors[cut:]}
     return StrategyReport(passed=False, region_size=len(region), witness=witness)
+
+
+def _opponent_wins_nowhere(sub: Subdivision, alive: set, inside: set, opponent: int) -> bool:
+    """Whether the state nodes ``inside`` are closed under the edges whose
+    midpoints are ``alive``, and no cycle among them has a top priority of
+    ``opponent``'s parity.  Both together mean the opponent wins nowhere in
+    ``inside``: where the other player has one move left at each of its
+    nodes, the rest is a one-player game for the opponent, who wins exactly
+    from where such a cycle is reachable.  A False proves nothing.
+
+    One SCC pass per priority ``d`` of the opponent's parity on the arcs
+    between the nodes: a cycle with top priority ``d`` exists iff an arc of
+    priority ``d`` joins two nodes of one component of the arcs of priority
+    at most ``d``.
+    """
+    succ, pri = sub.succ, sub.pri
+    arcs = []  # (source, target, priority) between state nodes
+    for u in inside:
+        for w in succ[u]:
+            if w in alive:
+                v = succ[w][0]
+                if v not in inside:
+                    return False
+                arcs.append((u, v, pri[w]))
+    odd = opponent == 2  # player 1 wins by an even top priority, player 2 by odd
+    for d in sorted({p for _, _, p in arcs if p % 2 == odd}):
+        comp = _scc_ids(inside, [(u, v) for u, v, p in arcs if p <= d])
+        if any(p == d and comp[u] == comp[v] for u, v, p in arcs):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ monotone numbering of the classes, and transfer it to transitions by
 minimizing over the inclusion-minimal supports through each transition.
 
 The final automaton is verified both exhaustively (max priority parity of
-every support equals its value) and against the condition's word oracle on
-random lassos of color indices, each side valued by a judge compiled once
-per condition over int tables (:func:`~skelparity.conditions.lasso_judge`).
+every support equals its value) and against the condition on random
+lassos of color indices, both sides valued by one walk per lasso on the
+product of the automaton and the condition's automaton, or, for a
+discounted sum, by a walk on the automaton beside the sum's exact integer
+judge (:func:`~skelparity.conditions.lasso_judge`).
 
 :func:`synthesize` builds the right-congruence automaton once, forms
 ``base`` = (congruence automaton x skeleton), and builds one
@@ -36,16 +38,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import islice
 from operator import or_
 from typing import Iterator, Optional
 
 from .conditions import (
     Condition,
+    DiscountedSumCondition,
     DpaCondition,
     WIN,
     LOSE,
+    _cycle_walker,
     lasso_judge,
     right_congruence_automaton,
     support_automaton,
@@ -453,11 +457,18 @@ def verify_synthesis(
     periodic words.  The words are drawn as color indices into the
     skeleton's alphabet by :func:`index_lassos`, seeded by ``seed``: the
     same stream as the reference sampler ``random_lasso`` of
-    ``tests/lasso_oracle.py``.  Both sides of the comparison are judges
-    compiled once over int tables
-    (:func:`~skelparity.conditions.lasso_judge`), and colors are built only
-    for a mismatch.  The support analysis has already refused any color
-    outside the condition's alphabet, so the words need no color check.
+    ``tests/lasso_oracle.py``.  For a parity or Muller condition each word
+    is walked once, on the reachable product of the automaton's skeleton
+    and the condition's automaton ``D``
+    (:func:`~skelparity.conditions.support_automaton`), whose edges carry
+    the weights of both sides in disjoint bit fields: the OR over the
+    cycle the word repeats gives the automaton's top priority and ``D``'s
+    value at once (:func:`~skelparity.conditions._cycle_walker`).  A
+    discounted sum keeps its exact integer judge
+    (:func:`~skelparity.conditions.lasso_judge`) beside the walk on the
+    skeleton.  Colors are built only for a mismatch.  The support analysis
+    has already refused any color outside the condition's alphabet, so
+    the words need no color check.
     The first discrepancy of each kind is reported.  A negative
     ``samples`` raises :class:`InputError`; conditions without such an
     automaton (mean payoff, total payoff, discounted sums of infinite
@@ -499,14 +510,26 @@ def _verify(
     # the analysis refused every color of ``sk`` outside the condition's
     # alphabet, so the sampled words need no color check
     alphabet = sk.alphabet
-    automaton_value = lasso_judge(DpaCondition(out), alphabet)
-    oracle_value = lasso_judge(cond, alphabet)
+    if isinstance(cond, DiscountedSumCondition):
+        # the walk on ``sk`` beside the exact integer judge of the sum
+        walk = _cycle_walker([(sk, weights)], alphabet)
+        parity = cache(parity_of)
+        oracle = lasso_judge(cond, alphabet)
+        judge = lambda prefix, period: (parity(walk(prefix, period)), oracle(prefix, period))
+    else:
+        # one walk on (sk x D), D the condition's automaton: the cycle's OR
+        # holds that of ``sk`` below bit ``shift`` and that of D from it on
+        d_sk, d_weights, d_value = support_automaton(cond)
+        walk = _cycle_walker([(sk, weights), (d_sk, d_weights)], alphabet)
+        shift = max(weights).bit_length()
+        low = (1 << shift) - 1
+        values = cache(lambda mask: (parity_of(mask & low), d_value(mask >> shift)))
+        judge = lambda prefix, period: values(walk(prefix, period))
     lasso_mismatch = None
     n_lassos = 0
     for prefix, period in islice(index_lassos(random.Random(seed), len(alphabet)), samples):
         n_lassos += 1
-        got = automaton_value(prefix, period)
-        want = oracle_value(prefix, period)
+        got, want = judge(prefix, period)
         if got != want:
             lasso_mismatch = {
                 "prefix": [alphabet[c] for c in prefix],

@@ -4,8 +4,9 @@
 positional strategies, so it shares nothing with the library's
 attractor-based solver.  ``reference_verify_strategy`` checks a strategy by
 building the restricted game as a ``ParityGame`` of its own and solving it
-from scratch, the reference for ``games.verify_strategy``, which reruns the
-solver on the product game's subdivision instead.
+anew, the reference for ``games.verify_strategy``, which passes a
+strategy by SCC passes where it can and otherwise reruns the solver on the
+product game's subdivision instead.
 """
 
 import itertools

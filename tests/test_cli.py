@@ -461,16 +461,24 @@ def test_cli_refuses_conditions_without_automaton(tmp_path, capsys, argv, condit
     [
         (("cond", "rc-automaton", "--condition", "huge_k.json", "--cap", "1000"), 1000),
         (("ds", "gap-automaton", "--lambda", "1/2", "--k", str(10**22)), 100_000),
+        (("verify", "--automaton", "aut.json", "--condition", "huge_k.json", "--cap", "10"), 10),
     ],
-    ids=["rc-automaton", "gap-automaton"],
+    ids=["rc-automaton", "gap-automaton", "verify"],
 )
 def test_cli_gap_search_exit_names_its_stage(tmp_path, argv, cap):
     # lambda = 1/2 has finite index for every k, but k = 10**22 gives about
-    # 4 * 10**22 gaps: the search stops at its cap instead of running on
+    # 4 * 10**22 gaps: the search stops at its cap instead of running on,
+    # and at the cap given, where the command takes one
     doc = {"format": 1, "type": "condition", "kind": "discounted-sum", "lambda": [1, 2],
            "k": 10**22}
-    (tmp_path / "huge_k.json").write_text(canonical_json(doc), encoding="utf-8")
-    out, code = run_cli(*(str(tmp_path / a) if a == "huge_k.json" else a for a in argv))
+    loops = trivial_skeleton([-1, 0, 1])
+    docs = {
+        "huge_k.json": doc,
+        "aut.json": automaton_to_dict(ParityAutomaton.make(loops, {("m0", c): 0 for c in (-1, 0, 1)})),
+    }
+    for name, d in docs.items():
+        (tmp_path / name).write_text(canonical_json(d), encoding="utf-8")
+    out, code = run_cli(*(str(tmp_path / a) if a in docs else a for a in argv))
     assert code == 3
     assert json.loads(out) == {
         "format": 1,
@@ -789,6 +797,18 @@ def test_cli_ds_commands():
         "ds", "demo-cc", "--lambda", "1/2", "--k", "2", "--samples", "20"
     )
     assert code == 0 and json.loads(out)["consistent"] == 20
+
+
+def test_cli_ds_demo_cc_draws_colors_of_a_huge_k():
+    # the colors in [-k, k] are drawn, never listed, so k = 10**22 runs as
+    # quickly as k = 2
+    out, code = run_cli(
+        "ds", "demo-cc", "--lambda", "1/2", "--k", str(10**22), "--samples", "1"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["k"] == 10**22
+    assert (report["consistent"], report["failures"]) == (1, [])
 
 
 @pytest.mark.parametrize("lam", ["0", "1", "3/2", "-1/2"])

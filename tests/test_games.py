@@ -1,18 +1,23 @@
 """Arenas, the certified parity solver, strategies, and the lift experiment."""
 
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skelparity import (
     DiscountedSumCondition,
+    DpaCondition,
     Lasso,
     ParityAutomaton,
     lasso_value,
     trivial_skeleton,
 )
+from skelparity import games
 from skelparity.errors import CapExceeded, InputError
 from skelparity.games import (
     Arena,
@@ -28,6 +33,7 @@ from skelparity.games import (
 )
 from skelparity.synthesis import synthesize
 
+from conftest import build_ab_prefix_automaton
 from games_oracle import brute_force_regions, reference_verify_strategy
 
 
@@ -341,6 +347,71 @@ def test_verify_strategy_matches_restricted_game_reference(name, gen_buchi_autom
     assert kinds["projected", "passed"] == 120
     assert kinds["missing", "undefined_at"] and kinds["illegal", "illegal_move_at"]
     assert kinds["changed", "state"], kinds  # lasso witnesses
+
+
+@functools.cache
+def _synthesized(name: str) -> ParityAutomaton:
+    cond, memory = {
+        "gen-buchi": (_gen_buchi_ab(), _switch_ab()),
+        "ab-prefix": (DpaCondition(build_ab_prefix_automaton()), trivial_skeleton("ab")),
+        "ds-half-k1": (DiscountedSumCondition(Fraction(1, 2), 1), trivial_skeleton(range(-1, 2))),
+    }[name]
+    return synthesize(cond, memory, allow_transient=True).automaton
+
+
+@st.composite
+def _arena_games(draw):
+    """A synthesized automaton and a small arena over its alphabet: 1 to 4
+    states, each with 1 to 3 moves."""
+    aut = _synthesized(draw(st.sampled_from(["gen-buchi", "ab-prefix", "ds-half-k1"])))
+    alphabet = aut.skeleton.alphabet
+    n = draw(st.integers(1, 4))
+    states = [f"s{i}" for i in range(n)]
+    owner = {s: draw(st.sampled_from((1, 2))) for s in states}
+    move = st.tuples(st.sampled_from(alphabet), st.sampled_from(states))
+    edges = [(s, c, t) for s in states for c, t in draw(st.lists(move, min_size=1, max_size=3))]
+    return aut, Arena.make(states, owner, edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_arena_games(), st.data())
+def test_verify_strategy_fast_path_matches_solver_reference(case, data):
+    # the SCC pass decides a pass without the solver; the report of every
+    # strategy, optimal, with one move changed or with one move leaving the
+    # region, equals that of solving the restricted game anew
+    aut, arena = case
+    game = product_game(arena, aut)
+    sol = solve_parity(game)
+    for player in (1, 2):
+        projected = strategy_project(arena, aut, sol.strategy[player])
+        region = sol.regions[player]
+        mine = sorted(
+            (v for v in region if game.owner[v] == player), key=games._gstate_key
+        )
+        variants = {"optimal": projected}
+        if mine:
+            v = data.draw(st.sampled_from(mine))
+            moves = [(v[0], e[1], e[2][0]) for e in game.out_edges_map[v]]
+            variants["changed"] = SkeletonStrategy(
+                projected.skeleton, {**projected.nxt, v: data.draw(st.sampled_from(moves))}
+            )
+            leaving = [
+                (w, (w[0], e[1], e[2][0]))
+                for w in mine
+                for e in game.out_edges_map[w]
+                if e[2] not in region
+            ]
+            if leaving:
+                w, out = data.draw(st.sampled_from(leaving))
+                variants["leaving"] = SkeletonStrategy(projected.skeleton, {**projected.nxt, w: out})
+        for kind, strat in variants.items():
+            with mock.patch.object(games, "_zielonka", wraps=games._zielonka) as solver:
+                got = verify_strategy(game, sol, strat, player)
+            assert got == reference_verify_strategy(game, sol, strat, player), kind
+            if kind == "optimal":
+                # an optimal strategy keeps its region closed and passes
+                # by the SCC pass alone
+                assert got.passed and not solver.called
 
 
 # -- generators ---------------------------------------------------------------------------

@@ -481,13 +481,24 @@ def test_support_mismatch_matches_reference_loop():
     assert mismatches[True] > 10 and mismatches[False] > 20, mismatches
 
 
-@pytest.mark.parametrize("name", ["gen-buchi-switch", "ds-half-k2"])
+def _contrast_table() -> MullerCondition:
+    """The contrast language as a Muller table on its two-state skeleton."""
+    sk = build_contrast_skeleton()
+    supports = (f(support_transitions(sk, g)) for g in enumerate_cycle_supports(sk))
+    return MullerCondition(sk, winning_supports=f(filter(build_contrast_muller().predicate, supports)))
+
+
+@pytest.mark.parametrize("name", ["gen-buchi-switch", "ab-prefix", "contrast-table", "ds-half-k2"])
 def test_verify_lasso_witness_matches_reference_loop(name):
     # each one-step priority mutation of a synthesized automaton: the first
     # sampled lasso mismatch and the lasso count agree with a reference loop
-    # over the same seeded lassos
+    # over the same seeded lassos.  The condition's automaton has one state
+    # for gen-buchi, four for ab-prefix and two for the contrast table, so
+    # the walk on the automaton times it meets pairs of distinct states
     cond, sk, transient = {
         "gen-buchi-switch": (build_gen_buchi(), build_switch_skeleton(), False),
+        "ab-prefix": (DpaCondition(build_ab_prefix_automaton()), trivial_skeleton("ab"), True),
+        "contrast-table": (_contrast_table(), trivial_skeleton("abc"), False),
         "ds-half-k2": (DiscountedSumCondition(Fraction(1, 2), 2), trivial_skeleton(range(-2, 3)), True),
     }[name]
     aut = synthesize(cond, sk, allow_transient=transient).automaton
