@@ -439,8 +439,16 @@ def _cmd_export_dot(args):
 # -- parser -------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    """A ``--cap``: the parser refuses one below 1 for every command."""
+    cap = int(text)
+    if cap <= 0:
+        raise argparse.ArgumentTypeError(f"cap must be positive, got {cap}")
+    return cap
+
+
 def _add_cap(p):
-    p.add_argument("--cap", type=int, default=DEFAULT_SUPPORT_CAP)
+    p.add_argument("--cap", type=positive_int, default=DEFAULT_SUPPORT_CAP)
 
 
 def _add_seeded(p):

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapExceeded, InfiniteIndexError, InputError, PreconditionError, cap_stage
+from .errors import (
+    CapExceeded,
+    InfiniteIndexError,
+    InputError,
+    InternalConsistencyError,
+    PreconditionError,
+    cap_stage,
+)
 from .skeletons import (
     DEFAULT_SUPPORT_CAP,
     Color,
@@ -176,6 +183,7 @@ Condition = (
 
 
 def _check_word(cond: Condition, word: Sequence[Color]):
+    # a boolean would pass for 0 or 1: refused, as no skeleton takes one
     alpha = cond.alphabet
     if alpha is None:
         for c in word:
@@ -187,7 +195,7 @@ def _check_word(cond: Condition, word: Sequence[Color]):
     ranged = isinstance(alpha, range)
     allowed = alpha if ranged else set(alpha)
     for c in word:
-        if ranged and not isinstance(c, int) or c not in allowed:
+        if isinstance(c, bool) or ranged and not isinstance(c, int) or c not in allowed:
             raise InputError(f"color {c!r} not in the condition's alphabet")
 
 
@@ -310,55 +318,29 @@ def _gap_bfs(cond: DiscountedSumCondition, cap: int) -> tuple[Skeleton, dict[Sta
 
 
 def _cycle_walker(
-    parts: Sequence[tuple[Skeleton, Sequence[int]]],
-    alphabet: Sequence[Color],
+    sk: Skeleton, weights: Sequence[int], alphabet: Sequence[Color]
 ) -> Callable[[Sequence[int], Sequence[int]], int]:
-    """The walker that runs the product of the skeletons of ``parts`` on a
-    lasso of color indices into ``alphabet`` and returns the OR of the
-    weights over the transitions on the cycle it repeats.  Part ``(sk,
-    weights)`` gives ``sk.transitions[i]`` the weight ``weights[i]``
-    (:func:`support_automaton`), shifted left by the bit lengths of the
-    largest weights of the parts before it, so the parts' ORs occupy
-    disjoint bit fields of the result.  A cycle of the product is a whole
-    number of turns of each part's own cycle, so each field is exactly the
-    OR that a walk on that part alone would give.
+    """The walker that runs ``sk`` on a lasso of color indices into
+    ``alphabet`` and returns the OR of ``weights`` over the transitions on
+    the cycle it repeats, ``weights[i]`` being that of ``sk.transitions[i]``
+    (:func:`support_automaton`).
 
-    Only the product states reachable from the initial states are built,
-    breadth first.  State ``j`` is the row ``j * len(alphabet)`` of the
-    flat tables, so ``row + c`` is the cell of color index ``c``: ``nxt``
-    holds the row it leads to and ``w`` its weight.  After the prefix the
-    period is read block by block, each block recording its weight, until
-    a block starts at a state that started an earlier one; the cycle is the
-    blocks from that one on.  The block starts are kept in a list, in block
-    order: it holds at most one entry per state, so scanning it is cheap.
+    State ``j`` is the row ``j * len(alphabet)`` of the flat tables, so
+    ``row + c`` is the cell of color index ``c``: ``nxt`` holds the row it
+    leads to and ``w`` its weight.  After the prefix the period is read
+    block by block, each block recording its weight, until a block starts
+    at a state that started an earlier one; the cycle is the blocks from
+    that one on.  The block starts are kept in a list, in block order: it
+    holds at most one entry per state, so scanning it is cheap.
     """
     n = len(alphabet)
-    steps = []
-    shift = 0
-    for sk, weights in parts:
-        upd = sk._upd
-        weight = {(s, c): x << shift for (s, c, _), x in zip(sk.transitions, weights)}
-        steps.append((upd, weight))
-        shift += max(weights).bit_length()
-    start = tuple(sk.init for sk, _ in parts)
-    row = {start: 0}
-    nxt: list[int] = []
-    w: list[int] = []
-    queue = [start]
-    for node in queue:  # the queue grows while it is read
-        for c in alphabet:
-            target = tuple(upd[s, c] for s, (upd, _) in zip(node, steps))
-            if target not in row:
-                row[target] = len(queue) * n
-                queue.append(target)
-            nxt.append(row[target])
-            mask = 0
-            for s, (_, weight) in zip(node, steps):
-                mask |= weight[s, c]
-            w.append(mask)
+    row = {s: j * n for j, s in enumerate(sk.states)}
+    cell = {(s, c): (row[t], x) for (s, c, t), x in zip(sk.transitions, weights)}
+    nxt, w = zip(*(cell[s, c] for s in sk.states for c in alphabet))
+    init = row[sk.init]
 
     def walk(prefix, period):
-        s = 0
+        s = init
         for c in prefix:
             s = nxt[s + c]
         starts: list[int] = []
@@ -387,10 +369,9 @@ def lasso_judge(
     condition and the alphabet over int tables.  The colors are not checked
     (:func:`lasso_value` checks them).
 
-    A parity or Muller judge runs the condition's automaton on flat tables,
-    as the one part of :func:`_cycle_walker`, with the weights and the
-    value of :func:`support_automaton`, asking the value once per OR of
-    weights.
+    A parity or Muller judge walks the condition's automaton
+    (:func:`_cycle_walker`) with the weights and the value of
+    :func:`support_automaton`, asking the value once per OR of weights.
     A discounted sum with lambda = a/b, a prefix of length ``p`` and a
     period of length ``q`` wins iff ``P (b^q - a^q) + a^p D >= 0``, where
     ``P`` and ``D`` are the sums ``c_0 b^(n-1) + c_1 a b^(n-2) + ... +
@@ -401,7 +382,7 @@ def lasso_judge(
     """
     if isinstance(cond, (DpaCondition, MullerCondition)):
         sk, weights, value = support_automaton(cond)
-        walk = _cycle_walker([(sk, weights)], alphabet)
+        walk = _cycle_walker(sk, weights, alphabet)
         value = functools.cache(value)
         return lambda prefix, period: value(walk(prefix, period))
     color = alphabet.__getitem__
@@ -635,7 +616,8 @@ def _word_label(word: Sequence[Color]) -> str:
 def _quotient_by_equivalence(
     sk: Skeleton, equivalent: Callable[[State, State], bool]
 ) -> Skeleton:
-    """Quotient of a skeleton by a residual-language equivalence on states."""
+    """Quotient of a skeleton by a residual-language equivalence on states,
+    always a right congruence: one that is not is an internal fault."""
     states = list(sk.states)
     class_of: dict[State, int] = {}
     reps: list[State] = []
@@ -652,7 +634,7 @@ def _quotient_by_equivalence(
             a = class_of[sk.step(s, c)]
             b = class_of[sk.step(reps[class_of[s]], c)]
             if a != b:
-                raise InputError(
+                raise InternalConsistencyError(
                     "state equivalence is not a congruence; quotient undefined"
                 )
 

@@ -122,12 +122,17 @@ class SupportAnalysis:
     enumerated and valued; their projections onto the skeleton are exactly
     its supports, and a support projected from lifted supports of both
     values has both.  Supports are masks in canonical order.
+
+    It keeps ``D``'s cached :attr:`value` and the skeleton whose runs it
+    valued, :attr:`run_skeleton` (the skeleton, or ``L``), whose transition
+    ``i`` is the skeleton's transition ``images[i]`` and weighs
+    ``d_weights[i]`` in ``D``: verification walks lassos on it.
     """
 
     def __init__(self, cond: Condition, sk: Skeleton, cap: int = DEFAULT_SUPPORT_CAP):
         self.skeleton = sk
         aut, weights, value_of = support_automaton(cond, cap)
-        value = functools.cache(value_of)
+        self.value = value = functools.cache(value_of)
         extra = set(sk.alphabet) - set(aut.alphabet)
         if extra:
             raise InputError(
@@ -139,16 +144,21 @@ class SupportAnalysis:
         if len(d_of) == len(pairs):
             with cap_stage("cycle-supports"):
                 self.supports = enumerate_cycle_supports(sk, cap=cap)
-            to_d = mask_map([d_weight[d_of[s], c] for s, c, _ in sk.transitions])
+            self.run_skeleton, self.images = sk, range(len(sk.transitions))
+            self.d_weights = [d_weight[d_of[s], c] for s, c, _ in sk.transitions]
+            to_d = mask_map(self.d_weights)
             self.value_sets = [frozenset((value(to_d(g)),)) for g in self.supports]
             self._lift = None
         else:
             lifted_sk, pair_of = lift(sk, aut, pairs)
             with cap_stage("lifted-supports"):
                 lifted = enumerate_cycle_supports(lifted_sk, cap=cap)
-            a_bit = {(s, c): 1 << i for i, (s, c, _) in enumerate(sk.transitions)}
-            to_a = mask_map([a_bit[pair_of[s][0], c] for s, c, _ in lifted_sk.transitions])
-            to_d = mask_map([d_weight[pair_of[s][1], c] for s, c, _ in lifted_sk.transitions])
+            index = {(s, c): i for i, (s, c, _) in enumerate(sk.transitions)}
+            self.run_skeleton = lifted_sk
+            self.images = [index[pair_of[s][0], c] for s, c, _ in lifted_sk.transitions]
+            self.d_weights = [d_weight[pair_of[s][1], c] for s, c, _ in lifted_sk.transitions]
+            to_a = mask_map([1 << i for i in self.images])
+            to_d = mask_map(self.d_weights)
             # support mask -> {value: index of its first lifted support of that value}
             first: dict[int, dict[str, int]] = {}
             for j, h in enumerate(lifted):

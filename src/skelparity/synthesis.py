@@ -10,10 +10,11 @@ minimizing over the inclusion-minimal supports through each transition.
 
 The final automaton is verified both exhaustively (max priority parity of
 every support equals its value) and against the condition on random
-lassos of color indices, both sides valued by one walk per lasso on the
-product of the automaton and the condition's automaton, or, for a
-discounted sum, by a walk on the automaton beside the sum's exact integer
-judge (:func:`~skelparity.conditions.lasso_judge`).
+lassos of color indices.  Each lasso is walked once, on the skeleton whose
+runs the support analysis valued, which carries the weights of the
+automaton and of the condition's automaton side by side; a discounted sum
+is judged instead by its exact integer judge
+(:func:`~skelparity.conditions.lasso_judge`).
 
 :func:`synthesize` builds the right-congruence automaton once, forms
 ``base`` = (congruence automaton x skeleton), and builds one
@@ -457,18 +458,15 @@ def verify_synthesis(
     periodic words.  The words are drawn as color indices into the
     skeleton's alphabet by :func:`index_lassos`, seeded by ``seed``: the
     same stream as the reference sampler ``random_lasso`` of
-    ``tests/lasso_oracle.py``.  For a parity or Muller condition each word
-    is walked once, on the reachable product of the automaton's skeleton
-    and the condition's automaton ``D``
-    (:func:`~skelparity.conditions.support_automaton`), whose edges carry
-    the weights of both sides in disjoint bit fields: the OR over the
-    cycle the word repeats gives the automaton's top priority and ``D``'s
-    value at once (:func:`~skelparity.conditions._cycle_walker`).  A
-    discounted sum keeps its exact integer judge
-    (:func:`~skelparity.conditions.lasso_judge`) beside the walk on the
-    skeleton.  Colors are built only for a mismatch.  The support analysis
-    has already refused any color outside the condition's alphabet, so
-    the words need no color check.
+    ``tests/lasso_oracle.py``.  Each word is walked once
+    (:func:`~skelparity.conditions._cycle_walker`) on the skeleton whose
+    runs the support analysis valued: the automaton's, or its product with
+    the condition's automaton ``D`` when ``D``'s state is not a function of
+    the automaton's.  Its transitions carry the weights of both in disjoint
+    bit fields, so the OR over the cycle the word repeats gives the top
+    priority and ``D``'s value at once.  A discounted sum is judged instead
+    by its exact integer judge (:func:`~skelparity.conditions.lasso_judge`).
+    Colors are built only for a mismatch.
     The first discrepancy of each kind is reported.  A negative
     ``samples`` raises :class:`InputError`; conditions without such an
     automaton (mean payoff, total payoff, discounted sums of infinite
@@ -488,8 +486,10 @@ def _verify(
     seed: int,
 ) -> VerifyReport:
     """:func:`verify_synthesis` given the support analysis of the
-    automaton's skeleton.  A support of two values is a mismatch, reported
-    with the value that the top priority's parity contradicts."""
+    automaton's skeleton, whose ``D`` valuation and run skeleton it reads:
+    it builds no automaton of the condition and no product of its own.  A
+    support of two values is a mismatch, reported with the value that the
+    top priority's parity contradicts."""
     sk = out.skeleton
     _, weights, parity_of = support_automaton(DpaCondition(out))
     to_parity = mask_map(weights)
@@ -507,23 +507,21 @@ def _verify(
             }
             break
 
-    # the analysis refused every color of ``sk`` outside the condition's
-    # alphabet, so the sampled words need no color check
+    # the analysis refused every color outside the condition's alphabet, so
+    # the words need no color check.  The OR of a walk on the analysis' run
+    # skeleton holds the rank bits of ``out`` below ``shift`` and D's above
     alphabet = sk.alphabet
+    shift = max(weights).bit_length()
+    low = (1 << shift) - 1
+    run = [weights[i] | d << shift for i, d in zip(analysis.images, analysis.d_weights)]
+    walk = _cycle_walker(analysis.run_skeleton, run, alphabet)
     if isinstance(cond, DiscountedSumCondition):
-        # the walk on ``sk`` beside the exact integer judge of the sum
-        walk = _cycle_walker([(sk, weights)], alphabet)
-        parity = cache(parity_of)
+        # the sum's exact integer judge: the one run-time check of its gap automaton
+        parity = cache(lambda mask: parity_of(mask & low))
         oracle = lasso_judge(cond, alphabet)
         judge = lambda prefix, period: (parity(walk(prefix, period)), oracle(prefix, period))
     else:
-        # one walk on (sk x D), D the condition's automaton: the cycle's OR
-        # holds that of ``sk`` below bit ``shift`` and that of D from it on
-        d_sk, d_weights, d_value = support_automaton(cond)
-        walk = _cycle_walker([(sk, weights), (d_sk, d_weights)], alphabet)
-        shift = max(weights).bit_length()
-        low = (1 << shift) - 1
-        values = cache(lambda mask: (parity_of(mask & low), d_value(mask >> shift)))
+        values = cache(lambda mask: (parity_of(mask & low), analysis.value(mask >> shift)))
         judge = lambda prefix, period: values(walk(prefix, period))
     lasso_mismatch = None
     n_lassos = 0

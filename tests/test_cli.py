@@ -488,6 +488,30 @@ def test_cli_gap_search_exit_names_its_stage(tmp_path, argv, cap):
     }
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("skel", "supports", "--skeleton", "switch.json"),
+        ("cond", "residuals", "--condition", "contrast_cond.json", "--w1", "a", "--w2", "b"),
+        ("cond", "rc-automaton", "--condition", "contrast_cond.json"),
+        ("cond", "rc-automaton", "--condition", "ds.json"),
+        ("check", "prefix-independence", "--condition", "genbuchi.json", "--skeleton", "switch.json"),
+        ("check", "cycle-consistency", "--condition", "genbuchi.json", "--skeleton", "switch.json"),
+        ("synthesize", "--condition", "genbuchi.json", "--skeleton", "switch.json"),
+        ("verify", "--automaton", "contrast.json", "--condition", "contrast_cond.json"),
+    ],
+    ids=["skel-supports", "residuals", "rc-automaton-dpa", "rc-automaton-ds",
+         "prefix-independence", "cycle-consistency", "synthesize", "verify"],
+)
+def test_cli_cap_below_one_exits_2(files, capsys, argv, cap):
+    # the parser refuses it for every command that takes a cap, before
+    # any stage could read it as a cap that is exceeded or never reached
+    out, code = run_cli(*(files.get(a, a) for a in argv), "--cap", cap)
+    assert code == 2 and out == ""
+    assert f"argument --cap: cap must be positive, got {cap}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["verify", "synthesize"])
 def test_cli_negative_samples_exit_2(files, capsys, command):
     inputs = {

@@ -28,10 +28,16 @@ from skelparity.conditions import (
     GAP_TOP,
     compare_states,
     discounted_sum,
+    _quotient_by_equivalence,
     finite_gap,
     lasso_judge,
 )
-from skelparity.errors import InfiniteIndexError, InputError, PreconditionError
+from skelparity.errors import (
+    InfiniteIndexError,
+    InputError,
+    InternalConsistencyError,
+    PreconditionError,
+)
 from skelparity.skeletons import enumerate_cycle_supports, support_transitions
 
 import lasso_oracle
@@ -90,6 +96,27 @@ def test_alphabet_is_enforced(gen_buchi):
         lasso_value(gen_buchi, Lasso.make([], ["z"]))
     with pytest.raises(InputError):
         lasso_value(DiscountedSumCondition(HALF, 1), Lasso.make([], [2]))
+
+
+_BINARY_DPA = DpaCondition(
+    ParityAutomaton.make(trivial_skeleton((0, 1)), {("m0", 0): 0, ("m0", 1): 1})
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lasso_value(DiscountedSumCondition(HALF, 1), Lasso.make((), (True,))),
+        lambda: lasso_value(_BINARY_DPA, Lasso.make((), (True,))),
+        lambda: residual_compare(_BINARY_DPA, (True,), ()),
+    ],
+    ids=["ds-lasso", "dpa-lasso", "dpa-residuals"],
+)
+def test_boolean_colors_are_refused(call):
+    # True == 1 and 1 is a color of each condition, but a boolean is not
+    # a color, as no skeleton takes one
+    with pytest.raises(InputError):
+        call()
 
 
 from conftest import build_contrast_automaton
@@ -482,6 +509,15 @@ def test_rc_states_pairwise_distinct(ab_prefix_condition):
         for q2 in sk.states:
             got = compare_states(ab_prefix_condition, q1, q2)
             assert (got == "equal") == (q1 == q2)
+
+
+def test_quotient_by_a_non_congruence_is_an_internal_fault():
+    # p and q are declared equivalent, but their a-successors q and r are
+    # not: no residual equivalence does that, so the fault is the
+    # relation's, not the input's
+    sk = Skeleton.make(["p", "q", "r"], "p", ["a"], {("p", "a"): "q", ("q", "a"): "r", ("r", "a"): "r"})
+    with pytest.raises(InternalConsistencyError):
+        _quotient_by_equivalence(sk, lambda x, y: x == y or {x, y} == {"p", "q"})
 
 
 def test_rc_quotients_redundant_states(gen_buchi, switch_skeleton):

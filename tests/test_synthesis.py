@@ -488,30 +488,55 @@ def _contrast_table() -> MullerCondition:
     return MullerCondition(sk, winning_supports=f(filter(build_contrast_muller().predicate, supports)))
 
 
-@pytest.mark.parametrize("name", ["gen-buchi-switch", "ab-prefix", "contrast-table", "ds-half-k2"])
-def test_verify_lasso_witness_matches_reference_loop(name):
-    # each one-step priority mutation of a synthesized automaton: the first
-    # sampled lasso mismatch and the lasso count agree with a reference loop
-    # over the same seeded lassos.  The condition's automaton has one state
-    # for gen-buchi, four for ab-prefix and two for the contrast table, so
-    # the walk on the automaton times it meets pairs of distinct states
-    cond, sk, transient = {
-        "gen-buchi-switch": (build_gen_buchi(), build_switch_skeleton(), False),
-        "ab-prefix": (DpaCondition(build_ab_prefix_automaton()), trivial_skeleton("ab"), True),
-        "contrast-table": (_contrast_table(), trivial_skeleton("abc"), False),
-        "ds-half-k2": (DiscountedSumCondition(Fraction(1, 2), 2), trivial_skeleton(range(-2, 3)), True),
-    }[name]
+def _synthesized_mutations(cond, sk, transient) -> list:
+    """The automaton synthesized for ``cond`` on ``sk`` and each of its
+    one-step priority mutations."""
     aut = synthesize(cond, sk, allow_transient=transient).automaton
     pri = {(s, c): p for s, c, p in aut.priorities}
+    return [
+        ParityAutomaton.make(aut.skeleton, pri if t is None else {**pri, t: pri[t] + 1})
+        for t in [None, *pri]
+    ]
+
+
+@pytest.mark.parametrize(
+    "name", ["gen-buchi-switch", "ab-prefix", "contrast-table", "ds-half-k2", "one-state-ab-prefix"]
+)
+def test_verify_lasso_witness_matches_reference_loop(name):
+    # for each automaton, the first sampled lasso mismatch and the lasso
+    # count agree with a reference loop over the same seeded lassos.  The
+    # walk runs on the skeleton whose runs the support analysis valued.  In
+    # the synthesized automata and their one-step priority mutations the
+    # condition's automaton (one state for gen-buchi, four for ab-prefix,
+    # two for the contrast table) has its state fixed by the automaton's,
+    # so that skeleton is the automaton's own.  In the one-state automata
+    # over {a, b}, with every pair of priorities in 0..2, the 4-state
+    # ab-prefix automaton's state is not fixed, so it is the lift
+    if name == "one-state-ab-prefix":
+        cond = DpaCondition(build_ab_prefix_automaton())
+        automata = [
+            ParityAutomaton.make(trivial_skeleton("ab"), {("m0", "a"): pa, ("m0", "b"): pb})
+            for pa, pb in itertools.product(range(3), repeat=2)
+        ]
+    else:
+        cond, sk, transient = {
+            "gen-buchi-switch": (build_gen_buchi(), build_switch_skeleton(), False),
+            "ab-prefix": (DpaCondition(build_ab_prefix_automaton()), trivial_skeleton("ab"), True),
+            "contrast-table": (_contrast_table(), trivial_skeleton("abc"), False),
+            "ds-half-k2": (DiscountedSumCondition(Fraction(1, 2), 2), trivial_skeleton(range(-2, 3)), True),
+        }[name]
+        automata = _synthesized_mutations(cond, sk, transient)
+    for mutated in automata:
+        lifted = SupportAnalysis(cond, mutated.skeleton)._lift is not None
+        assert lifted == (name == "one-state-ab-prefix")
     found = 0
-    for t in [None, *pri]:
-        mutated = ParityAutomaton.make(aut.skeleton, pri if t is None else {**pri, t: pri[t] + 1})
+    for mutated in automata:
         report = verify_synthesis(mutated, cond, seed=3)
         rng = random.Random(3)
         want, checked = None, 0
         while want is None and checked < 1000:
             checked += 1
-            lasso = random_lasso(rng, aut.skeleton.alphabet)
+            lasso = random_lasso(rng, mutated.skeleton.alphabet)
             got = lasso_oracle.reference_value(DpaCondition(mutated), lasso)
             oracle = lasso_oracle.reference_value(cond, lasso)
             if got != oracle:
