@@ -8,9 +8,10 @@ total-payoff threshold conditions.
 
 Ultimately periodic words (finite prefix + non-empty period) are the finite
 currency for evaluating conditions; all arithmetic is exact, rational or
-integer, never floating point.  The residuals of parity and Muller
-conditions are compared through one relation per condition, read off the
-square of its automaton (:func:`residual_relation`).
+integer, never floating point.  The residuals of parity, Muller and
+finite-index discounted-sum conditions are compared through one relation
+per condition, read off the square of its automaton
+(:func:`residual_relation`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .skeletons import (
     bfs_words,
     bit_indices,
     mask_map,
-    out_masks,
     support_transitions,
     trivial_skeleton,
 )
@@ -444,69 +444,67 @@ def support_automaton(
     ``weights[i]`` is a one-bit weight of ``D.transitions[i]``.  A word is
     in the condition iff ``value`` of the OR of the weights of the support
     its run on ``D`` repeats (the transitions seen infinitely often) is
-    ``win``.  For a parity automaton ``D`` is its skeleton and the weight
-    is the bit of the priority's rank among the distinct priorities, so the
-    highest bit of an OR is the rank of the top priority, whose parity is
-    the value; the bits stay few however large the priorities are.
-    Otherwise the weight is the transition's own bit, so an OR is a support
-    mask of ``D``: of the Muller skeleton, valued by its table or
-    predicate, or, for a discounted sum with a finite gap automaton
-    (:attr:`DiscountedSumCondition.finite_index`), of that automaton, where
-    a cycle at a finite gap sums to exactly 0 and wins, a cycle at top wins
-    and a cycle at bot loses; the gap search finds at most ``cap`` gaps
-    (:func:`_gap_bfs`).  Other conditions have no such automaton and raise
-    :class:`PreconditionError`.
+    ``win``.  For a Muller condition ``D`` is its skeleton and the weight
+    is the transition's own bit, so an OR is a support mask, valued by the
+    table or predicate.  Every other such ``D`` is a parity automaton, and
+    the weight is the bit of the priority's rank among the distinct
+    priorities, so the highest bit of an OR is the rank of the top
+    priority, whose parity is the value; the bits stay few however large
+    the priorities are.  That is a DPA's own automaton, or a discounted
+    sum's gap automaton (:func:`_gap_bfs`, which finds at most ``cap``
+    gaps and refuses infinite index) with priority 1 on the transitions
+    leaving bot and 0 elsewhere: a cycle at a finite gap sums to exactly 0
+    and wins, a cycle at top wins and one at bot loses.  Other conditions
+    have no such automaton and raise :class:`PreconditionError`.
     """
-    if isinstance(cond, DpaCondition):
-        aut = cond.automaton
-        sk = aut.skeleton
-        pri = [aut.priority(s, c) for s, c, _ in sk.transitions]
-        levels = sorted(set(pri))
-        bit = {p: 1 << r for r, p in enumerate(levels)}
-        value = lambda mask: LOSE if levels[mask.bit_length() - 1] % 2 else WIN
-        return sk, [bit[p] for p in pri], value
     if isinstance(cond, MullerCondition):
         sk = cond.skeleton
         value = lambda mask: cond.support_value(frozenset(support_transitions(sk, mask)))
-    elif isinstance(cond, DiscountedSumCondition) and cond.finite_index:
+        return sk, [1 << i for i in range(len(sk.transitions))], value
+    if isinstance(cond, DpaCondition):
+        sk = cond.automaton.skeleton
+        pri = [cond.automaton.priority(s, c) for s, c, _ in sk.transitions]
+    elif isinstance(cond, DiscountedSumCondition):
         sk, gaps = _gap_bfs(cond, cap)
-        leaving = out_masks(sk)
-        bot = sum(leaving[s] for s, g in gaps.items() if g == GAP_BOT)
-        value = lambda mask: LOSE if mask & bot else WIN
+        pri = [int(gaps[s] == GAP_BOT) for s, _, _ in sk.transitions]
     else:
         raise PreconditionError(
             "no automaton values the cycle supports of this condition: cycle "
             "values depend on transition sets alone only for parity, Muller and "
             "discounted-sum conditions with a finite gap automaton"
         )
-    return sk, [1 << i for i in range(len(sk.transitions))], value
+    levels = sorted(set(pri))
+    bit = {p: 1 << r for r, p in enumerate(levels)}
+    value = lambda mask: LOSE if levels[mask.bit_length() - 1] % 2 else WIN
+    return sk, [bit[p] for p in pri], value
 
 
 # ---------------------------------------------------------------------------
-# residual comparison (automaton-backed conditions, exact)
+# residual comparison (exact, on the condition's automaton)
 # ---------------------------------------------------------------------------
 
 
 def residual_relation(
-    cond: DpaCondition | MullerCondition, cap: int = DEFAULT_SUPPORT_CAP
+    cond: Condition, cap: int = DEFAULT_SUPPORT_CAP
 ) -> tuple[Skeleton, frozenset[tuple[State, State]]]:
-    """The condition's automaton ``D`` (:func:`support_automaton`) and the
-    pairs (q1, q2) of its states such that some word wins from q1 and loses
-    from q2: the residual relation that :func:`compare_states`,
-    :func:`residual_compare` and :func:`right_congruence_automaton` read.
+    """The condition's automaton ``D`` (:func:`support_automaton`, which
+    takes ``cap``) and the pairs (q1, q2) of its states such that some word
+    wins from q1 and loses from q2: the residual relation that
+    :func:`compare_states`, :func:`residual_compare` and
+    :func:`right_congruence_automaton` read.
 
     Such a word exists iff (q1, q2) reaches, in the square ``D x D`` whose
     edges carry the weights of both sides, a cycle support whose left OR
-    wins and whose right OR loses.  For parity the weights are rank bits:
-    for a winning rank bit ``x1`` and a losing one ``x2``, a component of
-    the square cut to left weight <= x1 and right weight <= x2 with inner
-    edges of left weight x1 and of right weight x2 holds such a support,
-    and ``cap`` is ignored.  For Muller the supports of the square off its
-    diagonal, where both sides agree, are enumerated once within ``cap``;
-    a support's mirror marks the converse pairs.  One state has no pair
-    off the diagonal, so its relation is empty.
+    wins and whose right OR loses.  Every ``D`` but a Muller skeleton is a
+    parity automaton weighted by rank bits: for a winning rank bit ``x1``
+    and a losing one ``x2``, a component of the square cut to left weight
+    <= x1 and right weight <= x2 with inner edges of left weight x1 and of
+    right weight x2 holds such a support.  For Muller the supports of the
+    square off its diagonal, where both sides agree, are enumerated once
+    within ``cap``; a support's mirror marks the converse pairs.  One state
+    has no pair off the diagonal, so its relation is empty.
     """
-    sk, weights, value = support_automaton(cond)
+    sk, weights, value = support_automaton(cond, cap)
     states = sk.states
     n = len(states)
     if n == 1:
@@ -523,7 +521,7 @@ def residual_relation(
         for (ta, wa), (tb, wb) in zip(moves[a], moves[b])
     ]
     good: set[int] = set()  # pairs on a support that wins left and loses right
-    if isinstance(cond, DpaCondition):
+    if not isinstance(cond, MullerCondition):
         ranks = [1 << r for r in range(max(weights).bit_length())]
         for x1 in (x for x in ranks if value(x) == WIN):
             for x2 in (x for x in ranks if value(x) == LOSE):
@@ -556,30 +554,29 @@ def residual_relation(
     return sk, frozenset((states[u // n], states[u % n]) for u in good)
 
 
-def compare_states(
-    cond: DpaCondition | MullerCondition,
-    q1: State,
-    q2: State,
-    cap: int = DEFAULT_SUPPORT_CAP,
-) -> str:
-    """Exact comparison of the residual languages of two automaton states,
-    read off :func:`residual_relation`.
+# the relation of (q1, q2) by whether (q1, q2) and (q2, q1) are win-lose pairs
+_VERDICT = {
+    (False, False): "equal",
+    (True, False): "greater",
+    (False, True): "less",
+    (True, True): "incomparable",
+}
 
-    ``cap`` bounds the support enumeration of Muller conditions; parity
-    conditions are decided in polynomial time and ignore it.
+
+def compare_states(
+    cond: Condition, q1: State, q2: State, cap: int = DEFAULT_SUPPORT_CAP
+) -> str:
+    """Exact comparison of the residual languages of two states of the
+    condition's automaton, read off :func:`residual_relation`.
+
+    ``cap`` bounds the support enumeration of Muller conditions and the gap
+    search of discounted sums; parity conditions ignore it.
     """
     sk, win_lose = residual_relation(cond, cap)
     for q in (q1, q2):
         if q not in sk.states:
             raise InputError(f"unknown state {q!r}")
-    win1_lose2, lose1_win2 = (q1, q2) in win_lose, (q2, q1) in win_lose
-    if win1_lose2 and lose1_win2:
-        return "incomparable"
-    if win1_lose2:
-        return "greater"
-    if lose1_win2:
-        return "less"
-    return "equal"
+    return _VERDICT[(q1, q2) in win_lose, (q2, q1) in win_lose]
 
 
 def residual_compare(
@@ -588,16 +585,15 @@ def residual_compare(
     """Compare the winning continuations of two finite words.
 
     ``less`` means w1's continuations are a strict subset of w2's.  Decided
-    exactly by :func:`compare_states` on the states the words lead the
-    parity or Muller automaton to; ``cap`` bounds the support enumeration
-    of Muller conditions.
+    exactly by :func:`residual_relation`, built once, on the states the
+    words lead its automaton to; the relation refuses what it cannot build,
+    and ``cap`` bounds it as in :func:`compare_states`.
     """
-    if not isinstance(cond, (DpaCondition, MullerCondition)):
-        raise PreconditionError("residual comparison requires a parity or Muller condition")
     _check_word(cond, w1)
     _check_word(cond, w2)
-    sk = support_automaton(cond)[0]
-    return compare_states(cond, sk.run_end(w1), sk.run_end(w2), cap)
+    sk, win_lose = residual_relation(cond, cap)
+    q1, q2 = sk.run_end(w1), sk.run_end(w2)
+    return _VERDICT[(q1, q2) in win_lose, (q2, q1) in win_lose]
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,14 @@ def _color_in(c) -> Color:
     return c
 
 
+def _list(doc: Mapping, key: str) -> list:
+    # a string or an object iterates too, into letters or keys
+    value = doc[key]
+    if not isinstance(value, list):
+        raise TypeError(f"{key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
 # -- skeletons and automata -------------------------------------------------
 
 
@@ -61,12 +69,14 @@ def skeleton_to_dict(sk: Skeleton) -> dict:
 def skeleton_from_dict(doc: Mapping) -> Skeleton:
     _expect(doc, "skeleton")
     upd = {}
-    for row in doc["upd"]:
-        if len(row) != 3:
+    for row in _list(doc, "upd"):
+        if not isinstance(row, list) or len(row) != 3:
             raise InputError(f"bad update row {row!r}")
         s, c, t = row
         upd[(s, _color_in(c))] = t
-    return Skeleton.make(doc["states"], doc["init"], map(_color_in, doc["alphabet"]), upd)
+    return Skeleton.make(
+        _list(doc, "states"), doc["init"], map(_color_in, _list(doc, "alphabet")), upd
+    )
 
 
 def automaton_to_dict(aut: ParityAutomaton) -> dict:
@@ -80,8 +90,8 @@ def automaton_from_dict(doc: Mapping) -> ParityAutomaton:
     _expect(doc, "parity-automaton")
     sk = skeleton_from_dict({**doc, "type": "skeleton"})
     priority = {}
-    for row in doc["priority"]:
-        if len(row) != 3:
+    for row in _list(doc, "priority"):
+        if not isinstance(row, list) or len(row) != 3:
             raise InputError(f"bad priority row {row!r}")
         s, c, p = row
         priority[(s, _color_in(c))] = p
@@ -104,12 +114,12 @@ def arena_to_dict(arena: Arena) -> dict:
 def arena_from_dict(doc: Mapping) -> Arena:
     _expect(doc, "arena")
     edges = []
-    for row in doc["edges"]:
-        if len(row) != 3:
+    for row in _list(doc, "edges"):
+        if not isinstance(row, list) or len(row) != 3:
             raise InputError(f"bad edge row {row!r}")
         s, c, t = row
         edges.append((s, _color_in(c), t))
-    return Arena.make(doc["states"], doc["owner"], edges)
+    return Arena.make(_list(doc, "states"), doc["owner"], edges)
 
 
 # -- conditions ---------------------------------------------------------------
@@ -166,7 +176,7 @@ def condition_from_dict(doc: Mapping) -> Condition:
         sk = skeleton_from_dict(doc["skeleton"])
         arc = {(s, c): (s, t) for s, c, t in sk.transitions}
         table = set()
-        for rows in doc["winning_supports"]:
+        for rows in _list(doc, "winning_supports"):
             g = frozenset((s, _color_in(c)) for s, c in rows)
             if not g <= arc.keys():
                 raise InputError(f"winning support {rows!r} names a transition the skeleton lacks")
@@ -204,6 +214,8 @@ def load_document(path: str):
             raise InputError(f"{path}: not UTF-8 text ({exc})") from None
         except ValueError as exc:  # an integer too long to convert from text
             raise InputError(f"{path}: number too long to read ({exc})") from None
+        except RecursionError:
+            raise InputError(f"{path}: JSON nested too deeply to read") from None
     loaders = {
         "skeleton": skeleton_from_dict,
         "parity-automaton": automaton_from_dict,

@@ -469,8 +469,8 @@ def verify_synthesis(
     Colors are built only for a mismatch.
     The first discrepancy of each kind is reported.  A negative
     ``samples`` raises :class:`InputError`; conditions without such an
-    automaton (mean payoff, total payoff, discounted sums of infinite
-    index) raise :class:`PreconditionError`.
+    automaton raise :class:`PreconditionError` (mean and total payoff) or
+    :class:`InfiniteIndexError` (discounted sums of infinite index).
     """
     if samples < 0:
         raise InputError("samples must be a natural number")

@@ -49,6 +49,7 @@ from skelparity.serialize import (
 from skelparity.skeletons import support_transitions
 
 from conftest import build_colliding_pair, build_two_valued_dpa
+from gap_oracle import gap_direct
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -431,14 +432,15 @@ INFINITE_INDEX = "the right congruence of this discounted-sum condition has infi
         ("game", "lift-experiment", "--condition", "cond.json", "--skeleton", "loops.json"),
         ("cond", "rc-automaton", "--condition", "cond.json"),
         ("verify", "--automaton", "aut.json", "--condition", "cond.json"),
+        ("cond", "residuals", "--condition", "cond.json", "--w1", "0", "--w2", "1"),
     ],
     ids=["cycle-consistency", "prefix-independence", "synthesize", "lift-experiment",
-         "rc-automaton", "verify"],
+         "rc-automaton", "verify", "residuals"],
 )
 def test_cli_refuses_conditions_without_automaton(tmp_path, capsys, argv, condition):
     # no automaton values their cycle supports: the gap search refuses a
-    # discounted sum of infinite index wherever the congruence automaton is
-    # built, and support_automaton every other such condition
+    # discounted sum of infinite index wherever the condition's automaton
+    # is built, and support_automaton every other such condition
     loops = trivial_skeleton([-1, 0, 1])
     docs = {
         "loops.json": skeleton_to_dict(loops),
@@ -451,7 +453,7 @@ def test_cli_refuses_conditions_without_automaton(tmp_path, capsys, argv, condit
         (tmp_path / name).write_text(canonical_json(doc), encoding="utf-8")
     out, code = run_cli(*(str(tmp_path / a) if a in docs else a for a in argv))
     assert code == 2
-    infinite = condition["kind"] == "discounted-sum" and argv[0] != "verify"
+    infinite = condition["kind"] == "discounted-sum"
     assert (INFINITE_INDEX if infinite else NO_SUPPORT_AUTOMATON) in json.loads(out)["error"]
     assert "Traceback" not in capsys.readouterr().err
 
@@ -462,8 +464,10 @@ def test_cli_refuses_conditions_without_automaton(tmp_path, capsys, argv, condit
         (("cond", "rc-automaton", "--condition", "huge_k.json", "--cap", "1000"), 1000),
         (("ds", "gap-automaton", "--lambda", "1/2", "--k", str(10**22)), 100_000),
         (("verify", "--automaton", "aut.json", "--condition", "huge_k.json", "--cap", "10"), 10),
+        (("cond", "residuals", "--condition", "huge_k.json", "--w1", "0", "--w2", "1",
+          "--cap", "100"), 100),
     ],
-    ids=["rc-automaton", "gap-automaton", "verify"],
+    ids=["rc-automaton", "gap-automaton", "verify", "residuals"],
 )
 def test_cli_gap_search_exit_names_its_stage(tmp_path, argv, cap):
     # lambda = 1/2 has finite index for every k, but k = 10**22 gives about
@@ -576,6 +580,25 @@ def test_cli_residuals(files):
     )
     assert code == 0
     assert json.loads(out)["relation"] in {"equal", "less", "greater", "incomparable"}
+
+
+@pytest.mark.parametrize(
+    "w1, w2",
+    [("", "-1"), ("-1", ""), ("1", "2"), ("-2", "-2,1"), ("2,-2", "0"), ("1,-1", "0,0"),
+     ("-2,-2", "-2,-1,2"), ("2", "2,2")],
+)
+def test_cli_ds_residuals_follow_the_gap_order(files, w1, w2):
+    # the word-level gaps of tests/gap_oracle.py: bot < finite gaps < top
+    out, code = run_cli("cond", "residuals", "--condition", files["ds.json"],
+                        f"--w1={w1}", f"--w2={w2}")
+    assert code == 0
+
+    def rank(word):
+        g = gap_direct(parse_word(word), Fraction(1, 2), 2)
+        return {"bot": (0, 0), "top": (2, 0)}.get(g.kind, (1, g.value))
+
+    a, b = rank(w1), rank(w2)
+    assert json.loads(out)["relation"] == {-1: "less", 0: "equal", 1: "greater"}[(a > b) - (a < b)]
 
 
 @pytest.mark.parametrize("w1, w2", [("", "a"), ("a", "b"), ("a,b", "b,b"), ("c", "a,a")])
@@ -719,6 +742,52 @@ def test_cli_muller_rows_must_be_cycle_supports(tmp_path, capsys, skeleton, rows
                         "--skeleton", str(sk))
     assert code == 2
     assert named in json.loads(out)["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_LOOP_M = {**_TRIVIAL_AB, "states": ["m"], "init": "m", "upd": [["m", "a", "m"], ["m", "b", "m"]]}
+_ARENA_M = {"format": 1, "type": "arena", "states": ["m"], "owner": {"m": 1},
+            "edges": [["m", "a", "m"], ["m", "b", "m"]]}
+
+
+@pytest.mark.parametrize(
+    "doc, fault",
+    [
+        ({**_LOOP_M, "alphabet": "ab"}, "'alphabet' must be a list"),
+        ({**_LOOP_M, "alphabet": {"a": 0, "b": 1}}, "'alphabet' must be a list"),
+        ({**_LOOP_M, "states": "m"}, "'states' must be a list"),
+        ({**_LOOP_M, "upd": ["mam", "mbm"]}, "bad update row 'mam'"),
+        ({**_ARENA_M, "states": "m"}, "'states' must be a list"),
+        ({**_ARENA_M, "states": {"m": 0}}, "'states' must be a list"),
+        ({**_ARENA_M, "edges": ["mam", "mbm"]}, "bad edge row 'mam'"),
+    ],
+    ids=["alphabet-string", "alphabet-object", "states-string", "update-row-string",
+         "arena-states-string", "arena-states-object", "edge-row-string"],
+)
+def test_cli_lists_given_as_strings_or_objects_exit_2(tmp_path, capsys, doc, fault):
+    # a string or an object iterates like a list, into its letters or keys
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if doc["type"] == "skeleton":
+        out, code = run_cli("skel", "supports", "--skeleton", str(path))
+    else:
+        aut = tmp_path / "aut.json"
+        aut.write_text(canonical_json(automaton_to_dict(
+            ParityAutomaton.make(trivial_skeleton(["a", "b"]), {("m0", "a"): 0, ("m0", "b"): 1})
+        )))
+        out, code = run_cli("game", "solve", "--arena", str(path), "--automaton", str(aut))
+    assert code == 2
+    assert fault in json.loads(out)["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_deeply_nested_document_exits_2(tmp_path, capsys):
+    # the JSON decoder recurses once per nesting level
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    out, code = run_cli("skel", "supports", "--skeleton", str(path))
+    assert code == 2
+    assert json.loads(out) == {"format": 1, "error": f"{path}: JSON nested too deeply to read"}
     assert "Traceback" not in capsys.readouterr().err
 
 

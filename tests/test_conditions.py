@@ -23,6 +23,7 @@ from skelparity import (
     sees_all_colors_condition,
     trivial_skeleton,
 )
+from skelparity import conditions
 from skelparity.conditions import (
     GAP_BOT,
     GAP_TOP,
@@ -326,13 +327,61 @@ def test_residual_compare_strict_inclusion_on_gap_automaton():
     cond = DpaCondition(aut)
     # (-1) reaches gap -2; the empty word stays at gap 0
     assert ga.skeleton.run_end([-1]) == "-2"
-    assert residual_compare(cond, [-1], []) == "less"
-    assert residual_compare(cond, [], [-1]) == "greater"
+    # the discounted sum itself is decided on its own gap automaton
+    for c in (cond, DiscountedSumCondition(HALF, 2)):
+        assert residual_compare(c, [-1], []) == "less"
+        assert residual_compare(c, [], [-1]) == "greater"
+        assert residual_compare(c, [1, -1], [1, -1]) == "equal"
 
 
 def test_residual_compare_requires_automaton_backing():
     with pytest.raises(PreconditionError):
         residual_compare(MeanPayoffCondition(), [1], [-1])
+    with pytest.raises(InfiniteIndexError):
+        residual_compare(DiscountedSumCondition(Fraction(2, 5), 2), [1], [-1])
+
+
+def test_residual_compare_builds_one_automaton(monkeypatch, ab_prefix_condition):
+    calls = []
+    build = conditions.support_automaton
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(conditions, "support_automaton", counted)
+    assert residual_compare(ab_prefix_condition, ["a"], ["a", "b"]) == "less"
+    assert len(calls) == 1
+
+
+def _gap_rank(name: str):
+    # bot below every finite gap, top above
+    if name in ("bot", "top"):
+        return 2 * (name == "top"), 0
+    return 1, Fraction(name)
+
+
+_FINITE_INDEX_PAIRS = [
+    (lam, k)
+    for lam in map(Fraction, ("1/2", "1/3", "1/4", "1/5", "1/7", "2/5", "2/3", "3/7"))
+    for k in range(5)
+    if DiscountedSumCondition(lam, k).finite_index
+]
+
+
+@pytest.mark.parametrize("lam, k", _FINITE_INDEX_PAIRS, ids=str)
+def test_discounted_residuals_follow_the_gap_order(lam, k):
+    # the rc states are named by their gaps; distinct gaps never compare
+    # equal, so the gap automaton is its own right-congruence quotient.
+    # Its relation takes one SCC pass: at lambda = 1/2, k = 4, enumerating
+    # the supports of its square would exceed the default cap
+    cond = DiscountedSumCondition(lam, k)
+    states = right_congruence_automaton(cond).states
+    order = {-1: "less", 0: "equal", 1: "greater"}
+    for q1 in states:
+        for q2 in states:
+            a, b = _gap_rank(q1), _gap_rank(q2)
+            assert compare_states(cond, q1, q2) == order[(a > b) - (a < b)]
 
 
 def test_compare_states_rejects_unknown_states(ab_prefix_condition):
