@@ -317,46 +317,51 @@ def _gap_bfs(cond: DiscountedSumCondition, cap: int) -> tuple[Skeleton, dict[Sta
 # ---------------------------------------------------------------------------
 
 
-def _cycle_walker(
-    sk: Skeleton, weights: Sequence[int], alphabet: Sequence[Color]
-) -> Callable[[Sequence[int], Sequence[int]], int]:
-    """The walker that runs ``sk`` on a lasso of color indices into
-    ``alphabet`` and returns the OR of ``weights`` over the transitions on
-    the cycle it repeats, ``weights[i]`` being that of ``sk.transitions[i]``
-    (:func:`support_automaton`).
-
-    State ``j`` is the row ``j * len(alphabet)`` of the flat tables, so
-    ``row + c`` is the cell of color index ``c``: ``nxt`` holds the row it
-    leads to and ``w`` its weight.  After the prefix the period is read
-    block by block, each block recording its weight, until a block starts
-    at a state that started an earlier one; the cycle is the blocks from
-    that one on.  The block starts are kept in a list, in block order: it
-    holds at most one entry per state, so scanning it is cheap.
-    """
+def _walk_tables(sk: Skeleton, weights: Sequence[int], alphabet: Sequence[Color]) -> tuple:
+    """``(nxt, w, init)``: the flat tables that run ``sk`` on color indices
+    into ``alphabet``, and its initial row.  State ``j`` is the row ``j *
+    len(alphabet)``, so ``row + c`` is the cell of color index ``c``: ``nxt``
+    holds the row it leads to and ``w`` the weight of its transition."""
     n = len(alphabet)
     row = {s: j * n for j, s in enumerate(sk.states)}
     cell = {(s, c): (row[t], x) for (s, c, t), x in zip(sk.transitions, weights)}
     nxt, w = zip(*(cell[s, c] for s in sk.states for c in alphabet))
-    init = row[sk.init]
+    return nxt, w, row[sk.init]
+
+
+def _close_cycle(nxt, w, period, s: int, starts: list, blocks: list) -> int:
+    """The OR of ``w`` over the cycle that ``period`` repeats from row ``s``,
+    given the start rows and the ORs of the blocks read before: the period
+    is read block by block until a block starts where an earlier one did,
+    and the cycle is the blocks from that one on (at most one per state)."""
+    while s not in starts:
+        starts.append(s)
+        mask = 0
+        for c in period:
+            c += s
+            mask |= w[c]
+            s = nxt[c]
+        blocks.append(mask)
+    mask = 0
+    for block in blocks[starts.index(s) :]:
+        mask |= block
+    return mask
+
+
+def _cycle_walker(
+    sk: Skeleton, weights: Sequence[int], alphabet: Sequence[Color]
+) -> Callable[[Sequence[int], Sequence[int]], int]:
+    """The walker of :func:`lasso_judge`: it runs ``sk`` on a lasso of color
+    indices into ``alphabet`` and returns the OR of ``weights`` over the
+    cycle it repeats, closed by :func:`_close_cycle` as in the sampler
+    ``synthesis.walk_lassos`` of verification, which walks as it draws."""
+    nxt, w, init = _walk_tables(sk, weights, alphabet)
 
     def walk(prefix, period):
         s = init
         for c in prefix:
             s = nxt[s + c]
-        starts: list[int] = []
-        blocks: list[int] = []
-        while s not in starts:
-            starts.append(s)
-            mask = 0
-            for c in period:
-                c += s
-                mask |= w[c]
-                s = nxt[c]
-            blocks.append(mask)
-        mask = 0
-        for block in blocks[starts.index(s) :]:
-            mask |= block
-        return mask
+        return _close_cycle(nxt, w, period, s, [], [])
 
     return walk
 

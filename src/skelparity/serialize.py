@@ -52,6 +52,14 @@ def _list(doc: Mapping, key: str) -> list:
     return value
 
 
+def _rows(rows: list, width: int, what: str) -> list:
+    # a row of the right length given as a string would unpack into letters
+    for row in rows:
+        if not isinstance(row, list) or len(row) != width:
+            raise InputError(f"bad {what} {row!r}")
+    return rows
+
+
 # -- skeletons and automata -------------------------------------------------
 
 
@@ -68,12 +76,7 @@ def skeleton_to_dict(sk: Skeleton) -> dict:
 
 def skeleton_from_dict(doc: Mapping) -> Skeleton:
     _expect(doc, "skeleton")
-    upd = {}
-    for row in _list(doc, "upd"):
-        if not isinstance(row, list) or len(row) != 3:
-            raise InputError(f"bad update row {row!r}")
-        s, c, t = row
-        upd[(s, _color_in(c))] = t
+    upd = {(s, _color_in(c)): t for s, c, t in _rows(_list(doc, "upd"), 3, "update row")}
     return Skeleton.make(
         _list(doc, "states"), doc["init"], map(_color_in, _list(doc, "alphabet")), upd
     )
@@ -89,12 +92,8 @@ def automaton_to_dict(aut: ParityAutomaton) -> dict:
 def automaton_from_dict(doc: Mapping) -> ParityAutomaton:
     _expect(doc, "parity-automaton")
     sk = skeleton_from_dict({**doc, "type": "skeleton"})
-    priority = {}
-    for row in _list(doc, "priority"):
-        if not isinstance(row, list) or len(row) != 3:
-            raise InputError(f"bad priority row {row!r}")
-        s, c, p = row
-        priority[(s, _color_in(c))] = p
+    rows = _rows(_list(doc, "priority"), 3, "priority row")
+    priority = {(s, _color_in(c)): p for s, c, p in rows}
     return ParityAutomaton.make(sk, priority)
 
 
@@ -113,12 +112,7 @@ def arena_to_dict(arena: Arena) -> dict:
 
 def arena_from_dict(doc: Mapping) -> Arena:
     _expect(doc, "arena")
-    edges = []
-    for row in _list(doc, "edges"):
-        if not isinstance(row, list) or len(row) != 3:
-            raise InputError(f"bad edge row {row!r}")
-        s, c, t = row
-        edges.append((s, _color_in(c), t))
+    edges = [(s, _color_in(c), t) for s, c, t in _rows(_list(doc, "edges"), 3, "edge row")]
     return Arena.make(_list(doc, "states"), doc["owner"], edges)
 
 
@@ -177,7 +171,9 @@ def condition_from_dict(doc: Mapping) -> Condition:
         arc = {(s, c): (s, t) for s, c, t in sk.transitions}
         table = set()
         for rows in _list(doc, "winning_supports"):
-            g = frozenset((s, _color_in(c)) for s, c in rows)
+            if not isinstance(rows, list):
+                raise InputError(f"bad winning support {rows!r}")
+            g = frozenset((s, _color_in(c)) for s, c in _rows(rows, 2, "winning support pair"))
             if not g <= arc.keys():
                 raise InputError(f"winning support {rows!r} names a transition the skeleton lacks")
             arcs = [arc[t] for t in g]
@@ -227,8 +223,8 @@ def load_document(path: str):
         raise InputError(f"{path}: unknown document type {typ!r}")
     try:
         return loaders[typ](doc)
-    except InputError:
-        raise
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     except (AttributeError, LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
         # a missing field, a wrong type or a bad value deep in the document
         raise InputError(

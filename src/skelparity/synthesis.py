@@ -10,11 +10,11 @@ minimizing over the inclusion-minimal supports through each transition.
 
 The final automaton is verified both exhaustively (max priority parity of
 every support equals its value) and against the condition on random
-lassos of color indices.  Each lasso is walked once, on the skeleton whose
-runs the support analysis valued, which carries the weights of the
-automaton and of the condition's automaton side by side; a discounted sum
-is judged instead by its exact integer judge
-(:func:`~skelparity.conditions.lasso_judge`).
+lassos of color indices.  Each lasso is walked while it is drawn
+(:func:`walk_lassos`), on the skeleton whose runs the support analysis
+valued, which carries the weights of the automaton and of the condition's
+automaton side by side; a discounted sum is judged instead by its exact
+integer judge (:func:`~skelparity.conditions.lasso_judge`).
 
 :func:`synthesize` builds the right-congruence automaton once, forms
 ``base`` = (congruence automaton x skeleton), and builds one
@@ -40,9 +40,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import islice
 from operator import or_
-from typing import Iterator, Optional
+from typing import Callable, Optional, Sequence
 
 from .conditions import (
     Condition,
@@ -50,7 +49,8 @@ from .conditions import (
     DpaCondition,
     WIN,
     LOSE,
-    _cycle_walker,
+    _close_cycle,
+    _walk_tables,
     lasso_judge,
     right_congruence_automaton,
     support_automaton,
@@ -404,42 +404,66 @@ class VerifyReport:
     seed: int = 0
 
 
-def index_lassos(rng: random.Random, n: int) -> Iterator[tuple[list[int], list[int]]]:
-    """An endless stream of lassos over the color indices ``0 .. n - 1``,
-    each a prefix of 0 to 6 indices and a period of 1 to 6.
+def walk_lassos(
+    rng: random.Random, sk: Skeleton, weights: Sequence[int], alphabet: Sequence,
+    samples: int, judge: Callable[[int, list, list], tuple],
+) -> tuple[int, Optional[dict]]:
+    """Draw ``samples`` lassos of color indices into ``alphabet``, each a
+    prefix of 0 to 6 indices and a period of 1 to 6, walking ``sk`` as each
+    color comes: a prefix color moves the run on the tables of
+    :func:`~skelparity.conditions._walk_tables`, a period color extends the
+    first block, and only when that block does not end where it began is
+    the period read again (:func:`~skelparity.conditions._close_cycle`).
+    ``judge(mask, prefix, period)`` gives the (automaton, oracle) values of
+    a lasso whose cycle ORs ``weights`` to ``mask``.  Returns the lassos
+    judged and the first disagreement, or None.
 
-    Each draw below a bound is an inline loop over ``rng.getrandbits`` that
-    reads it as ``random.Random._randbelow`` does: numbers of the bound's
-    bit length until one falls below it.  The prefix length reads 3 bits
-    until they are not 7, the period length 3 bits until they are below 6,
-    and each color ``n.bit_length()`` bits until they are below ``n``.  So
-    the stream is that of ``randint(0, 6)``, ``randint(1, 6)`` and
-    ``choice(alphabet)`` in the reference sampler ``random_lasso`` of
-    ``tests/lasso_oracle.py``, the generator leaves ``rng`` in the same
-    state, and index ``i`` stands for ``alphabet[i]``.
+    Each draw below a bound reads ``rng.getrandbits`` as
+    ``random.Random._randbelow`` does, until a number falls below it (3 bits
+    for either length, ``n.bit_length()`` for a color), so the stream is that
+    of the reference sampler ``random_lasso`` of ``tests/lasso_oracle.py``
+    and ``rng`` ends in the same state; index ``i`` stands for ``alphabet[i]``.
     """
+    nxt, w, init = _walk_tables(sk, weights, alphabet)
     getrandbits = rng.getrandbits
+    n = len(alphabet)
     k = n.bit_length()
-    while True:
+    for count in range(1, samples + 1):
         r = getrandbits(3)
         while r == 7:
             r = getrandbits(3)
+        s = init
         prefix = []
         for _ in range(r):
             c = getrandbits(k)
             while c >= n:
                 c = getrandbits(k)
             prefix.append(c)
+            s = nxt[s + c]
         r = getrandbits(3)
         while r >= 6:
             r = getrandbits(3)
+        start, mask = s, 0
         period = []
         for _ in range(r + 1):
             c = getrandbits(k)
             while c >= n:
                 c = getrandbits(k)
             period.append(c)
-        yield prefix, period
+            c += s
+            mask |= w[c]
+            s = nxt[c]
+        if s != start:
+            mask = _close_cycle(nxt, w, period, s, [start], [mask])
+        got, want = judge(mask, prefix, period)
+        if got != want:
+            return count, {
+                "prefix": [alphabet[c] for c in prefix],
+                "period": [alphabet[c] for c in period],
+                "automaton": got,
+                "oracle": want,
+            }
+    return samples, None
 
 
 def verify_synthesis(
@@ -456,18 +480,17 @@ def verify_synthesis(
     read off the condition's automaton by the support analysis, and the
     automaton must agree with the condition on ``samples`` ultimately
     periodic words.  The words are drawn as color indices into the
-    skeleton's alphabet by :func:`index_lassos`, seeded by ``seed``: the
+    skeleton's alphabet by :func:`walk_lassos`, seeded by ``seed``: the
     same stream as the reference sampler ``random_lasso`` of
-    ``tests/lasso_oracle.py``.  Each word is walked once
-    (:func:`~skelparity.conditions._cycle_walker`) on the skeleton whose
-    runs the support analysis valued: the automaton's, or its product with
-    the condition's automaton ``D`` when ``D``'s state is not a function of
-    the automaton's.  Its transitions carry the weights of both in disjoint
-    bit fields, so the OR over the cycle the word repeats gives the top
-    priority and ``D``'s value at once.  A discounted sum is judged instead
-    by its exact integer judge (:func:`~skelparity.conditions.lasso_judge`).
-    Colors are built only for a mismatch.
-    The first discrepancy of each kind is reported.  A negative
+    ``tests/lasso_oracle.py``.  Each word is walked while it is drawn, on
+    the skeleton whose runs the support analysis valued: the automaton's,
+    or its product with the condition's automaton ``D`` when ``D``'s state
+    is not a function of the automaton's.  Its transitions carry the
+    weights of both in disjoint bit fields, so the OR over the cycle the
+    word repeats gives the top priority and ``D``'s value at once.  A
+    discounted sum is judged instead by its exact integer judge
+    (:func:`~skelparity.conditions.lasso_judge`).  Colors are built only
+    for a mismatch.  The first discrepancy of each kind is reported.  A negative
     ``samples`` raises :class:`InputError`; conditions without such an
     automaton raise :class:`PreconditionError` (mean and total payoff) or
     :class:`InfiniteIndexError` (discounted sums of infinite index).
@@ -489,7 +512,8 @@ def _verify(
     automaton's skeleton, whose ``D`` valuation and run skeleton it reads:
     it builds no automaton of the condition and no product of its own.  A
     support of two values is a mismatch, reported with the value that the
-    top priority's parity contradicts."""
+    top priority's parity contradicts.  :func:`walk_lassos` draws, walks
+    and judges the lassos, asking the pair of values once per OR."""
     sk = out.skeleton
     _, weights, parity_of = support_automaton(DpaCondition(out))
     to_parity = mask_map(weights)
@@ -514,28 +538,17 @@ def _verify(
     shift = max(weights).bit_length()
     low = (1 << shift) - 1
     run = [weights[i] | d << shift for i, d in zip(analysis.images, analysis.d_weights)]
-    walk = _cycle_walker(analysis.run_skeleton, run, alphabet)
     if isinstance(cond, DiscountedSumCondition):
         # the sum's exact integer judge: the one run-time check of its gap automaton
         parity = cache(lambda mask: parity_of(mask & low))
         oracle = lasso_judge(cond, alphabet)
-        judge = lambda prefix, period: (parity(walk(prefix, period)), oracle(prefix, period))
+        judge = lambda mask, prefix, period: (parity(mask), oracle(prefix, period))
     else:
         values = cache(lambda mask: (parity_of(mask & low), analysis.value(mask >> shift)))
-        judge = lambda prefix, period: values(walk(prefix, period))
-    lasso_mismatch = None
-    n_lassos = 0
-    for prefix, period in islice(index_lassos(random.Random(seed), len(alphabet)), samples):
-        n_lassos += 1
-        got, want = judge(prefix, period)
-        if got != want:
-            lasso_mismatch = {
-                "prefix": [alphabet[c] for c in prefix],
-                "period": [alphabet[c] for c in period],
-                "automaton": got,
-                "oracle": want,
-            }
-            break
+        judge = lambda mask, prefix, period: values(mask)
+    n_lassos, lasso_mismatch = walk_lassos(
+        random.Random(seed), analysis.run_skeleton, run, alphabet, samples, judge
+    )
 
     return VerifyReport(
         passed=support_mismatch is None and lasso_mismatch is None,

@@ -1,7 +1,7 @@
 """Word-level references for lassos.
 
 ``random_lasso`` is the reference sampler whose stream
-``synthesis.index_lassos`` draws as color indices.  ``reference_value``
+``synthesis.walk_lassos`` draws as color indices.  ``reference_value``
 values a lasso from the cycle it enters or from exact sums, the reference
 for the compiled judges of ``conditions.lasso_judge``.  ``cycle_values``
 gives the values of all lassos with bounded prefix and period, grouped by
@@ -26,8 +26,8 @@ from gap_oracle import discounted_lasso_sum
 
 
 def random_lasso(rng: random.Random, alphabet, max_len: int = 6) -> Lasso:
-    """The reference sampler of verification: ``synthesis.index_lassos``
-    draws the same stream as color indices."""
+    """The reference sampler of verification: ``synthesis.walk_lassos``
+    draws the same stream as color indices, walking each lasso as it goes."""
     prefix = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
     period = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, max_len)))
     return Lasso(prefix, period)

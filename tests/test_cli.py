@@ -720,6 +720,7 @@ _TRIVIAL_AB = {**_TRIVIAL_A, "alphabet": ["a", "b"],
                "upd": [["m0", "a", "m0"], ["m0", "b", "m0"]]}
 _TWO_STATE_AB = {**_TRIVIAL_AB, "states": ["m0", "m1"],
                  "upd": [["m0", "a", "m1"], ["m0", "b", "m0"], ["m1", "a", "m0"], ["m1", "b", "m1"]]}
+_LOOP_M = {**_TRIVIAL_AB, "states": ["m"], "init": "m", "upd": [["m", "a", "m"], ["m", "b", "m"]]}
 
 
 @pytest.mark.parametrize(
@@ -729,8 +730,15 @@ _TWO_STATE_AB = {**_TRIVIAL_AB, "states": ["m0", "m1"],
         (_TRIVIAL_AB, [[]], "[]"),
         (_TWO_STATE_AB, [[["m0", "b"]], [["m0", "a"]]], "[['m0', 'a']]"),
         (_TWO_STATE_AB, [[["m0", "b"], ["m1", "b"]]], "[['m0', 'b'], ['m1', 'b']]"),
+        # a two-letter string unpacks like a pair, into its letters
+        (_LOOP_M, [["ma"]], "bad winning support pair 'ma'"),
+        (_LOOP_M, [["m", "a"]], "bad winning support pair 'm'"),
+        (_LOOP_M, [[["m", "a", "m"]]], "bad winning support pair ['m', 'a', 'm']"),
+        (_LOOP_M, ["ma"], "bad winning support 'ma'"),
+        (_LOOP_M, [{"ma": 0}], "bad winning support {'ma': 0}"),
     ],
-    ids=["unknown-transition", "empty-row", "not-strongly-connected", "disjoint-self-loops"],
+    ids=["unknown-transition", "empty-row", "not-strongly-connected", "disjoint-self-loops",
+         "pair-string", "pair-of-letters", "pair-triple", "support-string", "support-object"],
 )
 def test_cli_muller_rows_must_be_cycle_supports(tmp_path, capsys, skeleton, rows, named):
     cond = tmp_path / "cond.json"
@@ -745,7 +753,6 @@ def test_cli_muller_rows_must_be_cycle_supports(tmp_path, capsys, skeleton, rows
     assert "Traceback" not in capsys.readouterr().err
 
 
-_LOOP_M = {**_TRIVIAL_AB, "states": ["m"], "init": "m", "upd": [["m", "a", "m"], ["m", "b", "m"]]}
 _ARENA_M = {"format": 1, "type": "arena", "states": ["m"], "owner": {"m": 1},
             "edges": [["m", "a", "m"], ["m", "b", "m"]]}
 
@@ -777,7 +784,9 @@ def test_cli_lists_given_as_strings_or_objects_exit_2(tmp_path, capsys, doc, fau
         )))
         out, code = run_cli("game", "solve", "--arena", str(path), "--automaton", str(aut))
     assert code == 2
-    assert fault in json.loads(out)["error"]
+    error = json.loads(out)["error"]
+    assert fault in error
+    assert error.startswith(f"{path}: ")
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from skelparity import (
     DiscountedSumCondition,
@@ -22,6 +22,7 @@ from skelparity import (
     right_congruence_automaton,
     trivial_skeleton,
 )
+from skelparity.conditions import _cycle_walker
 from skelparity.consistency import SupportAnalysis
 from skelparity.errors import InputError, PreconditionError, TransientTransitionError
 from skelparity.skeletons import support_transitions
@@ -30,11 +31,11 @@ from skelparity.synthesis import (
     assign_priorities,
     build_cycle_preorder,
     classify_supports,
-    index_lassos,
     linear_extension,
     synthesize,
     validate_extension,
     verify_synthesis,
+    walk_lassos,
 )
 
 from conftest import (
@@ -547,20 +548,49 @@ def test_verify_lasso_witness_matches_reference_loop(name):
     assert found
 
 
+@st.composite
+def _rotation_skeletons(draw):
+    """A skeleton of 1 to 6 states over 1 to 9 colors whose first color
+    steps state ``j`` to ``j + 1`` modulo the states, so every state is
+    reachable and a period of such steps closes only after several blocks;
+    the other colors lead anywhere.  Transition ``i`` weighs ``1 << i``."""
+    n_states = draw(st.integers(1, 6))
+    alphabet = [f"c{i}" for i in range(draw(st.integers(1, 9)))]
+    upd = {(j, alphabet[0]): (j + 1) % n_states for j in range(n_states)}
+    for j in range(n_states):
+        for c in alphabet[1:]:
+            upd[j, c] = draw(st.integers(0, n_states - 1))
+    return Skeleton.make(range(n_states), 0, alphabet, upd)
+
+
+_ROTATION_6 = Skeleton.make(range(6), 0, ["c0", "c1"], {
+    (j, c): (j + 1) % 6 for j in range(6) for c in ("c0", "c1")
+})
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.integers(0, 2**64), st.integers(1, 9))
-def test_index_lassos_draw_the_stream_of_random_lasso(seed, n):
+@given(st.integers(0, 2**64), _rotation_skeletons())
+@example(seed=0, sk=_ROTATION_6)  # periods of 1, 2, 4 or 5 colors need 3 or more blocks
+def test_walk_lassos_walk_the_stream_of_random_lasso(seed, sk):
     # the same lassos, as indices and as colors, from the same stream: a
-    # Python whose Random._randbelow draws differently fails here
-    alphabet = tuple(f"c{i}" for i in range(n))
+    # Python whose Random._randbelow draws differently fails here.  Each
+    # lasso's OR of weights is that of the reference walker, also when the
+    # first block of the period does not end where it began
+    alphabet = sk.alphabet
+    n = len(alphabet)
+    weights = [1 << i for i in range(len(sk.transitions))]
+    walk = _cycle_walker(sk, weights, alphabet)
     indices, colors, kernel = (random.Random(seed) for _ in range(3))
-    drawn = index_lassos(kernel, n)
-    for _ in range(40):
-        prefix, period = next(drawn)
+    drawn = []
+    judge = lambda mask, prefix, period: drawn.append((mask, prefix, period)) or (0, 0)
+    assert walk_lassos(kernel, sk, weights, alphabet, 40, judge) == (40, None)
+    assert len(drawn) == 40
+    for mask, prefix, period in drawn:
         assert random_lasso(indices, range(n)) == Lasso(tuple(prefix), tuple(period))
         assert random_lasso(colors, alphabet) == Lasso(
             tuple(alphabet[i] for i in prefix), tuple(alphabet[i] for i in period)
         )
+        assert mask == walk(prefix, period)
     assert kernel.getstate() == indices.getstate() == colors.getstate()
 
 
