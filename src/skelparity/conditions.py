@@ -1,17 +1,18 @@
 """Winning conditions and their word-level oracles.
 
 A condition is a set of infinite color words.  Concrete families supported
-here: languages of deterministic parity automata, Muller-style conditions
-given by a table or predicate over cycle supports of a fixed skeleton,
-discounted-sum threshold conditions over integer colors, and mean-payoff /
-total-payoff threshold conditions.
+here: languages of deterministic parity automata, Muller conditions given
+by a table of the winning cycle supports of a fixed skeleton, as int masks
+over its transitions, discounted-sum threshold conditions over integer
+colors, and mean-payoff / total-payoff threshold conditions.
 
 Ultimately periodic words (finite prefix + non-empty period) are the finite
 currency for evaluating conditions; all arithmetic is exact, rational or
 integer, never floating point.  The residuals of parity, Muller and
 finite-index discounted-sum conditions are compared through one relation
 per condition, read off the square of its automaton
-(:func:`residual_relation`).
+(:func:`residual_relation`) by the one SCC kernel
+:func:`~skelparity.skeletons.cut_cycles`.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ from .skeletons import (
     Skeleton,
     State,
     Transition,
-    _scc_ids,
     arc_cycle_supports,
     bfs,
     bfs_words,
     bit_indices,
+    cut_cycles,
+    enumerate_cycle_supports,
     mask_map,
     support_transitions,
     trivial_skeleton,
@@ -82,39 +84,41 @@ class DpaCondition:
         return self.automaton.skeleton.alphabet
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MullerCondition:
     """Membership decided by the set of skeleton transitions seen infinitely often.
 
-    ``winning`` classifies cycle supports of ``skeleton``: either an explicit
-    collection of winning supports, or a predicate.
+    ``winning_supports`` is the table of the winning cycle supports of
+    ``skeleton``, as masks over its transitions (bit ``i`` is
+    ``skeleton.transitions[i]``); every other support loses.
     """
 
     skeleton: Skeleton
-    winning_supports: frozenset[frozenset[Transition]] | None = None
-    predicate: Callable[[frozenset[Transition]], bool] | None = None
+    winning_supports: frozenset[int]
 
     def __post_init__(self):
-        if (self.winning_supports is None) == (self.predicate is None):
-            raise InputError("give exactly one of winning_supports / predicate")
+        # a set of transitions never equals a mask, so it would never win
+        if not all(type(g) is int for g in self.winning_supports):
+            raise InputError("winning supports are int masks over the skeleton's transitions")
+
+    @classmethod
+    def tabulate(cls, sk: Skeleton, wins: Callable, cap: int = DEFAULT_SUPPORT_CAP):
+        """The table of the cycle supports of ``sk`` whose transition sets
+        ``wins`` accepts, asked once per support; raises
+        :class:`CapExceeded` when ``sk`` has more than ``cap`` supports."""
+        supports = enumerate_cycle_supports(sk, cap)
+        return cls(sk, frozenset(g for g in supports if wins(frozenset(support_transitions(sk, g)))))
 
     @property
     def alphabet(self):
         return self.skeleton.alphabet
 
-    def support_value(self, support: frozenset[Transition]) -> str:
-        if self.predicate is not None:
-            return WIN if self.predicate(support) else LOSE
-        return WIN if support in self.winning_supports else LOSE
-
 
 def sees_all_colors_condition(alphabet: Iterable[Color], needed: Iterable[Color]) -> MullerCondition:
     """Words that see every color of ``needed`` infinitely often."""
     need = frozenset(needed)
-    sk = trivial_skeleton(alphabet)
-    return MullerCondition(
-        skeleton=sk,
-        predicate=lambda sup: need <= {c for _, c in sup},
+    return MullerCondition.tabulate(
+        trivial_skeleton(alphabet), lambda sup: need <= {c for _, c in sup}
     )
 
 
@@ -450,8 +454,8 @@ def support_automaton(
     in the condition iff ``value`` of the OR of the weights of the support
     its run on ``D`` repeats (the transitions seen infinitely often) is
     ``win``.  For a Muller condition ``D`` is its skeleton and the weight
-    is the transition's own bit, so an OR is a support mask, valued by the
-    table or predicate.  Every other such ``D`` is a parity automaton, and
+    is the transition's own bit, so an OR is a support mask, valued by a
+    lookup in the table.  Every other such ``D`` is a parity automaton, and
     the weight is the bit of the priority's rank among the distinct
     priorities, so the highest bit of an OR is the rank of the top
     priority, whose parity is the value; the bits stay few however large
@@ -463,8 +467,8 @@ def support_automaton(
     have no such automaton and raise :class:`PreconditionError`.
     """
     if isinstance(cond, MullerCondition):
-        sk = cond.skeleton
-        value = lambda mask: cond.support_value(frozenset(support_transitions(sk, mask)))
+        sk, table = cond.skeleton, cond.winning_supports
+        value = lambda mask: WIN if mask in table else LOSE
         return sk, [1 << i for i in range(len(sk.transitions))], value
     if isinstance(cond, DpaCondition):
         sk = cond.automaton.skeleton
@@ -499,15 +503,16 @@ def residual_relation(
     :func:`right_congruence_automaton` read.
 
     Such a word exists iff (q1, q2) reaches, in the square ``D x D`` whose
-    edges carry the weights of both sides, a cycle support whose left OR
-    wins and whose right OR loses.  Every ``D`` but a Muller skeleton is a
-    parity automaton weighted by rank bits: for a winning rank bit ``x1``
-    and a losing one ``x2``, a component of the square cut to left weight
-    <= x1 and right weight <= x2 with inner edges of left weight x1 and of
-    right weight x2 holds such a support.  For Muller the supports of the
-    square off its diagonal, where both sides agree, are enumerated once
-    within ``cap``; a support's mirror marks the converse pairs.  One state
-    has no pair off the diagonal, so its relation is empty.
+    edges carry the weights of both sides, side by side in one int, a
+    cycle support whose left OR wins and whose right OR loses.  Every ``D``
+    but a Muller skeleton is a parity automaton weighted by rank bits: for
+    a winning rank bit ``x1`` and a losing one ``x2``, the components that
+    :func:`cut_cycles` finds in the square cut to left weight <= x1 and
+    right weight <= x2, with inner edges of left weight x1 and of right
+    weight x2, hold such supports.  For Muller the supports of the square
+    off its diagonal, where both sides agree, are enumerated once within
+    ``cap``; a support's mirror marks the converse pairs.  One state has no
+    pair off the diagonal, so its relation is empty.
     """
     sk, weights, value = support_automaton(cond, cap)
     states = sk.states
@@ -518,37 +523,36 @@ def residual_relation(
     moves: list[list[tuple[int, int]]] = [[] for _ in states]
     for (s, _, t), w in zip(sk.transitions, weights):
         moves[number[s]].append((number[t], w))
-    # square edges (u, v, left weight, right weight); node a*n + b is (a, b)
+    # square edges (u, v, weight): node a*n + b is (a, b), and the weight
+    # is the left one with the right one shifted above it
+    shift = max(weights).bit_length()
     edges = [
-        (a * n + b, ta * n + tb, wa, wb)
+        (a * n + b, ta * n + tb, wa | wb << shift)
         for a in range(n)
         for b in range(n)
         for (ta, wa), (tb, wb) in zip(moves[a], moves[b])
     ]
     good: set[int] = set()  # pairs on a support that wins left and loses right
     if not isinstance(cond, MullerCondition):
-        ranks = [1 << r for r in range(max(weights).bit_length())]
+        ranks = [1 << r for r in range(shift)]
         for x1 in (x for x in ranks if value(x) == WIN):
             for x2 in (x for x in ranks if value(x) == LOSE):
-                kept = [e for e in edges if e[2] <= x1 and e[3] <= x2]
-                comp = _scc_ids(range(n * n), [(u, v) for u, v, _, _ in kept])
-                inner = [(comp[u], x, y) for u, v, x, y in kept if comp[u] == comp[v]]
-                tops_left = {k for k, x, _ in inner if x == x1}
-                hits = {k for k, _, y in inner if y == x2 and k in tops_left}
-                good.update(u for u in range(n * n) if comp[u] in hits)
+                allowed = 2 * x1 - 1 | (2 * x2 - 1) << shift
+                good |= cut_cycles(n * n, edges, allowed, x1 | x2 << shift)
     else:
-        value = functools.cache(value)
         # the diagonal pairs are the nodes a * (n + 1)
         off = [e for e in edges if e[0] % (n + 1) and e[1] % (n + 1)]
         with cap_stage("right-congruence"):
             supports = arc_cycle_supports(n * n, [e[:2] for e in off], cap)
-        left, right = (mask_map([e[i] for e in off]) for i in (2, 3))
+        both = mask_map([e[2] for e in off])
         nodes = mask_map([1 << e[0] for e in off])
+        left = (1 << shift) - 1
         for mask in supports:
-            if value(left(mask)) == WIN and value(right(mask)) == LOSE:
+            w = both(mask)
+            if value(w & left) == WIN and value(w >> shift) == LOSE:
                 good.update(bit_indices(nodes(mask)))
     preds: list[list[int]] = [[] for _ in range(n * n)]
-    for u, v, _, _ in edges:
+    for u, v, _ in edges:
         preds[v].append(u)
     stack = list(good)
     while stack:

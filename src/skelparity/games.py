@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .conditions import Condition, Lasso
 from .errors import InputError
-from .skeletons import Color, ParityAutomaton, Skeleton, State, _scc_ids, color_key
+from .skeletons import Color, ParityAutomaton, Skeleton, State, color_key, cut_cycles
 
 Edge = tuple  # (src, color, dst)
 GameEdge = tuple  # (src, color, dst, priority)
@@ -42,7 +42,8 @@ class Arena:
         owner = dict(self.owners)
         if set(owner) != state_set:
             raise InputError("owner map must cover exactly the states")
-        if not all(p in (1, 2) for p in owner.values()):
+        # 1.0 and true equal 1, but are no player
+        if not all(type(p) is int and p in (1, 2) for p in owner.values()):
             raise InputError("owners must be player 1 or player 2")
         blocked = state_set - {e[0] for e in self.edges}
         if blocked:
@@ -420,8 +421,9 @@ def _opponent_wins_nowhere(sub: Subdivision, alive: set, inside: set, opponent: 
     nodes, the rest is a one-player game for the opponent, who wins exactly
     from where such a cycle is reachable.  A False proves nothing.
 
-    One SCC pass per priority ``d`` of the opponent's parity on the arcs
-    between the nodes: a cycle with top priority ``d`` exists iff an arc of
+    One :func:`cut_cycles` pass per priority ``d`` of the opponent's
+    parity on the arcs between the nodes, each weighted by the bit of its
+    priority's rank: a cycle with top priority ``d`` exists iff an arc of
     priority ``d`` joins two nodes of one component of the arcs of priority
     at most ``d``.
     """
@@ -434,12 +436,11 @@ def _opponent_wins_nowhere(sub: Subdivision, alive: set, inside: set, opponent: 
                 if v not in inside:
                     return False
                 arcs.append((u, v, pri[w]))
+    bit = {p: 1 << r for r, p in enumerate(sorted({p for _, _, p in arcs}))}
+    arcs = [(u, v, bit[p]) for u, v, p in arcs]
     odd = opponent == 2  # player 1 wins by an even top priority, player 2 by odd
-    for d in sorted({p for _, _, p in arcs if p % 2 == odd}):
-        comp = _scc_ids(inside, [(u, v) for u, v, p in arcs if p <= d])
-        if any(p == d and comp[u] == comp[v] for u, v, p in arcs):
-            return False
-    return True
+    n = len(sub.index)
+    return not any(cut_cycles(n, arcs, 2 * x - 1, x) for d, x in bit.items() if d % 2 == odd)
 
 
 # ---------------------------------------------------------------------------

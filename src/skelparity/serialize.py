@@ -27,8 +27,9 @@ from .skeletons import (
     Color,
     ParityAutomaton,
     Skeleton,
-    _scc_ids,
-    transition_key,
+    bit_indices,
+    cut_cycles,
+    support_transitions,
 )
 
 FORMAT = 1
@@ -137,20 +138,13 @@ def condition_to_dict(cond: Condition) -> dict:
     if isinstance(cond, DpaCondition):
         return {**base, "kind": "dpa", "automaton": automaton_to_dict(cond.automaton)}
     if isinstance(cond, MullerCondition):
-        if cond.winning_supports is None:
-            raise InputError(
-                "predicate-backed conditions have no canonical file form; "
-                "tabulate the winning supports first"
-            )
-        table = sorted(
-            (sorted(g, key=transition_key) for g in cond.winning_supports),
-            key=lambda rows: (len(rows), [transition_key(t) for t in rows]),
-        )
+        sk = cond.skeleton
+        table = sorted(cond.winning_supports, key=lambda g: (g.bit_count(), tuple(bit_indices(g))))
         return {
             **base,
             "kind": "muller",
-            "skeleton": skeleton_to_dict(cond.skeleton),
-            "winning_supports": [[[s, c] for s, c in g] for g in table],
+            "skeleton": skeleton_to_dict(sk),
+            "winning_supports": [[[s, c] for s, c in support_transitions(sk, g)] for g in table],
         }
     if isinstance(cond, DiscountedSumCondition):
         return {**base, "kind": "discounted-sum", "lambda": fraction_to_pair(cond.lam), "k": cond.k}
@@ -168,17 +162,19 @@ def condition_from_dict(doc: Mapping) -> Condition:
         return DpaCondition(automaton_from_dict(doc["automaton"]))
     if kind == "muller":
         sk = skeleton_from_dict(doc["skeleton"])
-        arc = {(s, c): (s, t) for s, c, t in sk.transitions}
+        number = {s: i for i, s in enumerate(sk.states)}
+        bit = {(s, c): 1 << i for i, (s, c, _) in enumerate(sk.transitions)}
+        arcs = [(number[s], number[t], bit[s, c]) for s, c, t in sk.transitions]
         table = set()
         for rows in _list(doc, "winning_supports"):
             if not isinstance(rows, list):
                 raise InputError(f"bad winning support {rows!r}")
-            g = frozenset((s, _color_in(c)) for s, c in _rows(rows, 2, "winning support pair"))
-            if not g <= arc.keys():
+            pairs = {(s, _color_in(c)) for s, c in _rows(rows, 2, "winning support pair")}
+            if not pairs <= bit.keys():
                 raise InputError(f"winning support {rows!r} names a transition the skeleton lacks")
-            arcs = [arc[t] for t in g]
-            # a cycle support: its arcs make one nonempty strongly connected graph
-            if len(set(_scc_ids({v for a in arcs for v in a}, arcs).values())) != 1:
+            g = sum(bit[t] for t in pairs)
+            # a cycle support: one component of its arcs holds every one of them
+            if not cut_cycles(len(number), arcs, g, g):
                 raise InputError(f"winning support {rows!r} is not a cycle support")
             table.add(g)
         return MullerCondition(skeleton=sk, winning_supports=frozenset(table))
@@ -242,14 +238,15 @@ def load_typed(path: str, expected: type):
 # -- DOT export ---------------------------------------------------------------
 
 
-def _dot_id(name) -> str:
-    return '"' + str(name).replace('"', '\\"') + '"'
+def _quote(name) -> str:
+    """``name`` as a quoted DOT string: backslashes escaped first, then quotes."""
+    return '"' + str(name).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def skeleton_to_dot(sk: Skeleton, priorities: Mapping | None = None) -> str:
     lines = ["digraph {", "  rankdir=LR;", "  node [shape=diamond];"]
     lines.append("  __init__ [shape=point, style=invis];")
-    lines.append(f"  __init__ -> {_dot_id(sk.init)};")
+    lines.append(f"  __init__ -> {_quote(sk.init)};")
     by_pair: dict = {}
     for s, c, t in sk.transitions:
         label = str(c)
@@ -257,7 +254,7 @@ def skeleton_to_dot(sk: Skeleton, priorities: Mapping | None = None) -> str:
             label += f" | {priorities[(s, c)]}"
         by_pair.setdefault((s, t), []).append(label)
     for (s, t), labels in sorted(by_pair.items()):
-        lines.append(f"  {_dot_id(s)} -> {_dot_id(t)} [label=\"{', '.join(labels)}\"];")
+        lines.append(f"  {_quote(s)} -> {_quote(t)} [label={_quote(', '.join(labels))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -270,11 +267,11 @@ def arena_to_dot(arena: Arena) -> str:
     lines = ["digraph {", "  rankdir=LR;"]
     for s in arena.states:
         shape = "circle" if arena.owner[s] == 1 else "box"
-        lines.append(f"  {_dot_id(s)} [shape={shape}];")
+        lines.append(f"  {_quote(s)} [shape={shape}];")
     by_pair: dict = {}
     for s, c, t in arena.edges:
         by_pair.setdefault((s, t), []).append(str(c))
     for (s, t), labels in sorted(by_pair.items()):
-        lines.append(f"  {_dot_id(s)} -> {_dot_id(t)} [label=\"{', '.join(labels)}\"];")
+        lines.append(f"  {_quote(s)} -> {_quote(t)} [label={_quote(', '.join(labels))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,7 +18,6 @@ outputs are reproducible bit-exactly.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -376,53 +375,52 @@ class ParityAutomaton:
 # ---------------------------------------------------------------------------
 
 
-def _scc_ids(vertices: Iterable[State], arcs: Iterable[tuple[State, State]]) -> dict[State, int]:
-    """Tarjan SCC, iterative.  Returns a component id per vertex."""
-    adj: dict[State, list[State]] = {v: [] for v in vertices}
-    for u, v in arcs:
-        adj[u].append(v)
-    index: dict[State, int] = {}
-    low: dict[State, int] = {}
-    comp: dict[State, int] = {}
-    on_stack: set[State] = set()
-    stack: list[State] = []
-    counter = itertools.count()
-    comp_counter = itertools.count()
-    for root in adj:
-        if root in index:
+def cut_cycles(n: int, arcs: Iterable[tuple[int, int, int]], allowed: int, need: int) -> set[int]:
+    """The nodes of the strongly connected components of the graph on
+    ``0 .. n-1`` cut to the arcs ``(u, v, weight)`` with no weight bit
+    outside ``allowed``, whose inner arcs OR to a superset of ``need``; a
+    node with no inner arc lies on no cycle and is never returned.  The one
+    SCC kernel of the package: Tarjan's algorithm, iterative, on lists."""
+    kept = [a for a in arcs if not a[2] & ~allowed]
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for u, v, _ in kept:
+        succ[u].append(v)
+    # 1 + discovery order (0 while unvisited), low link, and the root of
+    # the node's component once it is popped off the stack
+    number, low, root_of, stack, count = [0] * n, [0] * n, [-1] * n, [], 0
+    for root in range(n):
+        if number[root] or not succ[root]:
             continue
-        work = [(root, 0)]
+        count += 1
+        number[root] = low[root] = count
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = next(counter)
-                stack.append(v)
-                on_stack.add(v)
-            recurse = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if w not in index:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
+            v, todo = work[-1]
+            for w in todo:
+                if not number[w]:
+                    count += 1
+                    number[w] = low[w] = count
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                cid = next(comp_counter)
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = cid
-                    if w == v:
-                        break
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comp
+                if root_of[w] < 0 and number[w] < low[v]:
+                    low[v] = number[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == number[v]:
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        root_of[w] = v
+    ors: dict[int, int] = {}
+    for u, v, w in kept:
+        if root_of[u] == root_of[v]:
+            ors[root_of[u]] = ors.get(root_of[u], 0) | w
+    good = {r for r, x in ors.items() if x & need == need}
+    return {v for v in range(n) if root_of[v] in good}
 
 
 def enumerate_cycle_supports(m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP) -> list[int]:

@@ -140,9 +140,8 @@ def build_contrast_automaton() -> ParityAutomaton:
 
 def build_contrast_muller() -> MullerCondition:
     """The same language given by its winning supports instead of priorities."""
-    return MullerCondition(
-        skeleton=build_contrast_skeleton(),
-        predicate=lambda sup: max(CONTRAST_PRIORITIES[t] for t in sup) % 2 == 0,
+    return MullerCondition.tabulate(
+        build_contrast_skeleton(), lambda sup: max(CONTRAST_PRIORITIES[t] for t in sup) % 2 == 0
     )
 
 

@@ -11,7 +11,9 @@ may be missed."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import or_
 
 from skelparity.conditions import (
     DpaCondition,
@@ -68,7 +70,9 @@ def reference_value(cond, lasso: Lasso) -> str:
         _, cycle = entered_cycle(cond.automaton.skeleton, lasso)
         return "win" if cond.automaton.max_support_priority(cycle) % 2 == 0 else "lose"
     if isinstance(cond, MullerCondition):
-        return cond.support_value(entered_cycle(cond.skeleton, lasso)[1])
+        bit = {(s, c): 1 << i for i, (s, c, _) in enumerate(cond.skeleton.transitions)}
+        mask = reduce(or_, (bit[t] for t in entered_cycle(cond.skeleton, lasso)[1]))
+        return "win" if mask in cond.winning_supports else "lose"
     if isinstance(cond, MeanPayoffCondition):
         return "win" if Fraction(sum(lasso.period), len(lasso.period)) >= 0 else "lose"
     if isinstance(cond, TotalPayoffCondition):

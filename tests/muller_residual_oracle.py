@@ -2,13 +2,17 @@
 
 For one pair (q1, q2) it builds the pair product of the condition's skeleton
 with itself reachable from (q1, q2), enumerates every cycle support of it,
-and values each side of each support by the condition's own table or
-predicate.  Some word wins from q1 and loses from q2 iff some support's q1
-side wins and its q2 side loses.  One enumeration per pair, so it is meant
-for skeletons of a few states.  Of the library it uses the product and the
-public support enumerator (checked against :mod:`support_oracle`), not the
-single pass over the square of the automaton that it is the reference for.
+and values each side of each support by the condition's own table, looked
+up by the mask of the side's projection.  Some word wins from q1 and loses
+from q2 iff some support's q1 side wins and its q2 side loses.  One
+enumeration per pair, so it is meant for skeletons of a few states.  Of the
+library it uses the product and the public support enumerator (checked
+against :mod:`support_oracle`), not the single pass over the square of the
+automaton that it is the reference for.
 """
+
+from functools import reduce
+from operator import or_
 
 from skelparity import MullerCondition, Skeleton
 from skelparity.conditions import LOSE, WIN, _quotient_by_equivalence
@@ -27,11 +31,14 @@ def flags(cond: MullerCondition, q1, q2, cap: int = DEFAULT_SUPPORT_CAP) -> tupl
     step = lambda p, c: (sk.step(p[0], c), sk.step(p[1], c))
     pairs = [p for p, _, _ in bfs((q1, q2), sk.alphabet, step)]
     pair, sides = lift(sk, sk, pairs)
+    # two transitions of the pair may project onto one: their bits are OR'd
+    bit = {(s, c): 1 << i for i, (s, c, _) in enumerate(sk.transitions)}
+    table = cond.winning_supports
     flips = set()  # the q1-side values of the supports whose sides differ
     for mask in enumerate_cycle_supports(pair, cap):
         rows = support_transitions(pair, mask)
         v1, v2 = (
-            cond.support_value(frozenset((sides[s][side], c) for s, c in rows))
+            WIN if reduce(or_, (bit[sides[s][side], c] for s, c in rows)) in table else LOSE
             for side in (0, 1)
         )
         if v1 != v2:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -37,6 +38,7 @@ from skelparity.serialize import (
     arena_to_dict,
     arena_to_dot,
     automaton_from_dict,
+    automaton_to_dot,
     automaton_to_dict,
     canonical_json,
     condition_from_dict,
@@ -46,7 +48,6 @@ from skelparity.serialize import (
     skeleton_to_dict,
     skeleton_to_dot,
 )
-from skelparity.skeletons import support_transitions
 
 from conftest import build_colliding_pair, build_two_valued_dpa
 from gap_oracle import gap_direct
@@ -62,17 +63,11 @@ def run_cli(*argv) -> tuple[str, int]:
 
 
 @pytest.fixture
-def files(tmp_path, switch_skeleton, contrast_automaton, trivial_abc):
-    triv = trivial_abc
-    supports = [frozenset(support_transitions(triv, g)) for g in enumerate_cycle_supports(triv)]
-    winning = frozenset(
-        g for g in supports if {"a", "b"} <= {c for _, c in g}
-    )
-    gen_buchi = MullerCondition(skeleton=triv, winning_supports=winning)
+def files(tmp_path, switch_skeleton, contrast_automaton, trivial_abc, gen_buchi):
     paths = {}
     docs = {
         "switch.json": skeleton_to_dict(switch_skeleton),
-        "trivial.json": skeleton_to_dict(triv),
+        "trivial.json": skeleton_to_dict(trivial_abc),
         "contrast.json": automaton_to_dict(contrast_automaton),
         "genbuchi.json": condition_to_dict(gen_buchi),
         "contrast_cond.json": condition_to_dict(DpaCondition(contrast_automaton)),
@@ -146,20 +141,65 @@ def test_condition_round_trips(ds_half_two, contrast_automaton):
 
 
 def test_muller_table_round_trip(trivial_abc):
-    supports = [
-        frozenset(support_transitions(trivial_abc, g))
-        for g in enumerate_cycle_supports(trivial_abc)
-    ]
-    winning = frozenset(g for g in supports if {"a", "b"} <= {c for _, c in g})
+    winning = frozenset(enumerate_cycle_supports(trivial_abc)[::2])
     cond = MullerCondition(skeleton=trivial_abc, winning_supports=winning)
     doc = condition_to_dict(cond)
     again = condition_from_dict(json.loads(canonical_json(doc)))
     assert again.winning_supports == winning
 
 
-def test_predicate_conditions_have_no_file_form(gen_buchi):
-    with pytest.raises(InputError):
-        condition_to_dict(gen_buchi)
+def test_tabulated_conditions_round_trip_as_equal_tables(gen_buchi, contrast_muller):
+    # a condition tabulated from a predicate has a file form like any other
+    for cond in (gen_buchi, contrast_muller):
+        again = condition_from_dict(json.loads(canonical_json(condition_to_dict(cond))))
+        assert again == cond
+
+
+def test_muller_tables_refuse_transition_sets(trivial_abc):
+    # the old table form, sets of transitions, would match no support mask
+    with pytest.raises(InputError, match="int masks"):
+        MullerCondition(trivial_abc, frozenset({frozenset({("m0", "a")})}))
+
+
+_DOT_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_dot_exports_escape_backslashes_and_quotes():
+    x, y, a = "x\\", 'y"', 'a"b'
+    sk = Skeleton.make([x, y], x, [a], {(x, a): y, (y, a): x})
+    aut = ParityAutomaton.make(sk, {(x, a): 0, (y, a): 0})
+    arena = Arena.make([x, y], {x: 1, y: 2}, [(x, a, y), (y, a, x)])
+    for dot, label in ((skeleton_to_dot(sk), a), (automaton_to_dot(aut), a + " | 0"),
+                       (arena_to_dot(arena), a)):
+        for line in dot.splitlines():
+            # every quote opens or closes a well-formed string
+            assert '"' not in _DOT_STRING.sub("", line), line
+        strings = {re.sub(r"\\(.)", r"\1", m[1:-1]) for m in _DOT_STRING.findall(dot)}
+        assert strings == {x, y, label}
+
+
+def test_dot_exports_of_plain_names_are_unchanged(contrast_automaton):
+    assert automaton_to_dot(contrast_automaton) == """digraph {
+  rankdir=LR;
+  node [shape=diamond];
+  __init__ [shape=point, style=invis];
+  __init__ -> "m1";
+  "m1" -> "m1" [label="b | 1, c | 3"];
+  "m1" -> "m2" [label="a | 2"];
+  "m2" -> "m1" [label="a | 2"];
+  "m2" -> "m2" [label="b | 0, c | 0"];
+}
+"""
+    edges = [("s", "a", "t"), ("s", "b", "t"), ("t", "b", "s")]
+    arena = Arena.make(["s", "t"], {"s": 1, "t": 2}, edges)
+    assert arena_to_dot(arena) == """digraph {
+  rankdir=LR;
+  "s" [shape=circle];
+  "t" [shape=box];
+  "s" -> "t" [label="a, b"];
+  "t" -> "s" [label="b"];
+}
+"""
 
 
 def test_dot_exports_mention_shapes(switch_skeleton):
@@ -388,12 +428,8 @@ def test_cli_supports_cap_exit_code(files, tmp_path):
     ],
 )
 def test_cli_cap_exit_names_its_stage(files, tmp_path, argv, stage, contrast_muller):
-    sk = contrast_muller.skeleton
-    supports = [frozenset(support_transitions(sk, g)) for g in enumerate_cycle_supports(sk)]
     docs = {
-        "contrast_muller.json": condition_to_dict(
-            MullerCondition(sk, frozenset(g for g in supports if contrast_muller.predicate(g)))
-        ),
+        "contrast_muller.json": condition_to_dict(contrast_muller),
         "two_valued.json": condition_to_dict(build_two_valued_dpa()),
         "ab.json": skeleton_to_dict(trivial_skeleton("ab")),
     }
@@ -767,9 +803,13 @@ _ARENA_M = {"format": 1, "type": "arena", "states": ["m"], "owner": {"m": 1},
         ({**_ARENA_M, "states": "m"}, "'states' must be a list"),
         ({**_ARENA_M, "states": {"m": 0}}, "'states' must be a list"),
         ({**_ARENA_M, "edges": ["mam", "mbm"]}, "bad edge row 'mam'"),
+        # true and 1.0 equal 1, yet name no player
+        ({**_ARENA_M, "owner": {"m": True}}, "owners must be player 1 or player 2"),
+        ({**_ARENA_M, "owner": {"m": 1.0}}, "owners must be player 1 or player 2"),
     ],
     ids=["alphabet-string", "alphabet-object", "states-string", "update-row-string",
-         "arena-states-string", "arena-states-object", "edge-row-string"],
+         "arena-states-string", "arena-states-object", "edge-row-string", "owner-true",
+         "owner-float"],
 )
 def test_cli_lists_given_as_strings_or_objects_exit_2(tmp_path, capsys, doc, fault):
     # a string or an object iterates like a list, into its letters or keys

@@ -39,7 +39,7 @@ from skelparity.errors import (
     InternalConsistencyError,
     PreconditionError,
 )
-from skelparity.skeletons import enumerate_cycle_supports, support_transitions
+from skelparity.skeletons import enumerate_cycle_supports
 
 import lasso_oracle
 import muller_residual_oracle
@@ -209,8 +209,8 @@ def _automaton_lassos(draw):
 @given(_automaton_lassos())
 def test_dpa_and_muller_judges_value_the_entered_cycle(case):
     aut, weight, lasso = case
-    muller = MullerCondition(
-        aut.skeleton, predicate=lambda sup: sum(weight[t] for t in sup) % 2 == 0
+    muller = MullerCondition.tabulate(
+        aut.skeleton, lambda sup: sum(weight[t] for t in sup) % 2 == 0
     )
     for cond in (DpaCondition(aut), muller):
         want = lasso_oracle.reference_value(cond, lasso)
@@ -226,15 +226,11 @@ def test_judges_over_any_alphabet_agree_with_reference(case, data):
     aut, weight, _ = case
     sk = aut.skeleton
     even = lambda sup: sum(weight[t] for t in sup) % 2 == 0
-    supports = (
-        frozenset(support_transitions(sk, g)) for g in enumerate_cycle_supports(sk)
-    )
     b = data.draw(st.integers(2, 9))
     lam = Fraction(data.draw(st.integers(1, b - 1)), b)
     for cond in (
         DpaCondition(aut),
-        MullerCondition(sk, predicate=even),
-        MullerCondition(sk, winning_supports=frozenset(filter(even, supports))),
+        MullerCondition.tabulate(sk, even),
         DiscountedSumCondition(lam, data.draw(st.integers(0, 3))),
         MeanPayoffCondition(),
         TotalPayoffCondition(),
@@ -427,8 +423,8 @@ def test_parity_residuals_match_support_enumeration(tables):
     cond = DpaCondition(aut)
     # the same language as a Muller condition, decided by classifying every
     # cycle support of the pair product; cheap only on tiny automata
-    muller = MullerCondition(
-        aut.skeleton, predicate=lambda sup: aut.max_support_priority(sup) % 2 == 0
+    muller = MullerCondition.tabulate(
+        aut.skeleton, lambda sup: aut.max_support_priority(sup) % 2 == 0
     )
     states = aut.skeleton.states
     for i, q1 in enumerate(states):
@@ -457,10 +453,7 @@ def _muller_table(n: int, alphabet: str, targets, wins: int) -> MullerCondition:
     }
     sk = Skeleton.make([f"q{i}" for i in reach], "q0", alphabet, upd)
     supports = enumerate_cycle_supports(sk)
-    table = frozenset(
-        frozenset(support_transitions(sk, g)) for k, g in enumerate(supports) if wins >> k & 1
-    )
-    return MullerCondition(sk, table)
+    return MullerCondition(sk, frozenset(g for k, g in enumerate(supports) if wins >> k & 1))
 
 
 @st.composite

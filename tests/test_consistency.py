@@ -192,11 +192,7 @@ def test_cycle_consistency_matches_pairwise_reference():
     for seed in range(120):
         rng = random.Random(seed)
         d = _random_skeleton(rng.randrange(10**6), "ab")
-        table = frozenset(
-            frozenset(support_transitions(d, g))
-            for g in enumerate_cycle_supports(d)
-            if rng.random() < 0.5
-        )
+        table = frozenset(g for g in enumerate_cycle_supports(d) if rng.random() < 0.5)
         cond = MullerCondition(skeleton=d, winning_supports=table)
         m = _random_skeleton(rng.randrange(10**6), "ab", max_states=2)
         analysis = SupportAnalysis(cond, product(m, right_congruence_automaton(cond)))

@@ -3,7 +3,10 @@
 import itertools
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,6 +23,7 @@ from skelparity.errors import CapExceeded, InputError
 from skelparity.skeletons import (
     bfs_words,
     closed_walk,
+    cut_cycles,
     lift,
     mask_map,
     pair_words,
@@ -376,6 +380,39 @@ def test_mask_map_is_the_or_of_the_images(case):
             if mask >> i & 1:
                 want |= image
         assert image_of(mask) == want
+
+
+@st.composite
+def _weighted_graphs(draw):
+    """(n, arcs, allowed, need): at most 8 arcs ``(u, v, weight)`` on the
+    nodes ``0 .. n-1``, n <= 4, with weights and masks of 2 or 3 bits;
+    ``allowed`` is every bit half of the time, and ``need`` lies in it."""
+    n = draw(st.integers(1, 4))
+    every = (1 << draw(st.integers(2, 3))) - 1
+    weight = st.integers(0, every)
+    node = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(node, node, weight), max_size=8))
+    allowed = every if draw(st.booleans()) else draw(weight)
+    return n, arcs, allowed, draw(weight) & allowed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_weighted_graphs())
+# a cycle whose root learns its low link only from its last node
+@example((3, [(0, 1, 1), (1, 2, 2), (2, 0, 1)], 3, 3))
+def test_cut_cycles_is_the_union_of_strongly_connected_arc_sets(case):
+    # brute force: every nonempty set of arcs inside ``allowed`` that is
+    # strongly connected and whose weights OR to a superset of ``need``
+    n, arcs, allowed, need = case
+    inside = [a for a in arcs if not a[2] & ~allowed]
+    want = set()
+    for r in range(1, len(inside) + 1):
+        for chosen in itertools.combinations(inside, r):
+            graph = nx.DiGraph([a[:2] for a in chosen])
+            ored = reduce(or_, (a[2] for a in chosen))
+            if ored & need == need and nx.is_strongly_connected(graph):
+                want.update(graph)
+    assert cut_cycles(n, arcs, allowed, need) == want
 
 
 def test_supports_cap_boundary(switch_skeleton):

@@ -36,7 +36,7 @@ from skelparity.skeletons import bit_indices, enumerate_cycle_supports, support_
 from skelparity.synthesis import SynthesisStageError, synthesize
 
 import lasso_oracle
-from conftest import build_two_valued_dpa
+from conftest import build_two_valued_dpa, mask_of
 
 
 def _skeleton(states, alphabet, upd) -> Skeleton:
@@ -108,7 +108,7 @@ def _muller_tables(draw):
     """A Muller condition tabulating a random set of winning supports of a
     skeleton over {a, b} with 1 or 2 states."""
     sk = draw(_skeletons("ab", 2, prefix="d"))
-    supports = [frozenset(support_transitions(sk, g)) for g in enumerate_cycle_supports(sk)]
+    supports = enumerate_cycle_supports(sk)
     wins = draw(st.lists(st.booleans(), min_size=len(supports), max_size=len(supports)))
     return MullerCondition(sk, winning_supports=frozenset(g for g, w in zip(supports, wins) if w))
 
@@ -184,7 +184,8 @@ def test_parity_valuation_is_the_parity_of_the_top_priority(cond):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_muller_tables())
 def test_muller_valuation_is_the_table(cond):
-    _check_valuation(cond, cond.support_value)
+    table = cond.winning_supports
+    _check_valuation(cond, lambda sup: WIN if mask_of(cond.skeleton, sup) in table else LOSE)
 
 
 # -- the two-valued support witness ------------------------------------------------

@@ -326,7 +326,7 @@ def test_priorities_match_reference_on_random_dpas(pair):
 
 def test_all_win_condition_collapses_to_single_class():
     sk = trivial_skeleton(("a", "b"))
-    cond = MullerCondition(skeleton=sk, predicate=lambda sup: True)
+    cond = MullerCondition.tabulate(sk, lambda sup: True)
     table = build_cycle_preorder(sk, cond)
     assert len(table.classes) == 1
     assert table.order == frozenset()
@@ -482,13 +482,6 @@ def test_support_mismatch_matches_reference_loop():
     assert mismatches[True] > 10 and mismatches[False] > 20, mismatches
 
 
-def _contrast_table() -> MullerCondition:
-    """The contrast language as a Muller table on its two-state skeleton."""
-    sk = build_contrast_skeleton()
-    supports = (f(support_transitions(sk, g)) for g in enumerate_cycle_supports(sk))
-    return MullerCondition(sk, winning_supports=f(filter(build_contrast_muller().predicate, supports)))
-
-
 def _synthesized_mutations(cond, sk, transient) -> list:
     """The automaton synthesized for ``cond`` on ``sk`` and each of its
     one-step priority mutations."""
@@ -523,7 +516,7 @@ def test_verify_lasso_witness_matches_reference_loop(name):
         cond, sk, transient = {
             "gen-buchi-switch": (build_gen_buchi(), build_switch_skeleton(), False),
             "ab-prefix": (DpaCondition(build_ab_prefix_automaton()), trivial_skeleton("ab"), True),
-            "contrast-table": (_contrast_table(), trivial_skeleton("abc"), False),
+            "contrast-table": (build_contrast_muller(), trivial_skeleton("abc"), False),
             "ds-half-k2": (DiscountedSumCondition(Fraction(1, 2), 2), trivial_skeleton(range(-2, 3)), True),
         }[name]
         automata = _synthesized_mutations(cond, sk, transient)
@@ -597,7 +590,7 @@ def test_walk_lassos_walk_the_stream_of_random_lasso(seed, sk):
 def test_verify_trivial_all_win():
     sk = trivial_skeleton(("a",))
     aut = ParityAutomaton.make(sk, {("m0", "a"): 0})
-    cond = MullerCondition(skeleton=sk, predicate=lambda sup: True)
+    cond = MullerCondition.tabulate(sk, lambda sup: True)
     assert verify_synthesis(aut, cond, samples=50).passed
 
 
@@ -693,9 +686,8 @@ def test_synthesize_propagates_stage_failures():
     # class, so the pipeline runs no prefix-independence stage; cycle
     # consistency is checked on that product itself, and its witness names
     # a state of it
-    cond = MullerCondition(
-        skeleton=trivial_skeleton(("a", "b")),
-        predicate=lambda sup: {c for _, c in sup} == {"a", "b"},
+    cond = MullerCondition.tabulate(
+        trivial_skeleton(("a", "b")), lambda sup: {c for _, c in sup} == {"a", "b"}
     )
     m = trivial_skeleton(("a", "b"))
     with pytest.raises(SynthesisStageError) as exc:
@@ -791,10 +783,7 @@ def test_pipeline_on_random_automata():
             {k: v for k, v in upd.items() if k[0] in reach},
         )
         pri = {(s, c): rng.randint(0, 4) for s, c, _ in sk.transitions}
-        cond = MullerCondition(
-            skeleton=sk,
-            predicate=lambda sup, pri=pri: max(pri[t] for t in sup) % 2 == 0,
-        )
+        cond = MullerCondition.tabulate(sk, lambda sup: max(pri[t] for t in sup) % 2 == 0)
         try:
             result = synthesize(
                 cond, sk, samples=100, seed=seed, allow_transient=True, cap=2000
