@@ -38,17 +38,16 @@ from .skeletons import (
     Skeleton,
     State,
     SupportIndex,
-    _pair_step,
-    bfs,
+    bfs_words,
     bit_indices,
     closed_walk,
-    color_key,
     enumerate_cycle_supports,
-    lift,
     mask_map,
     out_masks,
-    pair_words,
+    pair_product,
+    pair_search,
     product,
+    product_skeleton,
     support_transitions,
 )
 
@@ -74,10 +73,10 @@ def check_prefix_independence(
     """Do all finite words reaching the same state of ``m`` share their
     winning continuations?
 
-    Implemented as a breadth-first search of the product of ``m`` with the
-    right-congruence automaton that stops at the first state of ``m`` found
-    paired with two distinct congruence classes; the two shortest witness
-    prefixes are then rebuilt from the parent of each pair.
+    Implemented as the search of the product of ``m`` with the
+    right-congruence automaton (:func:`pair_search`) that stops at the
+    first state of ``m`` found paired with two distinct congruence classes;
+    the two shortest witness prefixes are rebuilt from the pairs' parents.
     """
     rc = right_congruence_automaton(cond, cap=cap)
     parent: dict[tuple[State, State], tuple] = {}
@@ -90,7 +89,7 @@ def check_prefix_independence(
             colors.append(c)
         return colors[::-1]
 
-    for pair, before, c in bfs((m.init, rc.init), m.alphabet, _pair_step(m, rc)):
+    for pair, before, c in pair_search(m, rc):
         parent[pair] = (before, c)
         first = first_pair.setdefault(pair[0], pair)
         if first != pair:
@@ -115,57 +114,53 @@ class SupportAnalysis:
     The value set of a support is the set of values of the words whose run
     on the skeleton repeats exactly that support.  It is read off the
     condition's own automaton ``D`` (:func:`support_automaton`), with no
-    walk and no word oracle.  When the state of ``D`` is a function of the
-    skeleton state, checked by one breadth-first search of (skeleton x
-    ``D``), a support has one value: that of its projection onto ``D``.
-    Otherwise the supports of the lift ``L`` = (skeleton x ``D``) are
-    enumerated and valued; their projections onto the skeleton are exactly
-    its supports, and a support projected from lifted supports of both
-    values has both.  Supports are masks in canonical order.
+    walk and no word oracle, on the product of the skeleton and ``D``
+    built once by :func:`pair_product`.  When the state of ``D`` is a
+    function of the skeleton state (the product has as many states as the
+    skeleton), a support has one value: that of its projection onto ``D``.
+    Otherwise the supports of the lift ``L``, the product named ``l0, l1,
+    ...``, are enumerated and valued; their projections onto the skeleton
+    are exactly its supports, and a support projected from lifted supports
+    of both values has both.  Supports are masks in canonical order.
 
-    It keeps ``D``'s cached :attr:`value` and the skeleton whose runs it
-    valued, :attr:`run_skeleton` (the skeleton, or ``L``), whose transition
-    ``i`` is the skeleton's transition ``images[i]`` and weighs
-    ``d_weights[i]`` in ``D``: verification walks lassos on it.
+    It keeps ``D``'s cached :attr:`value` and the product, which
+    verification walks: cell ``x`` leads to pair ``succ[x]`` by the
+    skeleton's transition ``images[x]``, of weight ``d_weights[x]`` in ``D``.
     """
 
     def __init__(self, cond: Condition, sk: Skeleton, cap: int = DEFAULT_SUPPORT_CAP):
         self.skeleton = sk
         aut, weights, value_of = support_automaton(cond, cap)
         self.value = value = functools.cache(value_of)
-        extra = set(sk.alphabet) - set(aut.alphabet)
-        if extra:
-            raise InputError(
-                f"color {min(extra, key=color_key)!r} not in the condition's alphabet"
-            )
-        pairs = [p for p, _, _ in bfs((sk.init, aut.init), sk.alphabet, _pair_step(sk, aut))]
+        pairs, self.succ = pair_product(sk, aut)
+        alphabet = sk.alphabet
+        index = {(s, c): i for i, (s, c, _) in enumerate(sk.transitions)}
         d_weight = {(s, c): x for (s, c, _), x in zip(aut.transitions, weights)}
-        d_of = dict(pairs)
-        if len(d_of) == len(pairs):
+        self.images = [index[s, c] for s, _ in pairs for c in alphabet]
+        self.d_weights = [d_weight[d, c] for _, d in pairs for c in alphabet]
+        if len(pairs) == len(sk.states):
             with cap_stage("cycle-supports"):
                 self.supports = enumerate_cycle_supports(sk, cap=cap)
-            self.run_skeleton, self.images = sk, range(len(sk.transitions))
-            self.d_weights = [d_weight[d_of[s], c] for s, c, _ in sk.transitions]
-            to_d = mask_map(self.d_weights)
+            # each skeleton transition is the image of one cell
+            to_d = mask_map([d for _, d in sorted(zip(self.images, self.d_weights))])
             self.value_sets = [frozenset((value(to_d(g)),)) for g in self.supports]
             self._lift = None
         else:
-            lifted_sk, pair_of = lift(sk, aut, pairs)
+            names = [f"l{k}" for k in range(len(pairs))]
+            lifted_sk = product_skeleton(alphabet, names, self.succ)
             with cap_stage("lifted-supports"):
                 lifted = enumerate_cycle_supports(lifted_sk, cap=cap)
-            index = {(s, c): i for i, (s, c, _) in enumerate(sk.transitions)}
-            self.run_skeleton = lifted_sk
-            self.images = [index[pair_of[s][0], c] for s, c, _ in lifted_sk.transitions]
-            self.d_weights = [d_weight[pair_of[s][1], c] for s, c, _ in lifted_sk.transitions]
-            to_a = mask_map([1 << i for i in self.images])
-            to_d = mask_map(self.d_weights)
+            cell = {t: x for x, t in enumerate((s, c) for s in names for c in alphabet)}
+            cells = [cell[s, c] for s, c, _ in lifted_sk.transitions]
+            to_a = mask_map([1 << self.images[x] for x in cells])
+            to_d = mask_map([self.d_weights[x] for x in cells])
             # support mask -> {value: index of its first lifted support of that value}
             first: dict[int, dict[str, int]] = {}
             for j, h in enumerate(lifted):
                 first.setdefault(to_a(h), {}).setdefault(value(to_d(h)), j)
             self.supports = sorted(first, key=lambda g: (g.bit_count(), tuple(bit_indices(g))))
             self.value_sets = [frozenset(first[g]) for g in self.supports]
-            self._lift = (lifted_sk, lifted, first, pair_of, aut)
+            self._lift = (lifted_sk, lifted, first)
 
     @functools.cached_property
     def index(self) -> SupportIndex:
@@ -180,15 +175,15 @@ class SupportAnalysis:
         """For a support of several values, one lasso per value whose run
         on the skeleton repeats exactly that support: a shortest prefix to
         the least state of the first lifted support of that value, then a
-        closed walk covering it.  The prefixes come from :func:`pair_words`,
-        built here, as only a support of two values needs them."""
-        lifted_sk, lifted, first, pair_of, aut = self._lift
-        words = pair_words(self.skeleton, aut)
+        closed walk covering it.  The prefixes are the :func:`bfs_words` of
+        the lift, searched here, as only a support of two values needs them."""
+        lifted_sk, lifted, first = self._lift
+        words = bfs_words(lifted_sk.init, self.skeleton.alphabet, lifted_sk.step)
         out = {}
         for v, j in first[self.supports[i]].items():
             h = lifted[j]
             anchor = lifted_sk.transitions[(h & -h).bit_length() - 1][0]
-            out[v] = Lasso.make(words[pair_of[anchor]], closed_walk(lifted_sk, h, anchor))
+            out[v] = Lasso.make(words[anchor], closed_walk(lifted_sk, h, anchor))
         return out
 
     def cycle_consistency(self) -> ConsistencyReport:

@@ -106,10 +106,14 @@ class ParityGame:
         owner = dict(self.owners)
         if set(owner) != state_set:
             raise InputError("owner map must cover exactly the states")
+        if not all(type(p) is int and p in (1, 2) for p in owner.values()):
+            raise InputError("owners must be player 1 or player 2")
         blocked = state_set - {e[0] for e in self.edges}
         if blocked:
             raise InputError("parity game must be non-blocking")
-        for _, _, _, p in self.edges:
+        for s, _, t, p in self.edges:
+            if s not in state_set or t not in state_set:
+                raise InputError(f"edge uses unknown state: {(s, t)}")
             if not isinstance(p, int) or isinstance(p, bool) or p < 0:
                 raise InputError("edge priorities must be natural numbers")
 

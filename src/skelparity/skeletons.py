@@ -277,59 +277,59 @@ def bfs_words(
     return words
 
 
-def pair_words(m1: Skeleton, m2: Skeleton) -> dict[tuple[State, State], tuple[Color, ...]]:
-    """The state pairs that one word leads ``m1`` and ``m2`` to from their
-    initial states, with the words of :func:`bfs_words` over ``m1``'s
-    alphabet."""
-    return bfs_words((m1.init, m2.init), m1.alphabet, _pair_step(m1, m2))
-
-
-def _pair_step(m1: Skeleton, m2: Skeleton) -> Callable:
+def pair_search(m1: Skeleton, m2: Skeleton, steps: list | None = None) -> Iterator[tuple]:
+    """:func:`bfs` over the state pairs of ``m1`` and ``m2`` from their
+    initial states, in ``m1.alphabet`` order: the one search of a product
+    of two skeletons.  When called, before any step, it applies the one
+    alphabet rule of the package: both read the same colors, or
+    :class:`InputError` names the least color (:func:`color_key`) that only
+    one reads.  Each step's pair is appended to ``steps``, if given."""
+    only = set(m1.alphabet) ^ set(m2.alphabet)
+    if only:
+        raise InputError(f"color {min(only, key=color_key)!r} is read by one side of a product only")
     step1, step2 = m1.step, m2.step
-    return lambda p, c: (step1(p[0], c), step2(p[1], c))
+
+    def step(p, c):
+        q = step1(p[0], c), step2(p[1], c)
+        if steps is not None:
+            steps.append(q)
+        return q
+
+    return bfs((m1.init, m2.init), m1.alphabet, step)
 
 
-def lift(
-    m1: Skeleton, m2: Skeleton, pairs: Iterable[tuple[State, State]]
-) -> tuple[Skeleton, dict[State, tuple[State, State]]]:
-    """The product of ``m1`` and ``m2`` on ``pairs``, which must be closed
-    under steps, as the keys of :func:`pair_words` are: state ``l{k}`` is
-    the k-th pair, and ``l0`` is initial.  Also returns the pair of each
-    state."""
-    name = {p: f"l{k}" for k, p in enumerate(pairs)}
-    return _named_product(m1, m2, name), {n: p for p, n in name.items()}
+def pair_product(m1: Skeleton, m2: Skeleton) -> tuple[list[tuple[State, State]], list[int]]:
+    """The pairs of :func:`pair_search`, in its order, and the product
+    stepped once: ``succ[k * len(m1.alphabet) + c]`` is the index of the
+    pair that color index ``c`` leads pair ``k`` to."""
+    steps: list[tuple[State, State]] = []
+    pairs = [p for p, _, _ in pair_search(m1, m2, steps)]
+    index = {p: k for k, p in enumerate(pairs)}
+    return pairs, [index[q] for q in steps]
+
+
+def product_skeleton(alphabet: Sequence, names: Sequence[State], succ: Sequence[int]) -> Skeleton:
+    """The product ``succ`` of :func:`pair_product` as a skeleton whose
+    state ``names[k]`` is pair ``k``; ``names[0]`` is initial."""
+    n = len(alphabet)
+    upd = {(names[x // n], alphabet[x % n]): names[k] for x, k in enumerate(succ)}
+    return Skeleton.make(names, names[0], alphabet, upd)
 
 
 def product(m1: Skeleton, m2: Skeleton) -> Skeleton:
     """Reachable part of the direct product; states are named ``s1|s2``.
 
-    Raises :class:`InputError` when two distinct reachable pairs get the
-    same name, which state names holding ``|`` can cause.
+    Raises :class:`InputError` as :func:`pair_search` does, and when two
+    distinct reachable pairs get the same name, which state names holding
+    ``|`` can cause.
     """
-    if set(m1.alphabet) != set(m2.alphabet):
-        raise InputError("product requires both skeletons to share the alphabet")
-    name: dict[tuple[State, State], State] = {}
-    pair_named: dict[State, tuple[State, State]] = {}
-    for pair, _, _ in bfs((m1.init, m2.init), m1.alphabet, _pair_step(m1, m2)):
-        key = name[pair] = f"{pair[0]}|{pair[1]}"
-        first = pair_named.setdefault(key, pair)
-        if first != pair:
-            raise InputError(f"product pairs {first} and {pair} are both named {key!r}")
-    return _named_product(m1, m2, name)
-
-
-def _named_product(
-    m1: Skeleton, m2: Skeleton, name: dict[tuple[State, State], State]
-) -> Skeleton:
-    """The product of ``m1`` and ``m2`` on the pairs of ``name``, closed
-    under steps, with the first pair initial."""
-    alpha = m1.alphabet
-    upd = {
-        (n, c): name[(m1.step(a, c), m2.step(b, c))]
-        for (a, b), n in name.items()
-        for c in alpha
-    }
-    return Skeleton.make(name.values(), next(iter(name.values())), alpha, upd)
+    pairs, succ = pair_product(m1, m2)
+    names = [f"{a}|{b}" for a, b in pairs]
+    first: dict[State, tuple[State, State]] = {}
+    for pair, key in zip(pairs, names):
+        if first.setdefault(key, pair) != pair:
+            raise InputError(f"product pairs {first[key]} and {pair} are both named {key!r}")
+    return product_skeleton(m1.alphabet, names, succ)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,10 @@ minimizing over the inclusion-minimal supports through each transition.
 The final automaton is verified both exhaustively (max priority parity of
 every support equals its value) and against the condition on random
 lassos of color indices.  Each lasso is walked while it is drawn
-(:func:`walk_lassos`), on the skeleton whose runs the support analysis
-valued, which carries the weights of the automaton and of the condition's
-automaton side by side; a discounted sum is judged instead by its exact
-integer judge (:func:`~skelparity.conditions.lasso_judge`).
+(:func:`walk_lassos`), on the support analysis' product of the automaton's
+skeleton and the condition's automaton, whose cells carry both weights
+side by side; a discounted sum is judged instead by its exact integer
+judge (:func:`~skelparity.conditions.lasso_judge`).
 
 :func:`synthesize` builds the right-congruence automaton once, forms
 ``base`` = (congruence automaton x skeleton), and builds one
@@ -50,7 +50,6 @@ from .conditions import (
     WIN,
     LOSE,
     _close_cycle,
-    _walk_tables,
     lasso_judge,
     right_congruence_automaton,
     support_automaton,
@@ -405,18 +404,19 @@ class VerifyReport:
 
 
 def walk_lassos(
-    rng: random.Random, sk: Skeleton, weights: Sequence[int], alphabet: Sequence,
-    samples: int, judge: Callable[[int, list, list], tuple],
+    rng: random.Random, nxt: Sequence[int], w: Sequence[int], init: int,
+    alphabet: Sequence, samples: int, judge: Callable[[int, list, list], tuple],
 ) -> tuple[int, Optional[dict]]:
     """Draw ``samples`` lassos of color indices into ``alphabet``, each a
-    prefix of 0 to 6 indices and a period of 1 to 6, walking ``sk`` as each
-    color comes: a prefix color moves the run on the tables of
-    :func:`~skelparity.conditions._walk_tables`, a period color extends the
-    first block, and only when that block does not end where it began is
-    the period read again (:func:`~skelparity.conditions._close_cycle`).
-    ``judge(mask, prefix, period)`` gives the (automaton, oracle) values of
-    a lasso whose cycle ORs ``weights`` to ``mask``.  Returns the lassos
-    judged and the first disagreement, or None.
+    prefix of 0 to 6 indices and a period of 1 to 6, walking the flat
+    tables ``nxt`` and ``w`` of :func:`~skelparity.conditions._walk_tables`
+    from row ``init`` as each color comes: a prefix color moves the run, a
+    period color extends the first block, and only when that block does not
+    end where it began is the period read again
+    (:func:`~skelparity.conditions._close_cycle`).  ``judge(mask, prefix,
+    period)`` gives the (automaton, oracle) values of a lasso whose cycle
+    ORs ``w`` to ``mask``.  Returns the lassos judged and the first
+    disagreement, or None.
 
     Each draw below a bound reads ``rng.getrandbits`` as
     ``random.Random._randbelow`` does, until a number falls below it (3 bits
@@ -424,7 +424,6 @@ def walk_lassos(
     of the reference sampler ``random_lasso`` of ``tests/lasso_oracle.py``
     and ``rng`` ends in the same state; index ``i`` stands for ``alphabet[i]``.
     """
-    nxt, w, init = _walk_tables(sk, weights, alphabet)
     getrandbits = rng.getrandbits
     n = len(alphabet)
     k = n.bit_length()
@@ -483,9 +482,9 @@ def verify_synthesis(
     skeleton's alphabet by :func:`walk_lassos`, seeded by ``seed``: the
     same stream as the reference sampler ``random_lasso`` of
     ``tests/lasso_oracle.py``.  Each word is walked while it is drawn, on
-    the skeleton whose runs the support analysis valued: the automaton's,
-    or its product with the condition's automaton ``D`` when ``D``'s state
-    is not a function of the automaton's.  Its transitions carry the
+    the product of the automaton's skeleton and the condition's automaton
+    ``D`` that the support analysis built once (the skeleton renamed, when
+    ``D``'s state is a function of the automaton's).  Its cells carry the
     weights of both in disjoint bit fields, so the OR over the cycle the
     word repeats gives the top priority and ``D``'s value at once.  A
     discounted sum is judged instead by its exact integer judge
@@ -509,7 +508,7 @@ def _verify(
     seed: int,
 ) -> VerifyReport:
     """:func:`verify_synthesis` given the support analysis of the
-    automaton's skeleton, whose ``D`` valuation and run skeleton it reads:
+    automaton's skeleton, whose ``D`` valuation and product it reads:
     it builds no automaton of the condition and no product of its own.  A
     support of two values is a mismatch, reported with the value that the
     top priority's parity contradicts.  :func:`walk_lassos` draws, walks
@@ -531,12 +530,13 @@ def _verify(
             }
             break
 
-    # the analysis refused every color outside the condition's alphabet, so
-    # the words need no color check.  The OR of a walk on the analysis' run
-    # skeleton holds the rank bits of ``out`` below ``shift`` and D's above
+    # the analysis' product reads exactly the condition's colors, so the
+    # words need no color check.  The OR of a walk on its cells holds the
+    # rank bits of ``out`` below ``shift`` and D's above; pair 0 is initial
     alphabet = sk.alphabet
     shift = max(weights).bit_length()
     low = (1 << shift) - 1
+    nxt = [k * len(alphabet) for k in analysis.succ]
     run = [weights[i] | d << shift for i, d in zip(analysis.images, analysis.d_weights)]
     if isinstance(cond, DiscountedSumCondition):
         # the sum's exact integer judge: the one run-time check of its gap automaton
@@ -547,7 +547,7 @@ def _verify(
         values = cache(lambda mask: (parity_of(mask & low), analysis.value(mask >> shift)))
         judge = lambda mask, prefix, period: values(mask)
     n_lassos, lasso_mismatch = walk_lassos(
-        random.Random(seed), analysis.run_skeleton, run, alphabet, samples, judge
+        random.Random(seed), nxt, run, 0, alphabet, samples, judge
     )
 
     return VerifyReport(

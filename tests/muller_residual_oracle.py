@@ -6,9 +6,9 @@ and values each side of each support by the condition's own table, looked
 up by the mask of the side's projection.  Some word wins from q1 and loses
 from q2 iff some support's q1 side wins and its q2 side loses.  One
 enumeration per pair, so it is meant for skeletons of a few states.  Of the
-library it uses the product and the public support enumerator (checked
-against :mod:`support_oracle`), not the single pass over the square of the
-automaton that it is the reference for.
+library it uses the breadth-first search, :class:`Skeleton` and the public
+support enumerator (checked against :mod:`support_oracle`), not the single
+pass over the square of the automaton that it is the reference for.
 """
 
 from functools import reduce
@@ -20,7 +20,6 @@ from skelparity.skeletons import (
     DEFAULT_SUPPORT_CAP,
     bfs,
     enumerate_cycle_supports,
-    lift,
     support_transitions,
 )
 
@@ -30,7 +29,11 @@ def flags(cond: MullerCondition, q1, q2, cap: int = DEFAULT_SUPPORT_CAP) -> tupl
     sk = cond.skeleton
     step = lambda p, c: (sk.step(p[0], c), sk.step(p[1], c))
     pairs = [p for p, _, _ in bfs((q1, q2), sk.alphabet, step)]
-    pair, sides = lift(sk, sk, pairs)
+    # the pair skeleton: state ``l{k}`` is the k-th pair, ``l0`` initial
+    name = {p: f"l{k}" for k, p in enumerate(pairs)}
+    upd = {(name[p], c): name[step(p, c)] for p in pairs for c in sk.alphabet}
+    pair = Skeleton.make(name.values(), "l0", sk.alphabet, upd)
+    sides = {n: p for p, n in name.items()}
     # two transitions of the pair may project onto one: their bits are OR'd
     bit = {(s, c): 1 << i for i, (s, c, _) in enumerate(sk.transitions)}
     table = cond.winning_supports

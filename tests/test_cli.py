@@ -603,6 +603,54 @@ def test_cli_product_colliding_names_exit_2(tmp_path):
     assert not out_path.exists()
 
 
+def _one_state_doc(colors, priority=None) -> dict:
+    """A one-state skeleton over ``colors``, or an automaton giving every
+    color ``priority``."""
+    doc = {"format": 1, "type": "skeleton", "alphabet": list(colors), "states": ["m0"],
+           "init": "m0", "upd": [["m0", c, "m0"] for c in colors]}
+    if priority is not None:
+        doc.update(type="parity-automaton", priority=[["m0", c, priority] for c in colors])
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv, color",
+    [
+        (("check", "prefix-independence", "--condition", "{ab_prefix}", "--skeleton", "{abz}"),
+         "z"),
+        (("check", "prefix-independence", "--condition", "{gen_buchi}", "--skeleton", "{abcz}"),
+         "z"),
+        (("check", "cycle-consistency", "--condition", "{ab_prefix}", "--skeleton", "{abz}"), "z"),
+        (("check", "cycle-consistency", "--condition", "{gen_buchi}", "--skeleton", "{abcz}"),
+         "z"),
+        (("verify", "--automaton", "{a_odd}", "--condition", "{gen_buchi}"), "b"),
+        (("skel", "product", "--left", "{abcz}", "--right", "{abz}"), "c"),
+    ],
+    ids=["prefix-independence-extra", "prefix-independence-extra-unknown",
+         "cycle-consistency-extra", "cycle-consistency-extra-unknown", "verify-missing",
+         "product"],
+)
+def test_cli_colors_read_by_one_side_only_exit_2(tmp_path, capsys, argv, color):
+    # the skeleton and the condition's automata read the same colors, or the
+    # product of the two is refused before any step, naming the least color
+    # that only one reads: an extra color used to make prefix-independence
+    # fail or die on an unknown transition, and a missing one to pass verify
+    docs = {"abz": _one_state_doc("abz"), "abcz": _one_state_doc("abcz"),
+            "a_odd": _one_state_doc("a", priority=1)}
+    paths = {"ab_prefix": GOLDEN / "inputs" / "ab_prefix.json",
+             "gen_buchi": GOLDEN / "inputs" / "gen_buchi.json"}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    out, code = run_cli(*(a.format(**paths) for a in argv))
+    assert code == 2
+    assert json.loads(out) == {
+        "format": 1,
+        "error": f"color {color!r} is read by one side of a product only",
+    }
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_residuals(files):
     out, code = run_cli(
         "cond",

@@ -107,6 +107,19 @@ def test_product_game_four_states(ab_prefix_automaton):
     assert len(game.states) == 4
 
 
+@pytest.mark.parametrize("owner", [3, 0, True, 1.0])
+def test_parity_game_owner_must_be_a_player(owner):
+    # an owner 3 used to solve, with its state won by player 2
+    with pytest.raises(InputError, match="owners must be player 1 or player 2"):
+        ParityGame.make(["s"], {"s": owner}, [("s", "a", "s", 1)])
+
+
+def test_parity_game_edge_must_reach_a_state():
+    # an edge into an unknown state used to make solve_parity raise KeyError
+    with pytest.raises(InputError, match=r"edge uses unknown state: \('s', 't'\)"):
+        ParityGame.make(["s"], {"s": 1}, [("s", "a", "s", 0), ("s", "b", "t", 1)])
+
+
 # -- solving -------------------------------------------------------------------------
 
 

@@ -21,12 +21,14 @@ from skelparity import (
 from skelparity.discounting import gap_automaton
 from skelparity.errors import CapExceeded, InputError
 from skelparity.skeletons import (
+    bfs,
     bfs_words,
     closed_walk,
     cut_cycles,
-    lift,
     mask_map,
-    pair_words,
+    pair_product,
+    pair_search,
+    product_skeleton,
     support_transitions,
 )
 
@@ -197,16 +199,68 @@ def test_long_chain_reachability_holds_no_words():
     )
 )
 def test_pair_words_and_lift_match_product(pair):
+    # the words of the pair search, and the pair product named l0, l1, ...
     m1, m2 = pair
-    words = pair_words(m1, m2)
+    words = {}
+    for p, parent, c in pair_search(m1, m2):
+        words[p] = words[parent] + (c,) if words else ()
     prod = product(m1, m2)
     assert set(words) == {tuple(s.split("|")) for s in prod.states}
     for (a, b), w in words.items():
         assert (m1.run_end(w), m2.run_end(w)) == (a, b)
-    lifted, pair_of = lift(m1, m2, words)
+    pairs, succ = pair_product(m1, m2)
+    names = [f"l{k}" for k in range(len(pairs))]
+    lifted, pair_of = product_skeleton(m1.alphabet, names, succ), dict(zip(names, pairs))
     assert lifted.isomorphic(prod)
     assert lifted.init == "l0"
     assert list(pair_of.values()) == list(words)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda k: st.tuples(
+            skeletons(alphabet=ABC[:k], max_states=5), skeletons(alphabet=ABC[:k], max_states=5)
+        )
+    )
+)
+def test_pair_product_is_the_reachable_pairs_stepped_once(pair):
+    m1, m2 = pair
+    pairs, succ = pair_product(m1, m2)
+    # brute force: close the initial pair under both machines' steps
+    reach = {(m1.init, m2.init)}
+    while True:
+        more = {(m1.step(a, c), m2.step(b, c)) for a, b in reach for c in m1.alphabet}
+        if more <= reach:
+            break
+        reach |= more
+    assert set(pairs) == reach and len(pairs) == len(reach)
+    step = lambda p, c: (m1.step(p[0], c), m2.step(p[1], c))
+    assert pairs == [p for p, _, _ in bfs(pairs[0], m1.alphabet, step)]
+    assert pairs[0] == (m1.init, m2.init)
+    n = len(m1.alphabet)
+    assert len(succ) == len(pairs) * n
+    for k, p in enumerate(pairs):
+        for i, c in enumerate(m1.alphabet):
+            assert pairs[succ[k * n + i]] == step(p, c)
+    names = [f"l{k}" for k in range(len(pairs))]
+    assert product_skeleton(m1.alphabet, names, succ).isomorphic(product(m1, m2))
+
+
+def test_pair_search_refuses_a_color_only_one_machine_reads(switch_skeleton):
+    # refused when the search is made, before any step, naming the least
+    # such color whichever side reads it
+    ab, abz = trivial_skeleton(["a", "b"]), trivial_skeleton(["a", "b", "z", "y"])
+    for m1, m2, color in [
+        (switch_skeleton, ab, "'c'"),
+        (ab, switch_skeleton, "'c'"),
+        (abz, ab, "'y'"),
+        (switch_skeleton, abz, "'c'"),
+    ]:
+        with pytest.raises(InputError, match=f"color {color} is read by one side"):
+            pair_search(m1, m2)
+        with pytest.raises(InputError, match=f"color {color} is read by one side"):
+            product(m1, m2)
 
 
 # -- cycle supports -----------------------------------------------------------

@@ -22,7 +22,7 @@ from skelparity import (
     right_congruence_automaton,
     trivial_skeleton,
 )
-from skelparity.conditions import _cycle_walker
+from skelparity.conditions import _cycle_walker, _walk_tables
 from skelparity.consistency import SupportAnalysis
 from skelparity.errors import InputError, PreconditionError, TransientTransitionError
 from skelparity.skeletons import support_transitions
@@ -576,7 +576,8 @@ def test_walk_lassos_walk_the_stream_of_random_lasso(seed, sk):
     indices, colors, kernel = (random.Random(seed) for _ in range(3))
     drawn = []
     judge = lambda mask, prefix, period: drawn.append((mask, prefix, period)) or (0, 0)
-    assert walk_lassos(kernel, sk, weights, alphabet, 40, judge) == (40, None)
+    nxt, w, init = _walk_tables(sk, weights, alphabet)
+    assert walk_lassos(kernel, nxt, w, init, alphabet, 40, judge) == (40, None)
     assert len(drawn) == 40
     for mask, prefix, period in drawn:
         assert random_lasso(indices, range(n)) == Lasso(tuple(prefix), tuple(period))
