@@ -39,13 +39,13 @@ from .skeletons import (
     Transition,
     arc_cycle_supports,
     bfs,
-    bfs_words,
     bit_indices,
     cut_cycles,
     enumerate_cycle_supports,
     mask_map,
     support_transitions,
     trivial_skeleton,
+    word_to,
 )
 
 WIN = "win"
@@ -622,7 +622,9 @@ def _quotient_by_equivalence(
     sk: Skeleton, equivalent: Callable[[State, State], bool]
 ) -> Skeleton:
     """Quotient of a skeleton by a residual-language equivalence on states,
-    always a right congruence: one that is not is an internal fault."""
+    always a right congruence: one that is not is an internal fault.  Each
+    class is labeled by its shortest word, the least in color order: the
+    :func:`word_to` of one :func:`bfs` over the quotient."""
     states = list(sk.states)
     class_of: dict[State, int] = {}
     reps: list[State] = []
@@ -643,11 +645,9 @@ def _quotient_by_equivalence(
                     "state equivalence is not a congruence; quotient undefined"
                 )
 
-    # shortest-word labels, BFS in canonical color order over the quotient
-    words = bfs_words(
-        class_of[sk.init], sk.alphabet, lambda cls, c: class_of[sk.step(reps[cls], c)]
-    )
-    labels = {cls: _word_label(w) for cls, w in words.items()}
+    found = bfs(class_of[sk.init], sk.alphabet, lambda i, c: class_of[sk.step(reps[i], c)])
+    parents = {cls: (parent, c) for cls, parent, c in found}
+    labels = {cls: _word_label(word_to(parents, cls)) for cls in parents}
     upd = {
         (labels[class_of[r]], c): labels[class_of[sk.step(r, c)]]
         for r in reps

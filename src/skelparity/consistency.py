@@ -34,11 +34,10 @@ from .conditions import (
 from .errors import InputError, InternalConsistencyError, cap_stage
 from .skeletons import (
     DEFAULT_SUPPORT_CAP,
-    Color,
     Skeleton,
     State,
     SupportIndex,
-    bfs_words,
+    bfs,
     bit_indices,
     closed_walk,
     enumerate_cycle_supports,
@@ -49,6 +48,7 @@ from .skeletons import (
     product,
     product_skeleton,
     support_transitions,
+    word_to,
 )
 
 
@@ -75,20 +75,13 @@ def check_prefix_independence(
 
     Implemented as the search of the product of ``m`` with the
     right-congruence automaton (:func:`pair_search`) that stops at the
-    first state of ``m`` found paired with two distinct congruence classes;
-    the two shortest witness prefixes are rebuilt from the pairs' parents.
+    first state of ``m`` found paired with two distinct congruence classes.
+    It records each pair's (parent, color), and :func:`word_to` reads back
+    the two witness prefixes, the shortest words reaching the two pairs.
     """
     rc = right_congruence_automaton(cond, cap=cap)
     parent: dict[tuple[State, State], tuple] = {}
     first_pair: dict[State, tuple[State, State]] = {}
-
-    def word(pair) -> list[Color]:
-        colors = []
-        while parent[pair][0] is not None:
-            pair, c = parent[pair]
-            colors.append(c)
-        return colors[::-1]
-
     for pair, before, c in pair_search(m, rc):
         parent[pair] = (before, c)
         first = first_pair.setdefault(pair[0], pair)
@@ -98,8 +91,8 @@ def check_prefix_independence(
                 witness={
                     "kind": "prefix-pair",
                     "state": pair[0],
-                    "w1": word(first),
-                    "w2": word(pair),
+                    "w1": word_to(parent, first),
+                    "w2": word_to(parent, pair),
                 },
                 details={"congruence_states": len(rc.states)},
             )
@@ -175,15 +168,17 @@ class SupportAnalysis:
         """For a support of several values, one lasso per value whose run
         on the skeleton repeats exactly that support: a shortest prefix to
         the least state of the first lifted support of that value, then a
-        closed walk covering it.  The prefixes are the :func:`bfs_words` of
-        the lift, searched here, as only a support of two values needs them."""
+        closed walk covering it.  The prefixes are read with :func:`word_to`
+        off one :func:`bfs` of the lift, searched here, as only a support of
+        two values needs them."""
         lifted_sk, lifted, first = self._lift
-        words = bfs_words(lifted_sk.init, self.skeleton.alphabet, lifted_sk.step)
+        found = bfs(lifted_sk.init, self.skeleton.alphabet, lifted_sk.step)
+        parents = {node: (parent, c) for node, parent, c in found}
         out = {}
         for v, j in first[self.supports[i]].items():
             h = lifted[j]
             anchor = lifted_sk.transitions[(h & -h).bit_length() - 1][0]
-            out[v] = Lasso.make(words[anchor], closed_walk(lifted_sk, h, anchor))
+            out[v] = Lasso.make(word_to(parents, anchor), closed_walk(lifted_sk, h, anchor))
         return out
 
     def cycle_consistency(self) -> ConsistencyReport:
@@ -318,6 +313,10 @@ def mp_counterexample_report(n_max: int) -> ConsistencyReport:
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     rows = []
+    checked = []
+    # the running sum of w_0 w_1 ... and the length of the blocks before
+    # w_n, kept block by block: the word itself is never built
+    running = start = 0
     for n in range(n_max + 1):
         period = (1,) * n + (-1,) * (n + 1)
         mp = Fraction(sum(period), len(period))
@@ -325,25 +324,16 @@ def mp_counterexample_report(n_max: int) -> ConsistencyReport:
         if mp != expected:
             raise InputError(f"mean payoff mismatch at n={n}")
         rows.append({"n": n, "period_length": len(period), "mean_payoff": str(mp)})
-
-    word: list[int] = []
-    for n in range(n_max + 1):
-        word += [1] * n + [-1] * (n + 1)
-    running = 0
-    zero_positions = set()
-    for i, c in enumerate(word, start=1):
-        running += c
-        if running == 0:
-            zero_positions.add(i)
-    checked = []
-    for n in range(1, n_max + 1):
-        pos = n * n + n
-        if pos not in zero_positions:
-            raise InternalConsistencyError(
-                f"mean-payoff counterexample does not verify: running sum "
-                f"not zero at position {pos}"
-            )
-        checked.append(pos)
+        pos = n * n + n  # inside w_n, which starts after position start
+        if n:
+            if running + sum(period[: pos - start]) != 0:
+                raise InternalConsistencyError(
+                    f"mean-payoff counterexample does not verify: running sum "
+                    f"not zero at position {pos}"
+                )
+            checked.append(pos)
+        running += sum(period)
+        start += len(period)
 
     return ConsistencyReport(
         verdict="fail",

@@ -29,6 +29,26 @@ Edge = tuple  # (src, color, dst)
 GameEdge = tuple  # (src, color, dst, priority)
 
 
+def _check_graph(states: Sequence, owners: Sequence, edges: Sequence) -> None:
+    """The checks an arena and a parity game share: the owners cover
+    exactly the states, each is player 1 or 2, every state has an edge
+    out, and every edge ``(s, color, t, ...)`` joins two states."""
+    state_set = set(states)
+    owner = dict(owners)
+    if set(owner) != state_set:
+        raise InputError("owner map must cover exactly the states")
+    # 1.0 and true equal 1, but are no player
+    if not all(type(p) is int and p in (1, 2) for p in owner.values()):
+        raise InputError("owners must be player 1 or player 2")
+    sources = {e[0] for e in edges}
+    blocked = [s for s in states if s not in sources]
+    if blocked:
+        raise InputError(f"blocking states (no outgoing edge): {blocked}")
+    for e in edges:
+        if e[0] not in state_set or e[2] not in state_set:
+            raise InputError(f"edge uses unknown state: {(e[0], e[2])}")
+
+
 @dataclass(frozen=True, eq=False)
 class Arena:
     """Two-player edge-colored game graph; every state has an outgoing edge."""
@@ -38,19 +58,7 @@ class Arena:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        state_set = set(self.states)
-        owner = dict(self.owners)
-        if set(owner) != state_set:
-            raise InputError("owner map must cover exactly the states")
-        # 1.0 and true equal 1, but are no player
-        if not all(type(p) is int and p in (1, 2) for p in owner.values()):
-            raise InputError("owners must be player 1 or player 2")
-        blocked = state_set - {e[0] for e in self.edges}
-        if blocked:
-            raise InputError(f"blocking states (no outgoing edge): {sorted(blocked)}")
-        for s, _, t in self.edges:
-            if s not in state_set or t not in state_set:
-                raise InputError(f"edge uses unknown state: {(s, t)}")
+        _check_graph(self.states, self.owners, self.edges)
 
     @classmethod
     def make(
@@ -102,19 +110,9 @@ class ParityGame:
     edges: tuple[GameEdge, ...]
 
     def __post_init__(self):
-        state_set = set(self.states)
-        owner = dict(self.owners)
-        if set(owner) != state_set:
-            raise InputError("owner map must cover exactly the states")
-        if not all(type(p) is int and p in (1, 2) for p in owner.values()):
-            raise InputError("owners must be player 1 or player 2")
-        blocked = state_set - {e[0] for e in self.edges}
-        if blocked:
-            raise InputError("parity game must be non-blocking")
-        for s, _, t, p in self.edges:
-            if s not in state_set or t not in state_set:
-                raise InputError(f"edge uses unknown state: {(s, t)}")
-            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+        _check_graph(self.states, self.owners, self.edges)
+        for e in self.edges:
+            if not isinstance(e[3], int) or isinstance(e[3], bool) or e[3] < 0:
                 raise InputError("edge priorities must be natural numbers")
 
     @classmethod

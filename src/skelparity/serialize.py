@@ -61,6 +61,18 @@ def _rows(rows: list, width: int, what: str) -> list:
     return rows
 
 
+def _by_transition(rows: list, what: str) -> dict:
+    """``{(state, color): x}`` of the rows ``[state, color, x]``.  A repeated
+    (state, color) is refused: a dict would keep its last row unseen."""
+    out = {}
+    for s, c, x in _rows(rows, 3, what):
+        key = (s, _color_in(c))
+        if key in out:
+            raise InputError(f"duplicate {what} for ({s!r},{c!r})")
+        out[key] = x
+    return out
+
+
 # -- skeletons and automata -------------------------------------------------
 
 
@@ -77,7 +89,7 @@ def skeleton_to_dict(sk: Skeleton) -> dict:
 
 def skeleton_from_dict(doc: Mapping) -> Skeleton:
     _expect(doc, "skeleton")
-    upd = {(s, _color_in(c)): t for s, c, t in _rows(_list(doc, "upd"), 3, "update row")}
+    upd = _by_transition(_list(doc, "upd"), "update row")
     return Skeleton.make(
         _list(doc, "states"), doc["init"], map(_color_in, _list(doc, "alphabet")), upd
     )
@@ -93,9 +105,7 @@ def automaton_to_dict(aut: ParityAutomaton) -> dict:
 def automaton_from_dict(doc: Mapping) -> ParityAutomaton:
     _expect(doc, "parity-automaton")
     sk = skeleton_from_dict({**doc, "type": "skeleton"})
-    rows = _rows(_list(doc, "priority"), 3, "priority row")
-    priority = {(s, _color_in(c)): p for s, c, p in rows}
-    return ParityAutomaton.make(sk, priority)
+    return ParityAutomaton.make(sk, _by_transition(_list(doc, "priority"), "priority row"))
 
 
 # -- arenas -------------------------------------------------------------------

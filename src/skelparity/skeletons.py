@@ -249,7 +249,8 @@ def bfs(
     Breadth-first, first in first out, with colors tried in ``alphabet``
     order.  Product state names, lift numbering, witness words and
     right-congruence labels all follow this order.  It holds one set of
-    the nodes seen and no words.
+    the nodes seen and no words: a caller that needs a node's word keeps
+    the (parent, color) pairs and reads it back with :func:`word_to`.
     """
     yield start, None, None
     seen = {start}
@@ -264,17 +265,17 @@ def bfs(
                 yield nxt, node, c
 
 
-def bfs_words(
-    start: Node, alphabet: Sequence[Color], step: Callable[[Node, Color], Node]
-) -> dict[Node, tuple[Color, ...]]:
-    """The nodes of :func:`bfs`, in discovery order, each with its word:
-    its parent's word and the color of the discovering step.  That is the
-    shortest word reaching the node, and among those the least in
-    ``alphabet`` order."""
-    words: dict[Node, tuple[Color, ...]] = {}
-    for node, parent, c in bfs(start, alphabet, step):
-        words[node] = words[parent] + (c,) if words else ()
-    return words
+def word_to(parents: Mapping[Node, tuple], node: Node) -> list[Color]:
+    """The colors from the start of a :func:`bfs` to ``node``, read back
+    through ``parents[x] = (parent, color)`` as :func:`bfs` yielded them,
+    the start mapped to ``(None, None)``.  That is the shortest word
+    reaching ``node``, and among those the least in ``alphabet`` order."""
+    colors = []
+    parent, c = parents[node]
+    while parent is not None:
+        colors.append(c)
+        parent, c = parents[parent]
+    return colors[::-1]
 
 
 def pair_search(m1: Skeleton, m2: Skeleton, steps: list | None = None) -> Iterator[tuple]:
@@ -544,41 +545,31 @@ def closed_walk(m: Skeleton, support: int, anchor: State) -> list[Color]:
     """Colors of a deterministic closed walk from ``anchor`` covering the support.
 
     The walk traverses every transition of the support at least once and
-    returns to the anchor.  Strong connectivity guarantees existence.
+    returns to the anchor.  From the anchor, it takes the least uncovered
+    transition of the support, in canonical order, until none is left,
+    then returns to the anchor; each leg to a transition's source, and the
+    return, is the :func:`word_to` of a :func:`bfs` from the current state
+    inside the support, stopped at its target.  Strong connectivity
+    guarantees existence.
     """
     trans = support_transitions(m, support)
     if not trans:
         raise InputError("empty support has no covering walk")
-    out_edges: dict[State, list[Transition]] = {}
-    for t in trans:
-        out_edges.setdefault(t[0], []).append(t)
-    if anchor not in out_edges:
+    on = set(trans)
+    if anchor not in {s for s, _ in trans}:
         raise InputError(f"anchor {anchor!r} is not on the support")
 
     def path_colors(src: State, dst: State) -> list[Color]:
-        if src == dst:
-            return []
-        prev: dict[State, Transition] = {}
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for s, c in out_edges.get(v, ()):
-                w = m.step(s, c)
-                if w not in prev and w != src:
-                    prev[w] = (s, c)
-                    if w == dst:
-                        queue.clear()
-                        break
-                    queue.append(w)
-        if dst not in prev:
-            raise InputError("support is not strongly connected")
-        rev: list[Color] = []
-        v = dst
-        while v != src:
-            s, c = prev[v]
-            rev.append(c)
-            v = s
-        return rev[::-1]
+        def step(s: State, c: Color) -> State:
+            # a transition off the support leads back to src, which bfs has seen
+            return m.step(s, c) if (s, c) in on else src
+
+        parents: dict[State, tuple] = {}
+        for node, parent, c in bfs(src, m.alphabet, step):
+            parents[node] = (parent, c)
+            if node == dst:
+                return word_to(parents, dst)
+        raise InputError("support is not strongly connected")
 
     walk: list[Color] = []
     current = anchor

@@ -878,6 +878,35 @@ def test_cli_lists_given_as_strings_or_objects_exit_2(tmp_path, capsys, doc, fau
     assert "Traceback" not in capsys.readouterr().err
 
 
+_TWO_STATE_A = {**_TRIVIAL_A, "states": ["s", "t"], "init": "s",
+                "upd": [["s", "a", "s"], ["t", "a", "s"], ["s", "a", "t"]]}
+_LOOP_S = {**_TRIVIAL_A, "type": "parity-automaton", "states": ["s"], "init": "s",
+           "upd": [["s", "a", "s"]], "priority": [["s", "a", 0], ["s", "a", 1]]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, fault",
+    [
+        (("export", "dot", "--skeleton"), _TWO_STATE_A, "duplicate update row for ('s','a')"),
+        (("export", "dot", "--automaton"), _LOOP_S, "duplicate priority row for ('s','a')"),
+        (("export", "dot", "--automaton"), {**_LOOP_S, "upd": [["s", "a", "s"]] * 2,
+                                            "priority": [["s", "a", 0]]},
+         "duplicate update row for ('s','a')"),
+        (("cond", "rc-automaton", "--condition"), {**_CONDITION, "kind": "dpa", "automaton": _LOOP_S},
+         "duplicate priority row for ('s','a')"),
+    ],
+    ids=["update-row", "priority-row", "automaton-update-row", "dpa-priority-row"],
+)
+def test_cli_repeated_transition_rows_exit_2(tmp_path, capsys, argv, doc, fault):
+    # a map built from the rows kept the last of two, so these loaded
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, code = run_cli(*argv, str(path))
+    assert code == 2
+    assert json.loads(out) == {"format": 1, "error": f"{path}: {fault}"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_deeply_nested_document_exits_2(tmp_path, capsys):
     # the JSON decoder recurses once per nesting level
     path = tmp_path / "deep.json"

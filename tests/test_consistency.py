@@ -1,6 +1,7 @@
 """Prefix-independence and cycle-consistency checks, plus the mean-payoff demo."""
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from skelparity import (
     DpaCondition,
     Lasso,
     MullerCondition,
+    ParityAutomaton,
     Skeleton,
     enumerate_cycle_supports,
     lasso_value,
@@ -36,6 +38,7 @@ from conftest import (
     build_switch_skeleton,
     states_on,
 )
+from witness_oracle import reference_mp_report, reference_prefix_pair
 
 
 # -- prefix independence --------------------------------------------------------
@@ -162,6 +165,18 @@ def test_recognized_language_stable_under_product(seed):
     assert check_cycle_consistency(cond, prod).passed
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_prefix_pair_witnesses_match_the_reference_search(seed, other):
+    # a DPA on 1 to 4 states over {a, b} with priorities 0 to 3, and a
+    # skeleton on 1 or 2 states: about one pair in five fails
+    d = _random_skeleton(seed, "ab", max_states=4)
+    rng = random.Random(seed)
+    cond = DpaCondition(ParityAutomaton.make(d, {t[:2]: rng.randint(0, 3) for t in d.transitions}))
+    m = _random_skeleton(other, "ab", max_states=2)
+    assert check_prefix_independence(cond, m).witness == reference_prefix_pair(cond, m)
+
+
 def _pairwise_union_witness(analysis):
     """The union-closure witness of ``analysis.cycle_consistency()`` by
     definition: at each state, in the order of the skeleton's transitions,
@@ -209,13 +224,13 @@ def test_cycle_consistency_matches_pairwise_reference():
 def test_union_closure_matches_long_concatenations(gen_buchi, switch_skeleton):
     # sampling: random concatenations of same-value cycles keep that value
     from skelparity.conditions import right_congruence_automaton
-    from skelparity.skeletons import bfs_words, closed_walk, enumerate_cycle_supports
+    from skelparity.skeletons import bfs, closed_walk, enumerate_cycle_supports, word_to
 
     from conftest import states_on
 
     rc = right_congruence_automaton(gen_buchi)
     prod = product(switch_skeleton, rc)
-    prefixes = bfs_words(prod.init, prod.alphabet, prod.step)
+    parents = {s: (parent, c) for s, parent, c in bfs(prod.init, prod.alphabet, prod.step)}
     supports = enumerate_cycle_supports(prod)
     rng = random.Random(7)
     for _ in range(40):
@@ -226,7 +241,7 @@ def test_union_closure_matches_long_concatenations(gen_buchi, switch_skeleton):
             for g in through
         }
         values = {
-            g: lasso_value(gen_buchi, Lasso.make(prefixes[state], tuple(walks[g])))
+            g: lasso_value(gen_buchi, Lasso.make(word_to(parents, state), tuple(walks[g])))
             for g in through
         }
         for target in ("win", "lose"):
@@ -239,7 +254,7 @@ def test_union_closure_matches_long_concatenations(gen_buchi, switch_skeleton):
                 union |= g
             long_period = sum((tuple(walks[g]) for g in picks), ())
             assert (
-                lasso_value(gen_buchi, Lasso.make(prefixes[state], long_period))
+                lasso_value(gen_buchi, Lasso.make(word_to(parents, state), long_period))
                 == target
             )
             assert values[union] == target
@@ -330,3 +345,21 @@ def test_mp_report_periods_are_losing():
 def test_mp_report_rejects_zero():
     with pytest.raises(InputError):
         mp_counterexample_report(0)
+
+
+def test_mp_report_matches_the_materialized_word():
+    for n_max in range(1, 41):
+        assert mp_counterexample_report(n_max) == reference_mp_report(n_max), n_max
+
+
+def test_mp_report_does_not_hold_the_word():
+    # the word w_0 ... w_3000 has 9,006,001 colors: a list of them alone
+    # takes 72 MB, while the report's own table and positions take ~1 MB
+    tracemalloc.start()
+    try:
+        report = mp_counterexample_report(3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.witness["zero_positions"][-1] == 3000 * 3001
+    assert peak < 5_000_000

@@ -158,9 +158,9 @@ def test_finite_gap_cycles_close_at_zero():
     # hence winning: the exact reason support reasoning is safe here
     ga = gap_automaton(HALF, 2)
     sk = ga.skeleton
-    from skelparity.skeletons import bfs_words
+    from skelparity.skeletons import bfs, word_to
 
-    prefixes = bfs_words(sk.init, sk.alphabet, sk.step)
+    parents = {s: (parent, c) for s, parent, c in bfs(sk.init, sk.alphabet, sk.step)}
     rng = random.Random(5)
     supports = enumerate_cycle_supports(sk)
     finite_states = [s for s in sk.states if ga.gaps[s].kind == "finite"]
@@ -171,7 +171,7 @@ def test_finite_gap_cycles_close_at_zero():
             continue
         anchor = rng.choice(anchors)
         walk = closed_walk(sk, sup, anchor=anchor)
-        lasso = Lasso.make(prefixes[anchor], walk)
+        lasso = Lasso.make(word_to(parents, anchor), walk)
         assert discounted_lasso_sum(lasso, HALF) == 0
         assert lasso_value(DiscountedSumCondition(HALF, 2), lasso) == "win"
         checked += 1

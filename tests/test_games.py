@@ -120,6 +120,13 @@ def test_parity_game_edge_must_reach_a_state():
         ParityGame.make(["s"], {"s": 1}, [("s", "a", "s", 0), ("s", "b", "t", 1)])
 
 
+def test_arena_and_parity_game_name_blocking_states_alike():
+    with pytest.raises(InputError, match=r"^blocking states \(no outgoing edge\): \['t'\]$"):
+        ParityGame.make(["s", "t"], {"s": 1, "t": 2}, [("s", "a", "t", 0)])
+    with pytest.raises(InputError, match=r"^blocking states \(no outgoing edge\): \['t'\]$"):
+        Arena.make(["s", "t"], {"s": 1, "t": 2}, [("s", "a", "t")])
+
+
 # -- solving -------------------------------------------------------------------------
 
 

@@ -22,7 +22,6 @@ from skelparity.discounting import gap_automaton
 from skelparity.errors import CapExceeded, InputError
 from skelparity.skeletons import (
     bfs,
-    bfs_words,
     closed_walk,
     cut_cycles,
     mask_map,
@@ -30,11 +29,13 @@ from skelparity.skeletons import (
     pair_search,
     product_skeleton,
     support_transitions,
+    word_to,
 )
 
 from conftest import build_colliding_pair, build_contrast_skeleton, build_switch_skeleton
 from preorder_oracle import support_key
 from support_oracle import reference_cycle_supports
+from witness_oracle import reference_closed_walk
 
 ABC = ("a", "b", "c")
 
@@ -167,10 +168,19 @@ def _least_shortest_words(sk: Skeleton) -> dict:
 @given(st.integers(1, 3).flatmap(lambda k: skeletons(alphabet=ABC[:k], max_states=5)))
 @example(build_switch_skeleton())
 def test_bfs_words_are_least_shortest_words_in_discovery_order(sk):
-    words = bfs_words(sk.init, sk.alphabet, sk.step)
+    parents = {s: (parent, c) for s, parent, c in bfs(sk.init, sk.alphabet, sk.step)}
+    words = {s: tuple(word_to(parents, s)) for s in parents}
     assert words == _least_shortest_words(sk)
     rank = {c: i for i, c in enumerate(sk.alphabet)}
     assert list(words) == sorted(words, key=lambda s: (len(words[s]), [rank[c] for c in words[s]]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda k: skeletons(alphabet=ABC[:k], max_states=5)))
+def test_closed_walks_match_the_reference_search(sk):
+    for g in enumerate_cycle_supports(sk):
+        for anchor in sorted({s for s, _ in support_transitions(sk, g)}):
+            assert closed_walk(sk, g, anchor) == reference_closed_walk(sk, g, anchor)
 
 
 def test_long_chain_reachability_holds_no_words():
