@@ -323,14 +323,15 @@ def _gap_bfs(cond: DiscountedSumCondition, cap: int) -> tuple[Skeleton, dict[Sta
 
 def _walk_tables(sk: Skeleton, weights: Sequence[int], alphabet: Sequence[Color]) -> tuple:
     """``(nxt, w, init)``: the flat tables that run ``sk`` on color indices
-    into ``alphabet``, and its initial row.  State ``j`` is the row ``j *
-    len(alphabet)``, so ``row + c`` is the cell of color index ``c``: ``nxt``
-    holds the row it leads to and ``w`` the weight of its transition."""
-    n = len(alphabet)
-    row = {s: j * n for j, s in enumerate(sk.states)}
-    cell = {(s, c): (row[t], x) for (s, c, t), x in zip(sk.transitions, weights)}
-    nxt, w = zip(*(cell[s, c] for s in sk.states for c in alphabet))
-    return nxt, w, row[sk.init]
+    into ``alphabet``, read off its :attr:`~Skeleton.targets`, and its
+    initial row.  State ``j`` is the row ``j * len(alphabet)``, so ``row + c``
+    is the cell of color index ``c``: ``nxt`` holds the row it leads to and
+    ``w`` the weight of its transition."""
+    n, m = len(sk.alphabet), len(alphabet)
+    cols = [sk.alphabet.index(c) for c in alphabet]
+    cells = [j * n + c for j in range(len(sk.states)) for c in cols]
+    nxt = tuple(sk.targets[x] * m for x in cells)
+    return nxt, tuple(weights[x] for x in cells), sk.states.index(sk.init) * m
 
 
 def _close_cycle(nxt, w, period, s: int, starts: list, blocks: list) -> int:
@@ -472,7 +473,7 @@ def support_automaton(
         return sk, [1 << i for i in range(len(sk.transitions))], value
     if isinstance(cond, DpaCondition):
         sk = cond.automaton.skeleton
-        pri = [cond.automaton.priority(s, c) for s, c, _ in sk.transitions]
+        pri = [p for _, _, p in cond.automaton.priorities]
     elif isinstance(cond, DiscountedSumCondition):
         sk, gaps = _gap_bfs(cond, cap)
         pri = [int(gaps[s] == GAP_BOT) for s, _, _ in sk.transitions]
@@ -519,10 +520,9 @@ def residual_relation(
     n = len(states)
     if n == 1:
         return sk, frozenset()
-    number = {s: i for i, s in enumerate(states)}
-    moves: list[list[tuple[int, int]]] = [[] for _ in states]
-    for (s, _, t), w in zip(sk.transitions, weights):
-        moves[number[s]].append((number[t], w))
+    m = len(sk.alphabet)
+    arcs = list(zip(sk.targets, weights))
+    moves = [arcs[a * m : a * m + m] for a in range(n)]
     # square edges (u, v, weight): node a*n + b is (a, b), and the weight
     # is the left one with the right one shifted above it
     shift = max(weights).bit_length()

@@ -119,6 +119,10 @@ class SupportAnalysis:
     It keeps ``D``'s cached :attr:`value` and the product, which
     verification walks: cell ``x`` leads to pair ``succ[x]`` by the
     skeleton's transition ``images[x]``, of weight ``d_weights[x]`` in ``D``.
+    The pairs are of state indices, so in the layout of the integer form
+    (:attr:`~skelparity.skeletons.Skeleton.targets`) cell ``k * n + c`` of
+    pair ``(a, d)`` is the skeleton's transition ``a * n + c`` and ``D``'s
+    transition ``d * n + c``, ``n`` colors.
     """
 
     def __init__(self, cond: Condition, sk: Skeleton, cap: int = DEFAULT_SUPPORT_CAP):
@@ -126,11 +130,9 @@ class SupportAnalysis:
         aut, weights, value_of = support_automaton(cond, cap)
         self.value = value = functools.cache(value_of)
         pairs, self.succ = pair_product(sk, aut)
-        alphabet = sk.alphabet
-        index = {(s, c): i for i, (s, c, _) in enumerate(sk.transitions)}
-        d_weight = {(s, c): x for (s, c, _), x in zip(aut.transitions, weights)}
-        self.images = [index[s, c] for s, _ in pairs for c in alphabet]
-        self.d_weights = [d_weight[d, c] for _, d in pairs for c in alphabet]
+        n = len(sk.alphabet)
+        self.images = [a * n + c for a, _ in pairs for c in range(n)]
+        self.d_weights = [weights[d * n + c] for _, d in pairs for c in range(n)]
         if len(pairs) == len(sk.states):
             with cap_stage("cycle-supports"):
                 self.supports = enumerate_cycle_supports(sk, cap=cap)
@@ -140,11 +142,12 @@ class SupportAnalysis:
             self._lift = None
         else:
             names = [f"l{k}" for k in range(len(pairs))]
-            lifted_sk = product_skeleton(alphabet, names, self.succ)
+            lifted_sk = product_skeleton(sk.alphabet, names, self.succ)
             with cap_stage("lifted-supports"):
                 lifted = enumerate_cycle_supports(lifted_sk, cap=cap)
-            cell = {t: x for x, t in enumerate((s, c) for s in names for c in alphabet)}
-            cells = [cell[s, c] for s, c, _ in lifted_sk.transitions]
+            # the lift's states are its names sorted, l0, l1, l10, ...
+            order = sorted(range(len(names)), key=names.__getitem__)
+            cells = [k * n + c for k in order for c in range(n)]
             to_a = mask_map([1 << self.images[x] for x in cells])
             to_d = mask_map([self.d_weights[x] for x in cells])
             # support mask -> {value: index of its first lifted support of that value}
@@ -211,19 +214,18 @@ class SupportAnalysis:
                 )
         value_of = dict(self.classified())
         index = self.index
-        leaving = list(out_masks(sk).items())
+        leaving = out_masks(sk)
         win = sum(1 << k for k, g in enumerate(self.supports) if value_of[g] == WIN)
-        p = _first_open_state(index, [out for _, out in leaving], win)
+        p = _first_open_state(index, leaving, win)
         if p is not None:
-            q, out = leaving[p]
-            masks = [self.supports[k] for k in bit_indices(index.holding(out))]
+            masks = [self.supports[k] for k in bit_indices(index.holding(leaving[p]))]
             values = [value_of[g] for g in masks]
             i, j = _first_pair(masks, values)
             return ConsistencyReport(
                 verdict="fail",
                 witness={
                     "kind": "support-pair",
-                    "state": q,
+                    "state": sk.states[p],
                     "support1": [list(t) for t in support_transitions(sk, masks[i])],
                     "support2": [list(t) for t in support_transitions(sk, masks[j])],
                     "family_value": values[i],

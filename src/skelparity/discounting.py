@@ -32,8 +32,6 @@ from .skeletons import DEFAULT_SUPPORT_CAP, Skeleton, State
 
 @dataclass(frozen=True)
 class DsClassification:
-    lam: Fraction
-    k: int
     verdict: str  # "three-class" | "finite-gap" | "infinite-index"
     states: Optional[int] = None
 
@@ -50,10 +48,10 @@ def classify_ds(lam: Fraction, k: int) -> DsClassification:
     """
     cond = DiscountedSumCondition(Fraction(lam), k)
     if not cond.finite_index:
-        return DsClassification(cond.lam, k, "infinite-index")
+        return DsClassification("infinite-index")
     states = len(_gap_bfs(cond, DEFAULT_SUPPORT_CAP)[0].states)
     verdict = "three-class" if states <= 3 else "finite-gap"
-    return DsClassification(cond.lam, k, verdict, states=states)
+    return DsClassification(verdict, states=states)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +59,6 @@ class GapAutomaton:
     """Skeleton whose states are the reachable gap values."""
 
     skeleton: Skeleton
-    lam: Fraction
-    k: int
     gaps: dict  # state name -> GapValue
 
     @property
@@ -82,7 +78,7 @@ def gap_automaton(lam: Fraction, k: int) -> GapAutomaton:
     """
     cond = DiscountedSumCondition(Fraction(lam), k)
     sk, gaps = _gap_bfs(cond, DEFAULT_SUPPORT_CAP)
-    return GapAutomaton(skeleton=sk, lam=cond.lam, k=k, gaps=gaps)
+    return GapAutomaton(skeleton=sk, gaps=gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +177,6 @@ class DsDemoReport:
     strict_resolved: int
     unrefuted_at_depth: int
     failures: tuple
-    seed: int
 
     @property
     def all_consistent(self) -> bool:
@@ -283,5 +278,4 @@ def ds_cycle_consistency_demo(
         strict_resolved=strict,
         unrefuted_at_depth=unrefuted,
         failures=tuple(failures),
-        seed=seed,
     )

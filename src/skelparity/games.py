@@ -69,10 +69,9 @@ class Arena:
     ) -> "Arena":
         sts = tuple(sorted(set(states)))
         rows = tuple(sorted(owner.items()))
-        edg = tuple(
-            sorted(set(tuple(e) for e in edges), key=lambda e: (e[0], color_key(e[1]), e[2]))
-        )
-        return cls(states=sts, owners=rows, edges=edg)
+        # each color is tested before equal edges merge: true would merge into 1
+        keyed = {(s, color_key(c), t): (s, c, t) for s, c, t in edges}
+        return cls(states=sts, owners=rows, edges=tuple(keyed[k] for k in sorted(keyed)))
 
     @cached_property
     def owner(self) -> dict[State, int]:
@@ -577,7 +576,6 @@ class LiftReport:
     checks: int
     passes: int
     failures: tuple
-    seed: int
 
     @property
     def all_passed(self) -> bool:
@@ -625,5 +623,4 @@ def lift_experiment(
         checks=checks,
         passes=checks - len(failures),
         failures=tuple(failures),
-        seed=seed,
     )

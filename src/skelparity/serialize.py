@@ -24,10 +24,10 @@ from .conditions import (
 from .errors import InputError
 from .games import Arena
 from .skeletons import (
-    Color,
     ParityAutomaton,
     Skeleton,
     bit_indices,
+    color_key,
     cut_cycles,
     support_transitions,
 )
@@ -39,12 +39,6 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def _color_in(c) -> Color:
-    if isinstance(c, bool) or not isinstance(c, (int, str)):
-        raise InputError(f"colors must be integers or strings, got {c!r}")
-    return c
-
-
 def _list(doc: Mapping, key: str) -> list:
     # a string or an object iterates too, into letters or keys
     value = doc[key]
@@ -54,10 +48,12 @@ def _list(doc: Mapping, key: str) -> list:
 
 
 def _rows(rows: list, width: int, what: str) -> list:
-    # a row of the right length given as a string would unpack into letters
+    # a row of the right length given as a string would unpack into letters;
+    # each row's color, its second item, is tested: true would stand for 1
     for row in rows:
         if not isinstance(row, list) or len(row) != width:
             raise InputError(f"bad {what} {row!r}")
+        color_key(row[1])
     return rows
 
 
@@ -66,7 +62,7 @@ def _by_transition(rows: list, what: str) -> dict:
     (state, color) is refused: a dict would keep its last row unseen."""
     out = {}
     for s, c, x in _rows(rows, 3, what):
-        key = (s, _color_in(c))
+        key = (s, c)
         if key in out:
             raise InputError(f"duplicate {what} for ({s!r},{c!r})")
         out[key] = x
@@ -90,9 +86,7 @@ def skeleton_to_dict(sk: Skeleton) -> dict:
 def skeleton_from_dict(doc: Mapping) -> Skeleton:
     _expect(doc, "skeleton")
     upd = _by_transition(_list(doc, "upd"), "update row")
-    return Skeleton.make(
-        _list(doc, "states"), doc["init"], map(_color_in, _list(doc, "alphabet")), upd
-    )
+    return Skeleton.make(_list(doc, "states"), doc["init"], _list(doc, "alphabet"), upd)
 
 
 def automaton_to_dict(aut: ParityAutomaton) -> dict:
@@ -123,7 +117,7 @@ def arena_to_dict(arena: Arena) -> dict:
 
 def arena_from_dict(doc: Mapping) -> Arena:
     _expect(doc, "arena")
-    edges = [(s, _color_in(c), t) for s, c, t in _rows(_list(doc, "edges"), 3, "edge row")]
+    edges = _rows(_list(doc, "edges"), 3, "edge row")
     return Arena.make(_list(doc, "states"), doc["owner"], edges)
 
 
@@ -172,19 +166,19 @@ def condition_from_dict(doc: Mapping) -> Condition:
         return DpaCondition(automaton_from_dict(doc["automaton"]))
     if kind == "muller":
         sk = skeleton_from_dict(doc["skeleton"])
-        number = {s: i for i, s in enumerate(sk.states)}
+        m = len(sk.alphabet)
+        arcs = [(i // m, t, 1 << i) for i, t in enumerate(sk.targets)]
         bit = {(s, c): 1 << i for i, (s, c, _) in enumerate(sk.transitions)}
-        arcs = [(number[s], number[t], bit[s, c]) for s, c, t in sk.transitions]
         table = set()
         for rows in _list(doc, "winning_supports"):
             if not isinstance(rows, list):
                 raise InputError(f"bad winning support {rows!r}")
-            pairs = {(s, _color_in(c)) for s, c in _rows(rows, 2, "winning support pair")}
+            pairs = {(s, c) for s, c in _rows(rows, 2, "winning support pair")}
             if not pairs <= bit.keys():
                 raise InputError(f"winning support {rows!r} names a transition the skeleton lacks")
             g = sum(bit[t] for t in pairs)
             # a cycle support: one component of its arcs holds every one of them
-            if not cut_cycles(len(number), arcs, g, g):
+            if not cut_cycles(len(sk.states), arcs, g, g):
                 raise InputError(f"winning support {rows!r} is not a cycle support")
             table.add(g)
         return MullerCondition(skeleton=sk, winning_supports=frozenset(table))
@@ -206,10 +200,21 @@ def _expect(doc: Mapping, typ: str):
         raise InputError(f"expected a {typ} document, got {doc.get('type')!r}")
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object, refused when a key repeats: a dict keeps its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise InputError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def load_document(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_object)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: not valid JSON ({exc})") from None
         except UnicodeDecodeError as exc:
@@ -225,7 +230,7 @@ def load_document(path: str):
         "condition": condition_from_dict,
     }
     typ = doc.get("type") if isinstance(doc, dict) else None
-    if typ not in loaders:
+    if not isinstance(typ, str) or typ not in loaders:
         raise InputError(f"{path}: unknown document type {typ!r}")
     try:
         return loaders[typ](doc)

@@ -34,16 +34,14 @@ DEFAULT_SUPPORT_CAP = 100_000
 
 
 def color_key(c: Color):
-    """Total order on colors: integers numerically, then strings."""
-    if isinstance(c, bool):
-        raise InputError("booleans are not valid colors")
-    if isinstance(c, int):
+    """Total order on colors: integers numerically, then strings.  The one
+    test of a color: anything but a string or a non-boolean integer is
+    refused."""
+    if isinstance(c, str):
+        return (1, 0, c)
+    if isinstance(c, int) and not isinstance(c, bool):
         return (0, c, "")
-    return (1, 0, str(c))
-
-
-def transition_key(t: Transition):
-    return (t[0], color_key(t[1]))
+    raise InputError(f"colors must be integers or strings, got {c!r}")
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -60,13 +58,12 @@ def support_transitions(m: Skeleton, mask: int) -> tuple[Transition, ...]:
     return tuple(trans[i][:2] for i in bit_indices(mask))
 
 
-def out_masks(m: Skeleton) -> dict[State, int]:
-    """For each state, the mask of the transitions leaving it.  A support
+def out_masks(m: Skeleton) -> list[int]:
+    """For each state index, the mask of the transitions leaving it: the
+    ``len(m.alphabet)`` bits from its first transition on.  A support
     passes through a state iff it holds one of them."""
-    out: dict[State, int] = {}
-    for i, (s, _, _) in enumerate(m.transitions):
-        out[s] = out.get(s, 0) | 1 << i
-    return out
+    n = len(m.alphabet)
+    return [(1 << n) - 1 << j * n for j in range(len(m.states))]
 
 
 def mask_map(images: Sequence[int]) -> Callable[[int], int]:
@@ -141,8 +138,11 @@ def support_label(m: Skeleton, mask: int) -> str:
 class Skeleton:
     """Finite deterministic machine: (states, init, total update map).
 
-    Invariants enforced at construction: the update map is total over
-    states x alphabet, and every state is reachable from ``init``.
+    :meth:`make` sorts the states and the colors, and ``transitions[i]``
+    leaves state ``i // n`` on color ``alphabet[i % n]``, ``n`` colors; the
+    constructor trusts that layout.  Invariants enforced at construction:
+    the targets are states, the update map is total over states x
+    alphabet, and every state is reachable from ``init``.
     """
 
     states: tuple[State, ...]
@@ -151,32 +151,26 @@ class Skeleton:
     transitions: tuple[tuple[State, Color, State], ...]
 
     def __post_init__(self):
-        state_set = set(self.states)
-        if not state_set:
+        if not self.states:
             raise InputError("skeleton needs at least one state")
-        if self.init not in state_set:
+        if self.init not in self.states:
             raise InputError(f"initial state {self.init!r} not a state")
         if not self.alphabet:
             raise InputError("alphabet must be non-empty")
-        alphabet = set(self.alphabet)
-        seen: set[Transition] = set()
-        for s, c, t in self.transitions:
-            if s not in state_set or t not in state_set:
-                raise InputError(f"transition ({s!r},{c!r},{t!r}) uses unknown state")
-            if c not in alphabet:
-                raise InputError(f"transition color {c!r} not in alphabet")
-            if (s, c) in seen:
-                raise InputError(f"duplicate transition source ({s!r},{c!r})")
-            seen.add((s, c))
-        missing = {(s, c) for s in self.states for c in self.alphabet} - seen
-        if missing:
-            missing = tuple(sorted(missing, key=transition_key))
-            raise InputError(f"update map not total, missing {missing}")
-        unreachable = state_set.difference(
-            s for s, _, _ in bfs(self.init, self.alphabet, self.step)
-        )
-        if unreachable:
-            raise InputError(f"unreachable states: {sorted(unreachable)}")
+        try:
+            targets = self.targets
+        except KeyError as exc:
+            raise InputError(f"transition target {exc.args[0]!r} is not a state") from None
+        n = len(self.alphabet)
+        if len(targets) < len(self.states) * n:
+            given = {t[:2] for t in self.transitions}
+            missing = ((s, c) for s in self.states for c in self.alphabet if (s, c) not in given)
+            raise InputError(f"update map not total, missing {tuple(missing)}")
+        start = self.states.index(self.init)
+        found = {j for j, _, _ in bfs(start, range(n), lambda j, c: targets[j * n + c])}
+        if len(found) < len(self.states):
+            unreachable = [s for j, s in enumerate(self.states) if j not in found]
+            raise InputError(f"unreachable states: {unreachable}")
 
     @classmethod
     def make(
@@ -186,15 +180,22 @@ class Skeleton:
         alphabet: Iterable[Color],
         upd: Mapping[Transition, State],
     ) -> "Skeleton":
-        alpha = tuple(sorted(set(alphabet), key=color_key))
+        """The skeleton of ``upd``, which has no key outside states x alphabet."""
+        alpha = tuple(c for _, c in sorted({color_key(c): c for c in alphabet}.items()))
         sts = tuple(sorted(set(states)))
-        trans = tuple(
-            (s, c, upd[(s, c)])
-            for s in sts
-            for c in alpha
-            if (s, c) in upd
-        )
+        trans = tuple((s, c, upd[s, c]) for s in sts for c in alpha if (s, c) in upd)
+        if len(trans) < len(upd):
+            given = {t[:2] for t in trans}
+            key = next(k for k in upd if k not in given)
+            raise InputError(f"update map key {key!r} lies outside states x alphabet")
         return cls(states=sts, init=init, alphabet=alpha, transitions=trans)
+
+    @cached_property
+    def targets(self) -> tuple[int, ...]:
+        """The integer form: ``targets[i]`` is the index in :attr:`states`
+        of the target of ``transitions[i]``."""
+        index = {s: j for j, s in enumerate(self.states)}
+        return tuple([index[t] for _, _, t in self.transitions])
 
     @cached_property
     def _upd(self) -> dict[Transition, State]:
@@ -278,35 +279,37 @@ def word_to(parents: Mapping[Node, tuple], node: Node) -> list[Color]:
     return colors[::-1]
 
 
-def pair_search(m1: Skeleton, m2: Skeleton, steps: list | None = None) -> Iterator[tuple]:
-    """:func:`bfs` over the state pairs of ``m1`` and ``m2`` from their
-    initial states, in ``m1.alphabet`` order: the one search of a product
-    of two skeletons.  When called, before any step, it applies the one
-    alphabet rule of the package: both read the same colors, or
-    :class:`InputError` names the least color (:func:`color_key`) that only
-    one reads.  Each step's pair is appended to ``steps``, if given."""
+def _one_alphabet(m1: Skeleton, m2: Skeleton) -> int:
+    """The one alphabet rule of the package for a product of two
+    skeletons: both read the same colors, or :class:`InputError` names the
+    least color (:func:`color_key`) that only one reads.  Both alphabets
+    are sorted, so then they are one tuple, whose size is returned."""
     only = set(m1.alphabet) ^ set(m2.alphabet)
     if only:
         raise InputError(f"color {min(only, key=color_key)!r} is read by one side of a product only")
+    return len(m1.alphabet)
+
+
+def pair_search(m1: Skeleton, m2: Skeleton) -> Iterator[tuple]:
+    """:func:`bfs` over the state pairs of ``m1`` and ``m2`` from their
+    initial states, in ``m1.alphabet`` order, by state names.  When called,
+    before any step, it applies the alphabet rule of :func:`_one_alphabet`."""
+    _one_alphabet(m1, m2)
     step1, step2 = m1.step, m2.step
-
-    def step(p, c):
-        q = step1(p[0], c), step2(p[1], c)
-        if steps is not None:
-            steps.append(q)
-        return q
-
-    return bfs((m1.init, m2.init), m1.alphabet, step)
+    return bfs((m1.init, m2.init), m1.alphabet, lambda p, c: (step1(p[0], c), step2(p[1], c)))
 
 
-def pair_product(m1: Skeleton, m2: Skeleton) -> tuple[list[tuple[State, State]], list[int]]:
-    """The pairs of :func:`pair_search`, in its order, and the product
-    stepped once: ``succ[k * len(m1.alphabet) + c]`` is the index of the
-    pair that color index ``c`` leads pair ``k`` to."""
-    steps: list[tuple[State, State]] = []
-    pairs = [p for p, _, _ in pair_search(m1, m2, steps)]
+def pair_product(m1: Skeleton, m2: Skeleton) -> tuple[list[tuple[int, int]], list[int]]:
+    """The pairs of :func:`pair_search`, in its order, as pairs of state
+    indices, and the product stepped once: ``succ[k * n + c]`` is the index
+    of the pair that color index ``c`` leads pair ``k`` to, ``n`` colors.
+    The same search, stepped on the :attr:`~Skeleton.targets` of both."""
+    n, t1, t2 = _one_alphabet(m1, m2), m1.targets, m2.targets
+    step = lambda p, c: (t1[p[0] * n + c], t2[p[1] * n + c])
+    start = m1.states.index(m1.init), m2.states.index(m2.init)
+    pairs = [p for p, _, _ in bfs(start, range(n), step)]
     index = {p: k for k, p in enumerate(pairs)}
-    return pairs, [index[q] for q in steps]
+    return pairs, [index[step(p, c)] for p in pairs for c in range(n)]
 
 
 def product_skeleton(alphabet: Sequence, names: Sequence[State], succ: Sequence[int]) -> Skeleton:
@@ -325,9 +328,10 @@ def product(m1: Skeleton, m2: Skeleton) -> Skeleton:
     ``|`` can cause.
     """
     pairs, succ = pair_product(m1, m2)
-    names = [f"{a}|{b}" for a, b in pairs]
+    named = [(m1.states[a], m2.states[b]) for a, b in pairs]
+    names = [f"{a}|{b}" for a, b in named]
     first: dict[State, tuple[State, State]] = {}
-    for pair, key in zip(pairs, names):
+    for pair, key in zip(named, names):
         if first.setdefault(key, pair) != pair:
             raise InputError(f"product pairs {first[key]} and {pair} are both named {key!r}")
     return product_skeleton(m1.alphabet, names, succ)
@@ -335,15 +339,14 @@ def product(m1: Skeleton, m2: Skeleton) -> Skeleton:
 
 @dataclass(frozen=True)
 class ParityAutomaton:
-    """Skeleton plus a priority on every transition (transition-based acceptance)."""
+    """Skeleton plus a priority on every transition (transition-based
+    acceptance): ``priorities[i]`` is that of ``skeleton.transitions[i]``."""
 
     skeleton: Skeleton
     priorities: tuple[tuple[State, Color, int], ...]
 
     def __post_init__(self):
-        keys = {(s, c) for s, c, _ in self.priorities}
-        expected = {(s, c) for s, c, _ in self.skeleton.transitions}
-        if keys != expected:
+        if len(self.priorities) != len(self.skeleton.transitions):
             raise InputError("priorities must cover exactly the skeleton transitions")
         for _, _, p in self.priorities:
             if not isinstance(p, int) or isinstance(p, bool) or p < 0:
@@ -351,10 +354,12 @@ class ParityAutomaton:
 
     @classmethod
     def make(cls, skeleton: Skeleton, priority: Mapping[Transition, int]) -> "ParityAutomaton":
-        rows = tuple(
-            (s, c, priority[(s, c)])
-            for s, c, _ in skeleton.transitions
-        )
+        """The automaton of ``priority``, which has no key outside the transitions."""
+        rows = tuple((s, c, priority[s, c]) for s, c, _ in skeleton.transitions if (s, c) in priority)
+        if len(rows) < len(priority):
+            given = {r[:2] for r in rows}
+            key = next(k for k in priority if k not in given)
+            raise InputError(f"priority key {key!r} is not a transition of the skeleton")
         return cls(skeleton=skeleton, priorities=rows)
 
     @cached_property
@@ -427,10 +432,9 @@ def cut_cycles(n: int, arcs: Iterable[tuple[int, int, int]], allowed: int, need:
 def enumerate_cycle_supports(m: Skeleton, cap: int = DEFAULT_SUPPORT_CAP) -> list[int]:
     """All transition subsets inducing a strongly connected graph, as
     masks in canonical order: :func:`arc_cycle_supports` of ``m``'s
-    transitions over its numbered states."""
-    index = {s: i for i, s in enumerate(m.states)}
-    arcs = [(index[s], index[t]) for s, _, t in m.transitions]
-    return arc_cycle_supports(len(m.states), arcs, cap)
+    transitions, each from its source index to its :attr:`~Skeleton.targets`."""
+    n = len(m.alphabet)
+    return arc_cycle_supports(len(m.states), [(i // n, t) for i, t in enumerate(m.targets)], cap)
 
 
 def arc_cycle_supports(
@@ -597,18 +601,13 @@ def color_abstraction(aut: ParityAutomaton) -> dict:
     priority at every state.  Returns the partition plus a map from each
     color to the canonical representative of its class.
     """
-    sk = aut.skeleton
-    signature: dict[Color, tuple] = {}
-    for c in sk.alphabet:
-        signature[c] = tuple(
-            (sk.step(s, c), aut.priority(s, c)) for s in sk.states
-        )
+    sk, n = aut.skeleton, len(aut.skeleton.alphabet)
+    moves = list(zip(sk.targets, (p for _, _, p in aut.priorities)))
     groups: dict[tuple, list[Color]] = {}
-    for c in sk.alphabet:
-        groups.setdefault(signature[c], []).append(c)
-    classes = sorted(
-        (sorted(g, key=color_key) for g in groups.values()),
-        key=lambda g: color_key(g[0]),
-    )
+    for c, color in enumerate(sk.alphabet):
+        # color index c labels transitions c, c + n, ..., one per state
+        groups.setdefault(tuple(moves[c::n]), []).append(color)
+    # met in color order, the classes and their members are sorted
+    classes = list(groups.values())
     representative = {c: cls[0] for cls in classes for c in cls}
     return {"classes": [list(cls) for cls in classes], "representative": representative}

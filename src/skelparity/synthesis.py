@@ -193,9 +193,8 @@ def _class_table(analysis: SupportAnalysis) -> CycleClassTable:
     wins = [value == WIN for _, value in classified]
     win = sum(1 << i for i, w in enumerate(wins) if w)
     lose = (1 << len(masks)) - 1 & ~win
-    leaving = out_masks(m)
     # leaving_states(g): the transitions leaving the states of support g
-    leaving_states = mask_map([leaving[s] for s, _, _ in m.transitions])
+    leaving_states = mask_map([out for out in out_masks(m) for _ in m.alphabet])
     # touch[i]: the supports sharing a state with support i
     touch = [index.holding(leaving_states(g)) for g in masks]
     # keep[i]: the supports in touch[i] whose union with support i keeps its
@@ -369,7 +368,7 @@ def assign_priorities(
         for i in bit_indices(g):
             if not smaller & index.col[i]:
                 least[i] = min(n, least.get(i, n))
-    leaving = out_masks(m)
+    leaving, n, targets = out_masks(m), len(m.alphabet), m.targets
     class_cover = {e.class_id: reduce(or_, e.members) for e in table.classes}
     priority: dict = {}
     for i, t in enumerate(transitions):
@@ -377,12 +376,12 @@ def assign_priorities(
             priority[t] = least[i]
         else:
             # a class is reachable when one of its supports leaves a reachable state
-            reachable = bfs(m.step(*t), m.alphabet, m.step)
-            targets = reduce(or_, (leaving[s] for s, _, _ in reachable))
+            reachable = bfs(targets[i], range(n), lambda j, c: targets[j * n + c])
+            after = reduce(or_, (leaving[j] for j, _, _ in reachable))
             candidates = [
                 pgamma[e.class_id]
                 for e in table.classes
-                if class_cover[e.class_id] & targets
+                if class_cover[e.class_id] & after
             ]
             priority[t] = min(candidates)
     return ParityAutomaton.make(m, priority)
@@ -400,7 +399,6 @@ class VerifyReport:
     lassos_checked: int
     support_mismatch: Optional[dict] = None
     lasso_mismatch: Optional[dict] = None
-    seed: int = 0
 
 
 def walk_lassos(
@@ -408,8 +406,9 @@ def walk_lassos(
     alphabet: Sequence, samples: int, judge: Callable[[int, list, list], tuple],
 ) -> tuple[int, Optional[dict]]:
     """Draw ``samples`` lassos of color indices into ``alphabet``, each a
-    prefix of 0 to 6 indices and a period of 1 to 6, walking the flat
-    tables ``nxt`` and ``w`` of :func:`~skelparity.conditions._walk_tables`
+    prefix of 0 to 6 indices and a period of 1 to 6, walking flat tables
+    ``nxt`` and ``w`` like those of :func:`~skelparity.conditions._walk_tables`,
+    read off integer forms (:attr:`~skelparity.skeletons.Skeleton.targets`),
     from row ``init`` as each color comes: a prefix color moves the run, a
     period color extends the first block, and only when that block does not
     end where it began is the period read again
@@ -556,7 +555,6 @@ def _verify(
         lassos_checked=n_lassos,
         support_mismatch=support_mismatch,
         lasso_mismatch=lasso_mismatch,
-        seed=seed,
     )
 
 
@@ -573,7 +571,6 @@ class SynthesisResult:
     table: CycleClassTable
     pgamma: dict
     verify: VerifyReport
-    congruence: Skeleton
     base: Skeleton
 
 
@@ -589,8 +586,7 @@ def synthesize(
     condition on top of (right-congruence automaton x given skeleton)."""
     if samples < 0:
         raise InputError("samples must be a natural number")
-    rc = right_congruence_automaton(cond, cap=cap)
-    base = product(rc, m)
+    base = product(right_congruence_automaton(cond, cap=cap), m)
     analysis = SupportAnalysis(cond, base, cap=cap)
     cc = analysis.cycle_consistency()
     if not cc.passed:
@@ -609,6 +605,5 @@ def synthesize(
         table=table,
         pgamma=pgamma,
         verify=report,
-        congruence=rc,
         base=base,
     )

@@ -12,7 +12,11 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from skelparity.errors import InputError
-from skelparity.skeletons import support_transitions, transition_key
+from skelparity.skeletons import color_key, support_transitions
+
+
+def transition_key(t):
+    return (t[0], color_key(t[1]))
 
 
 def support_key(support: frozenset):

@@ -6,11 +6,13 @@ import os
 import re
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import skelparity
 from skelparity import (
@@ -742,25 +744,37 @@ _CONDITION = {"format": 1, "type": "condition"}
 
 
 @pytest.mark.parametrize(
-    "command, doc",
+    "command, doc, fault",
     [
         ("cond", {**_CONDITION, "kind": "muller", "skeleton": _TRIVIAL_A,
-                  "winning_supports": [[["m0", "a", "x"]]]}),
-        ("cond", {**_CONDITION, "kind": "muller", "winning_supports": []}),
-        ("cond", {**_CONDITION, "kind": "discounted-sum", "lambda": [1, 0], "k": 2}),
-        ("cond", {**_CONDITION, "kind": "discounted-sum", "lambda": [1, 2], "k": "2"}),
-        ("skel", {k: v for k, v in _TRIVIAL_A.items() if k != "upd"}),
+                  "winning_supports": [[["m0", "a", "x"]]]},
+         "bad winning support pair ['m0', 'a', 'x']"),
+        ("cond", {**_CONDITION, "kind": "muller", "winning_supports": []},
+         "malformed condition document (KeyError: 'skeleton')"),
+        ("cond", {**_CONDITION, "kind": "discounted-sum", "lambda": [1, 0], "k": 2},
+         "malformed condition document (ZeroDivisionError: Fraction(1, 0))"),
+        ("cond", {**_CONDITION, "kind": "discounted-sum", "lambda": [1, 2], "k": "2"},
+         "malformed condition document (TypeError: k must be an integer, got '2')"),
+        ("skel", {k: v for k, v in _TRIVIAL_A.items() if k != "upd"},
+         "malformed skeleton document (KeyError: 'upd')"),
         ("skel", {**_TRIVIAL_A, "states": [["m0"]], "init": ["m0"],
-                  "upd": [[["m0"], "a", ["m0"]]]}),
+                  "upd": [[["m0"], "a", ["m0"]]]},
+         "malformed skeleton document (TypeError: unhashable type: 'list')"),
         # booleans are refused as colors and priorities, and so as numbers here
-        ("cond", {**_CONDITION, "kind": "discounted-sum", "lambda": [1, 2], "k": 1.5}),
-        ("cond", {**_CONDITION, "kind": "discounted-sum", "lambda": [1, 2], "k": True}),
-        ("cond", {**_CONDITION, "kind": "discounted-sum", "lambda": [True, 2], "k": 1}),
+        ("cond", {**_CONDITION, "kind": "discounted-sum", "lambda": [1, 2], "k": 1.5},
+         "malformed condition document (TypeError: k must be an integer, got 1.5)"),
+        ("cond", {**_CONDITION, "kind": "discounted-sum", "lambda": [1, 2], "k": True},
+         "malformed condition document (TypeError: k must be an integer, got True)"),
+        ("cond", {**_CONDITION, "kind": "discounted-sum", "lambda": [True, 2], "k": 1},
+         "malformed condition document (TypeError: fraction parts must be integers, got True)"),
+        # an unhashable type used to escape as a TypeError, exit 1
+        ("skel", {**_TRIVIAL_A, "type": []}, "unknown document type []"),
+        ("skel", {**_TRIVIAL_A, "type": {"skeleton": 1}}, "unknown document type {'skeleton': 1}"),
     ],
     ids=["muller-row", "no-skeleton", "zero-denominator", "string-k", "no-upd",
-         "list-state", "float-k", "bool-k", "bool-numerator"],
+         "list-state", "float-k", "bool-k", "bool-numerator", "list-type", "object-type"],
 )
-def test_cli_malformed_documents_exit_2(tmp_path, command, doc):
+def test_cli_malformed_documents_exit_2(tmp_path, capsys, command, doc, fault):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     if command == "cond":
@@ -768,8 +782,8 @@ def test_cli_malformed_documents_exit_2(tmp_path, command, doc):
     else:
         out, code = run_cli("skel", "supports", "--skeleton", str(path))
     assert code == 2
-    report = json.loads(out)
-    assert report["format"] == 1 and "malformed" in report["error"]
+    assert json.loads(out) == {"format": 1, "error": f"{path}: {fault}"}
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -907,6 +921,55 @@ def test_cli_repeated_transition_rows_exit_2(tmp_path, capsys, argv, doc, fault)
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, doc, fault",
+    [
+        (("skel", "supports", "--skeleton"),
+         {**_TRIVIAL_A, "upd": [["m0", "a", "m0"], ["zz", "a", "m0"], ["m0", "q", "m0"]]},
+         "update map key ('zz', 'a') lies outside states x alphabet"),
+        (("skel", "supports", "--skeleton"),
+         {**_TRIVIAL_A, "upd": [["m0", "a", "m0"], ["m0", "q", "m0"]]},
+         "update map key ('m0', 'q') lies outside states x alphabet"),
+        (("export", "dot", "--automaton"), {**_LOOP_S, "priority": [["s", "a", 0], ["t", "a", 1]]},
+         "priority key ('t', 'a') is not a transition of the skeleton"),
+        (("cond", "rc-automaton", "--condition"),
+         {**_CONDITION, "kind": "dpa",
+          "automaton": {**_LOOP_S, "priority": [["s", "a", 0], ["s", "b", 1]]}},
+         "priority key ('s', 'b') is not a transition of the skeleton"),
+    ],
+    ids=["update-row-state", "update-row-color", "priority-row-state", "dpa-priority-row-color"],
+)
+def test_cli_rows_outside_the_machine_exit_2(tmp_path, capsys, argv, doc, fault):
+    # a make that filtered its map would drop these rows unseen
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, code = run_cli(*argv, str(path))
+    assert code == 2
+    assert json.loads(out) == {"format": 1, "error": f"{path}: {fault}"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, text, key",
+    [
+        (("export", "dot", "--arena"),
+         '{"format": 1, "type": "arena", "states": ["s"], "owner": {"s": 1, "s": 2},'
+         ' "edges": [["s", "a", "s"]]}', "s"),
+        (("cond", "rc-automaton", "--condition"),
+         '{"format": 1, "type": "condition", "kind": "muller", "kind": "mean-payoff"}', "kind"),
+    ],
+    ids=["arena-owner", "condition-kind"],
+)
+def test_cli_repeated_json_keys_exit_2(tmp_path, capsys, argv, text, key):
+    # a dict keeps the last value: the arena would draw s as a box of player 2
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    out, code = run_cli(*argv, str(path))
+    assert code == 2
+    assert json.loads(out) == {"format": 1, "error": f"{path}: repeated key {key!r}"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_deeply_nested_document_exits_2(tmp_path, capsys):
     # the JSON decoder recurses once per nesting level
     path = tmp_path / "deep.json"
@@ -915,6 +978,59 @@ def test_cli_deeply_nested_document_exits_2(tmp_path, capsys):
     assert code == 2
     assert json.loads(out) == {"format": 1, "error": f"{path}: JSON nested too deeply to read"}
     assert "Traceback" not in capsys.readouterr().err
+
+
+# the runs of the golden reports and an export of each document type, over
+# tests/golden/inputs; --cap 200 keeps the golden runs and bounds the gap
+# search of a discounted sum whose k is mutated into a huge number
+_INPUT_RUNS = [
+    ("synthesize", "--condition", "gen_buchi.json", "--skeleton", "switch.json", "--cap", "200"),
+    ("synthesize", "--condition", "ds_half_k2.json", "--skeleton", "trivial_k2.json",
+     "--allow-transient", "--cap", "200"),
+    ("check", "prefix-independence", "--condition", "ab_prefix.json",
+     "--skeleton", "first_letter.json", "--cap", "200"),
+    ("check", "cycle-consistency", "--condition", "two_valued_dpa.json",
+     "--skeleton", "trivial_ab.json", "--cap", "200"),
+    ("cond", "rc-automaton", "--condition", "contrast_muller.json", "--cap", "200"),
+    ("verify", "--automaton", "ds_half_k2_dpa.json", "--condition", "ds_half_k2.json",
+     "--cap", "200"),
+    ("game", "solve", "--arena", "random_arena_6.json", "--automaton", "ds_half_k2_dpa.json"),
+    ("export", "dot", "--arena", "random_arena_6.json"),
+    ("export", "dot", "--skeleton", "trivial_abc.json"),
+]
+_DROP = object()
+_SWAPS = ["x", {"x": 1}, True, 2**64, -3, None, 1.5, [], [[0]], _DROP]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_mutated_inputs_keep_the_exit_code_contract(tmp_path, data):
+    # one value of one input of a run swapped for a value of another type,
+    # or dropped: the run exits 0-3 with one JSON report and no traceback.
+    # The value is found by a walk down the document that stops at each
+    # level with even odds, so the top-level fields are often hit
+    argv = data.draw(st.sampled_from(_INPUT_RUNS))
+    name = data.draw(st.sampled_from([a for a in argv if a.endswith(".json")]))
+    doc = json.loads((GOLDEN / "inputs" / name).read_text(encoding="utf-8"))
+    box, key = doc, data.draw(st.sampled_from(list(doc)))
+    while isinstance(box[key], (dict, list)) and box[key] and data.draw(st.booleans()):
+        box = box[key]
+        key = data.draw(st.sampled_from(list(box) if isinstance(box, dict) else range(len(box))))
+    swap = data.draw(st.sampled_from(_SWAPS))
+    if swap is _DROP:
+        del box[key]
+    else:
+        box[key] = swap
+    (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    inputs = {a: str(tmp_path / a if a == name else GOLDEN / "inputs" / a)
+              for a in argv if a.endswith(".json")}
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([inputs.get(a, a) for a in argv])
+    assert code in (0, 1, 2, 3), (name, key, swap, out.getvalue())
+    assert json.loads(out.getvalue())["format"] == 1
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize(

@@ -219,6 +219,7 @@ def test_pair_words_and_lift_match_product(pair):
     for (a, b), w in words.items():
         assert (m1.run_end(w), m2.run_end(w)) == (a, b)
     pairs, succ = pair_product(m1, m2)
+    pairs = [(m1.states[a], m2.states[b]) for a, b in pairs]  # index pairs as names
     names = [f"l{k}" for k in range(len(pairs))]
     lifted, pair_of = product_skeleton(m1.alphabet, names, succ), dict(zip(names, pairs))
     assert lifted.isomorphic(prod)
@@ -237,6 +238,7 @@ def test_pair_words_and_lift_match_product(pair):
 def test_pair_product_is_the_reachable_pairs_stepped_once(pair):
     m1, m2 = pair
     pairs, succ = pair_product(m1, m2)
+    pairs = [(m1.states[a], m2.states[b]) for a, b in pairs]  # index pairs as names
     # brute force: close the initial pair under both machines' steps
     reach = {(m1.init, m2.init)}
     while True:
